@@ -33,7 +33,7 @@ import numpy as np
 
 from . import mc
 from .actions import GaugeConfig, plaquette_actions
-from .errors import UsageError
+from .errors import NotPositiveDefiniteError, UsageError
 from .groups import group_dim
 from .haar import cue_norm, gue_integral, gue_norm, haar_sample
 from .lattice import GaugeFixing
@@ -299,7 +299,12 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
             i, j = tails[b] * width, heads[b] * width
             qs[:, i:i + width, j:j + width] -= kappa_sq * re[:, b]
             qs[:, j:j + width, i:i + width] -= kappa_sq * np.swapaxes(re[:, b], -1, -2)
-        chol = np.linalg.cholesky(qs)
+        try:
+            chol = np.linalg.cholesky(qs)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError(
+                "full-model Bose form is not positive definite",
+                float(np.min(np.linalg.eigvalsh(qs)))) from None
         log_z_b = -np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
         return np.exp(-actions + log_z_b)
 

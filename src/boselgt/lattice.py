@@ -85,18 +85,9 @@ class Lattice:
 
     @cached_property
     def _bond_arrays(self):
-        coords = self.site_coords
-        sites, dirs = [], []
-        for s in range(self.n_sites):
-            for mu in range(self.d):
-                if coords[s, mu] < self.L:
-                    sites.append(s)
-                    dirs.append(mu)
-        site = np.array(sites, dtype=np.int64)
-        direction = np.array(dirs, dtype=np.int64)
-        head_coords = coords[site].copy()
-        head_coords[np.arange(len(site)), direction] += 1
-        head = self.site_index(head_coords)
+        # nonzero walks the mask row-major: site-major, then direction.
+        site, direction = np.nonzero(self.site_coords < self.L)
+        head = site + self.L ** (self.d - 1 - direction)
         table = np.full((self.n_sites, self.d), -1, dtype=np.int64)
         table[site, direction] = np.arange(len(site))
         return site, direction, head, table

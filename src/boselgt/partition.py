@@ -9,6 +9,12 @@ of C^N into R^{2N}: a unitary g becomes the orthogonal 2N x 2N block matrix
 [[Re g, -Im g], [Im g, Re g]], the determinant of the real form is the
 square of the Hermitian one, and a complex flavor contributes det^{-1}.
 
+Quadratic forms are kept in LAPACK lower band storage, ab[k, c] = Q[c + k, c].
+Sites are ordered lexicographically, so a bond couples sites at most
+L^{d-1} apart and Q has lower bandwidth kd = (L^{d-1} + 1) * width - 1 with
+width = N (real) or 2 N (complex).  The banded Cholesky costs about M kd^2
+instead of M^3 / 3 and stores (kd + 1) M entries instead of M^2.
+
 Values that can leave the double range are carried as logarithms; Estimate
 keeps both, with log_value authoritative.
 """
@@ -93,45 +99,62 @@ def _real_coupling_block(g, field_kind):
     return np.block([[re, -im], [im, re]])
 
 
-def bose_quadratic_form(params, config):
-    """Real symmetric Q with S_Bose = phi^T Q phi / 2 (site-major blocks).
+def _banded_form(n_nodes, width, tails, heads, hops):
+    """Lower band of Q = 1 - (hopping blocks), LAPACK layout ab[k, c] = Q[c + k, c].
 
-    Shape (M, M) with M = n_sites * N for real fields and 2 N otherwise.
-    Diagonal blocks are the identity; each bond contributes -kappa^2 times
-    its coupling block and the transpose on the mirrored position.
+    Node t owns rows t * width .. (t + 1) * width - 1.  Link i adds -hops[i]
+    at block (tails[i], heads[i]) and its transpose at the mirrored block;
+    heads[i] > tails[i], so only the transpose lies in the lower band.  The
+    band is kd = max(heads - tails) * width + width - 1 wide, and no two links
+    share an entry, so one scatter places them all.
+    """
+    steps = heads - tails
+    kd = int(steps.max()) * width + width - 1
+    ab = np.zeros((kd + 1, n_nodes * width))
+    ab[0] = 1.0
+    a = np.arange(width)
+    # Entry [i, r, c] of the scatter is Q[heads[i] w + r, tails[i] w + c].
+    rows = (steps * width)[:, None, None] + a[None, :, None] - a[None, None, :]
+    cols = (tails * width)[:, None, None] + a[None, None, :]
+    ab[rows, cols] = -np.swapaxes(hops, -1, -2)
+    return ab
+
+
+def bose_quadratic_form(params, config):
+    """Real symmetric Q with S_Bose = phi^T Q phi / 2, in lower band storage.
+
+    Fields are site-major blocks of width N for real fields and 2 N for
+    complex ones, so M = n_sites * width.  Diagonal blocks are the identity;
+    each bond contributes -kappa^2 times its coupling block and the
+    transpose on the mirrored position.  With lexicographic sites a bond
+    spans at most L^{d-1} sites, so Q has lower bandwidth
+    kd = (L^{d-1} + 1) * width - 1 and is returned as ab of shape (kd + 1, M)
+    with ab[k, c] = Q[c + k, c] (scipy.linalg.cholesky_banded, lower=True).
     """
     lat = params.lattice
     width = params.n if params.field_kind == "real" else 2 * params.n
-    m = lat.n_sites * width
-    q = np.eye(m)
-    kappa_sq = params.scaling.kappa_sq
-    for b in range(lat.n_bonds):
-        blk = kappa_sq * _real_coupling_block(config.bonds[b], params.field_kind)
-        i = lat.bond_tail[b] * width
-        j = lat.bond_head[b] * width
-        q[i:i + width, j:j + width] -= blk
-        q[j:j + width, i:i + width] -= blk.T
-    return q
+    hops = params.scaling.kappa_sq * _real_coupling_block(
+        config.bonds, params.field_kind)
+    return _banded_form(lat.n_sites, width, lat.bond_tail, lat.bond_head, hops)
 
 
-def logdet_posdef(q, context="quadratic form"):
-    """log det of a symmetric positive definite matrix via Cholesky.
+def logdet_posdef(ab, context="quadratic form"):
+    """log det of a symmetric positive definite band matrix via Cholesky.
 
-    The Gershgorin bound says eigenvalues are at least 1 - 2 d kappa^2 times
+    ab is the lower band in LAPACK layout, ab[k, c] = Q[c + k, c].  The
+    Gershgorin bound says eigenvalues are at least 1 - 2 d kappa^2 times
     the largest coupling row sum, so well inside the hopping range the
     factorization cannot fail; if it does (e.g. at the massless edge with
-    round-off), an LDL^T pass names the smallest pivot in the error.
+    round-off), the smallest eigenvalue of the band is named in the error.
     """
     try:
-        chol = np.linalg.cholesky(q)
+        chol = scipy.linalg.cholesky_banded(ab, lower=True)
     except np.linalg.LinAlgError:
-        # Bunch-Kaufman D may hold 2x2 blocks whose raw diagonal hides the
-        # negative direction, so diagnose with its eigenvalues instead.
-        _, d, _ = scipy.linalg.ldl(q)
+        smallest = scipy.linalg.eigvals_banded(
+            ab, lower=True, select="i", select_range=(0, 0))
         raise NotPositiveDefiniteError(
-            f"{context} is not positive definite",
-            float(np.min(np.linalg.eigvalsh(d)))) from None
-    return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+            f"{context} is not positive definite", float(smallest[0])) from None
+    return 2.0 * float(np.sum(np.log(chol[0])))
 
 
 def z_bose_exact(params, config):
@@ -140,17 +163,17 @@ def z_bose_exact(params, config):
     For complex fields Q is the real embedding, giving det^{-n_flavors}
     of the Hermitian form automatically.
     """
-    q = bose_quadratic_form(params, config)
-    logdet = logdet_posdef(q, context="Bose quadratic form")
+    ab = bose_quadratic_form(params, config)
+    logdet = logdet_posdef(ab, context="Bose quadratic form")
     return Estimate.exact(-0.5 * params.n_flavors * logdet)
 
 
 def z_bose_exact_unscaled(params, config):
     """Unscaled Bose value; equals s_B^{-N n_f Lambda_s} (x2 complex) times scaled."""
-    q = bose_quadratic_form(params, config)
-    s = params.scaling
+    ab = bose_quadratic_form(params, config)
     # Q_u = s_B^2 Q exactly, so log det shifts by (matrix size) * log s_B^2.
-    logdet = logdet_posdef(s.bose_scale**2 * q, context="unscaled Bose form")
+    logdet = (logdet_posdef(ab, context="Bose quadratic form")
+              + ab.shape[1] * np.log(params.scaling.bose_scale**2))
     return Estimate.exact(-0.5 * params.n_flavors * logdet)
 
 
@@ -273,20 +296,17 @@ def chain_partition(length, n, d, gauge_list=None, kappa_sq=None):
         raise UsageError(f"chain length must be >= 2, got {length}")
     if kappa_sq is None:
         kappa_sq = 1.0 / (2.0 * d)
-    blocks = gauge_list
-    if blocks is None:
-        blocks = [np.eye(n)] * (length - 1)
-    if len(blocks) != length - 1:
-        raise ValueError(f"need {length - 1} gauge blocks, got {len(blocks)}")
-    m = length * n
-    q = np.eye(m)
-    for i, g in enumerate(blocks):
-        g = np.asarray(g, dtype=float)
-        if g.shape != (n, n):
-            raise ValueError(f"gauge blocks must be {n} x {n}, got {g.shape}")
-        q[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] -= d * kappa_sq * g
-        q[(i + 1) * n:(i + 2) * n, i * n:(i + 1) * n] -= d * kappa_sq * g.T
-    logdet = logdet_posdef(q, context="chain quadratic form")
+    if gauge_list is None:
+        gauge_list = [np.eye(n)] * (length - 1)
+    if len(gauge_list) != length - 1:
+        raise ValueError(f"need {length - 1} gauge blocks, got {len(gauge_list)}")
+    for g in gauge_list:
+        if np.shape(g) != (n, n):
+            raise ValueError(f"gauge blocks must be {n} x {n}, got {np.shape(g)}")
+    links = np.arange(length - 1)
+    hops = d * kappa_sq * np.asarray(gauge_list, dtype=float)
+    ab = _banded_form(length, n, links, links + 1, hops)
+    logdet = logdet_posdef(ab, context="chain quadratic form")
     return float(np.exp(-0.5 * logdet))
 
 

@@ -22,7 +22,7 @@ from scipy.special import erf
 
 from .errors import QuadratureError, UsageError
 
-# Series switch for sin(r)/r and arcsin(w)/w: below this radius the direct
+# Series switch for sin(r)/r: below this radius the direct
 # quotient loses digits, the 3-term even series is exact to < 1e-32 there.
 SERIES_RADIUS = 1e-4
 
@@ -55,9 +55,9 @@ def su2_log(p):
     """Principal logarithm, shape (..., 4) -> (..., 3), |result| <= pi.
 
     The point (-1, 0, 0, 0) has no principal logarithm (every direction at
-    radius pi maps to it) and raises ValueError.  Points with w0 < 0 use the
-    reflected branch pi - arcsin|w|, points on the equator w0 = 0 use pi/2
-    exactly, so the radius is continuous across all three regions.
+    radius pi maps to it) and raises ValueError.  The radius is
+    arctan2(|w|, w0), which stays accurate where arcsin|w| does not: near the
+    equator w0 = 0, where arcsin has unbounded slope, and near -1.
     """
     p = np.asarray(p, dtype=float)
     w0 = p[..., 0]
@@ -65,16 +65,7 @@ def su2_log(p):
     wn = np.linalg.norm(w, axis=-1)
     if np.any((wn == 0.0) & (w0 < 0.0)):
         raise ValueError("logarithm undefined at -1")
-    small = wn < SERIES_RADIUS
-    safe = np.where(small, 1.0, wn)
-    w2 = wn * wn
-    # arcsin(w)/w and its series; valid since |w| <= 1.
-    asin_over = np.where(small, 1.0 + w2 / 6.0 + 3.0 * w2 * w2 / 40.0,
-                         np.arcsin(np.clip(wn, 0.0, 1.0)) / safe)
-    scale_pos = asin_over
-    scale_neg = (np.pi - np.arcsin(np.clip(wn, 0.0, 1.0))) / safe
-    scale = np.where(w0 > 0.0, scale_pos,
-                     np.where(w0 < 0.0, scale_neg, np.pi / 2.0))
+    scale = np.arctan2(wn, w0) / np.where(wn == 0.0, 1.0, wn)
     return scale[..., None] * w
 
 

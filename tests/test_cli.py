@@ -6,11 +6,13 @@ exercised the way a shell user hits them.
 """
 
 import json
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
 
+from boselgt.actions import ScalingFactors
 from boselgt.cli import main
 from boselgt.partition import z_single_bond
 from boselgt.records import ResultRecord, load_schema
@@ -190,6 +192,26 @@ def test_bose_exact_reports_both_scalings(tmp_path, capsys):
     run_cli(["bose-exact", "--d", 2, "--L", 2, "--output", out_id], capsys)
     identity = read_record(out_id).payload
     assert identity["scaled"]["log_value"] != payload["scaled"]["log_value"]
+
+
+@pytest.fixture
+def indefinite_hopping(monkeypatch):
+    # kappa^2 = 0.6 > 1/(2d) puts the Bose form outside the positive range.
+    original = ScalingFactors.from_params
+    monkeypatch.setattr(ScalingFactors, "from_params", classmethod(
+        lambda cls, p: replace(original(p), kappa_sq=0.6)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["bose-exact", "--d", 2, "--L", 2],
+    ["verify-bounds", "--d", 2, "--L", 3, "--which", "full", "--samples", 2000],
+])
+def test_indefinite_bose_form_exits_3(argv, tmp_path, capsys,
+                                      indefinite_hopping):
+    code, _, err = run_cli(argv + ["--output", tmp_path / "rec.json"], capsys)
+    assert code == 3
+    assert "not positive definite" in err
+    assert not (tmp_path / "rec.json").exists()
 
 
 def test_verify_bounds_small_model_passes(tmp_path, capsys):

@@ -63,6 +63,34 @@ def test_bond_endpoints_differ_by_unit_step():
     assert np.all(delta[np.arange(lat.n_bonds), lat.bond_dir] == 1)
 
 
+def loop_bond_arrays(lat):
+    """Per-site enumeration of the bonds: the reference for the vectorised tables."""
+    coords = lat.site_coords
+    sites, dirs = [], []
+    for s in range(lat.n_sites):
+        for mu in range(lat.d):
+            if coords[s, mu] < lat.L:
+                sites.append(s)
+                dirs.append(mu)
+    site = np.array(sites, dtype=np.int64)
+    direction = np.array(dirs, dtype=np.int64)
+    head_coords = coords[site].copy()
+    head_coords[np.arange(len(site)), direction] += 1
+    head = lat.site_index(head_coords)
+    table = np.full((lat.n_sites, lat.d), -1, dtype=np.int64)
+    table[site, direction] = np.arange(len(site))
+    return site, direction, head, table
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_bond_arrays_match_loop_enumeration(d, L):
+    lat = Lattice(d=d, L=L)
+    for got, want in zip(lat._bond_arrays, loop_bond_arrays(lat)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_bond_index_round_trip():
     lat = Lattice(d=2, L=3)
     b = lat.bond_index((1, 1), 1)

@@ -37,6 +37,42 @@ def quad_z_4d(q, x_max=10.0, m=48):
     return float(np.sum(np.exp(expo))) * h**4 / (2.0 * np.pi) ** 2
 
 
+def band_to_dense(ab):
+    """Symmetric dense matrix from LAPACK lower band storage ab[k, c] = Q[c + k, c]."""
+    m = ab.shape[1]
+    q = np.zeros((m, m))
+    for k in range(ab.shape[0]):
+        c = np.arange(m - k)
+        q[c + k, c] = q[c, c + k] = ab[k, :m - k]
+    return q
+
+
+def dense_to_band(q):
+    """Full-width lower band storage of a dense symmetric matrix."""
+    m = q.shape[0]
+    ab = np.zeros((m, m))
+    for k in range(m):
+        ab[k, :m - k] = np.diagonal(q, -k)
+    return ab
+
+
+def dense_bose_form(params, config):
+    """Per-bond dense build of Q, independent of the band scatter."""
+    lat = params.lattice
+    width = params.n if params.field_kind == "real" else 2 * params.n
+    q = np.eye(lat.n_sites * width)
+    for b in range(lat.n_bonds):
+        g = config.bonds[b]
+        if params.field_kind == "real":
+            blk = np.real(g)
+        else:
+            blk = np.block([[np.real(g), -np.imag(g)], [np.imag(g), np.real(g)]])
+        i, j = lat.bond_tail[b] * width, lat.bond_head[b] * width
+        q[i:i + width, j:j + width] -= params.scaling.kappa_sq * blk
+        q[j:j + width, i:i + width] -= params.scaling.kappa_sq * blk.T
+    return q
+
+
 # ---------------------------------------------------------------- Estimate
 
 def test_estimate_value_clamps():
@@ -67,7 +103,7 @@ def test_estimate_from_moments():
 def test_real_model_matches_brute_force_quadrature_identity_gauge():
     p = ModelParams(d=2, L=2, m_u=2.0, kappa_u_sq=1.0)  # kappa^2 = 1/8
     cfg = GaugeConfig.identity(p.lattice)
-    q = bose_quadratic_form(p, cfg)
+    q = band_to_dense(bose_quadratic_form(p, cfg))
     assert np.array_equal(q, q.T)
     assert np.all(np.diag(q) == 1.0)
     direct = quad_z_4d(q)
@@ -77,7 +113,7 @@ def test_real_model_matches_brute_force_quadrature_identity_gauge():
 def test_real_model_matches_brute_force_quadrature_random_gauge():
     p = ModelParams(d=2, L=2, m_u=1.0, kappa_u_sq=0.9)
     cfg = GaugeConfig.random(p.lattice, np.random.default_rng(21))
-    q = bose_quadratic_form(p, cfg)
+    q = band_to_dense(bose_quadratic_form(p, cfg))
     direct = quad_z_4d(q)
     assert z_bose_exact(p, cfg).value == pytest.approx(direct, rel=1e-8)
 
@@ -134,10 +170,38 @@ def test_logdet_posdef_routes_and_failure():
     rng = np.random.default_rng(61)
     a = rng.standard_normal((6, 6))
     q = a @ a.T + 6.0 * np.eye(6)
-    assert logdet_posdef(q) == pytest.approx(np.linalg.slogdet(q)[1], rel=1e-12)
+    assert logdet_posdef(dense_to_band(q)) == pytest.approx(
+        np.linalg.slogdet(q)[1], rel=1e-12)
     with pytest.raises(NotPositiveDefiniteError) as err:
-        logdet_posdef(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        logdet_posdef(dense_to_band(np.array([[1.0, 2.0], [2.0, 1.0]])))
     assert err.value.smallest_pivot < 0.0  # the offending pivot is reported
+    assert err.value.smallest_pivot == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field_kind", ["real", "complex"])
+@pytest.mark.parametrize("d,L", [(2, 4), (3, 3), (4, 2)])
+def test_band_form_matches_dense_per_bond_build(d, L, field_kind, n):
+    p = ModelParams(d=d, L=L, n=n, field_kind=field_kind,
+                    m_u=0.5, kappa_u_sq=1.0)
+    cfg = GaugeConfig.random(p.lattice, np.random.default_rng(10 * d + n), n=n)
+    dense = dense_bose_form(p, cfg)
+    ab = bose_quadratic_form(p, cfg)
+    assert np.array_equal(band_to_dense(ab), dense)
+    sign, expect = np.linalg.slogdet(dense)
+    assert sign == 1.0
+    assert logdet_posdef(ab) == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("field_kind,width", [("real", 2), ("complex", 4)])
+@pytest.mark.parametrize("d,L", [(2, 4), (3, 3), (4, 3)])
+def test_band_holds_every_nonzero(d, L, field_kind, width):
+    p = ModelParams(d=d, L=L, n=2, field_kind=field_kind, m_u=0.5)
+    cfg = GaugeConfig.random(p.lattice, np.random.default_rng(d), n=2)
+    rows, cols = np.nonzero(dense_bose_form(p, cfg))
+    kd = bose_quadratic_form(p, cfg).shape[0] - 1
+    assert kd == np.max(np.abs(rows - cols))
+    assert kd == (L ** (d - 1) + 1) * width - 1
 
 
 # ------------------------------------------------------------ gauge sector

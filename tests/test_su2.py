@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boselgt.errors import UsageError
@@ -47,8 +47,8 @@ def test_log_inverts_exp_inside_the_ball():
 
 
 def test_log_branch_regions():
-    # Reflected branch (w0 < 0), equator (w0 = 0), and the tiny-radius series.
-    for r in (0.5, np.pi / 2, 2.5, 3.0, 1e-7):
+    # Reflected branch (w0 < 0), equator (w0 = 0), tiny radius, and next to -1.
+    for r in (0.5, np.pi / 2, 2.5, 3.0, 1e-7, np.pi - 1e-6):
         a = np.array([0.0, r, 0.0])
         assert np.linalg.norm(su2_log(su2_exp(a))) == pytest.approx(r, rel=1e-12)
 
@@ -170,6 +170,7 @@ def test_mul_is_associative(seed):
 @settings(max_examples=50, deadline=None)
 @given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0), z=st.floats(-1.0, 1.0),
        scale=st.floats(1e-8, 0.99))
+@example(x=0.0, y=1.0, z=0.5, scale=0.5)  # radius pi/2, |w| just below 1
 def test_exp_log_round_trip_property(x, y, z, scale):
     v = np.array([x, y, z])
     norm = np.linalg.norm(v)
