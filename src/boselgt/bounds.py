@@ -37,9 +37,10 @@ from .errors import NotPositiveDefiniteError, UsageError
 from .groups import group_dim
 from .haar import cue_norm, gue_integral, gue_norm, haar_sample
 from .lattice import GaugeFixing
-from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
-                        z_single_bond, z_wilson_mc)
-from .su2 import su2_bound_constants, su2_haar
+from .partition import (Estimate, bose_quadratic_form, coupling_entries,
+                        logdet_posdef, sample_bonds, z_single_bond, z_wilson_mc)
+from .su2 import (su2_angle, su2_bound_constants, su2_haar, su2_inverse,
+                  su2_mul, su2_plaquette_action)
 
 DETERMINISTIC_LOG_RTOL = 1e-8
 
@@ -228,7 +229,7 @@ def verify_gauge_bounds(params, n_samples=200_000, seed=0, n_workers=1):
     Monte Carlo over gauge-fixed Haar configurations.
     """
     consts = BoundConstants.for_params(params)
-    n_ret = GaugeFixing.enhanced_temporal(params.lattice).n_retained
+    n_ret = params.gauge_fixing.n_retained
     dim = group_dim(params.kind, params.n)
     log_scale = dim * n_ret * np.log(params.scaling.gauge_scale)
     if params.d == 2:
@@ -282,23 +283,19 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     consts = BoundConstants.for_params(params)
     lo_rate, up_rate = consts.combined_rates(lat)
     dim = group_dim(params.kind, params.n)
-    n_ret = GaugeFixing.enhanced_temporal(lat).n_retained
+    n_ret = params.gauge_fixing.n_retained
     log_scale = dim * n_ret * np.log(params.scaling.gauge_scale)
     coupling = params.scaling.coupling
     kappa_sq = params.scaling.kappa_sq
-    width = params.n
-    msize = lat.n_sites * width
-    tails, heads = lat.bond_tail, lat.bond_head
+    msize = lat.n_sites * params.n
+    rows, cols = coupling_entries(params.n, lat.bond_tail, lat.bond_head)
 
     def block(rng, count):
-        bonds = _haar_bond_block(rng, params, lat.n_bonds, count)
+        bonds = sample_bonds(rng, params.n, params.kind, (count, lat.n_bonds))
         actions = coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
         qs = np.broadcast_to(np.eye(msize), (count, msize, msize)).copy()
-        re = np.real(bonds)
-        for b in range(lat.n_bonds):
-            i, j = tails[b] * width, heads[b] * width
-            qs[:, i:i + width, j:j + width] -= kappa_sq * re[:, b]
-            qs[:, j:j + width, i:i + width] -= kappa_sq * np.swapaxes(re[:, b], -1, -2)
+        qs[:, rows, cols] = qs[:, cols, rows] = -kappa_sq * np.swapaxes(
+            np.real(bonds), -1, -2)
         try:
             chol = np.linalg.cholesky(qs)
         except np.linalg.LinAlgError:
@@ -316,13 +313,6 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     return _report_from_estimate(
         "full-model bounds", est,
         lo_rate * lat.n_sites, up_rate * lat.n_sites)
-
-
-def _haar_bond_block(rng, params, n_bonds, count):
-    if params.kind == "SU" and params.n == 2:
-        from .su2 import su2_to_matrix
-        return su2_to_matrix(su2_haar(rng, (count, n_bonds)))
-    return haar_sample(rng, params.n, kind=params.kind, size=(count, n_bonds))
 
 
 # ------------------------------------------- pointwise inequality suites
@@ -352,13 +342,10 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
             pts = su2_haar(rng, (count, k))
             hol = pts[:, 0]
             for j in range(1, k):
-                nxt = pts[:, j] if signs[j] > 0 else _su2_inv(pts[:, j])
-                hol = _su2_mul(hol, nxt)
-            w0 = hol[..., 0]
-            action = np.where(w0 > 0.0,
-                              4.0 * np.sum(hol[..., 1:] ** 2, axis=-1) / (1.0 + w0),
-                              4.0 * (1.0 - w0))
-            theta = _su2_angle(pts)
+                nxt = pts[:, j] if signs[j] > 0 else su2_inverse(pts[:, j])
+                hol = su2_mul(hol, nxt)
+            action = su2_plaquette_action(hol)
+            theta = su2_angle(pts)
             bound = k * n * np.sum(2.0 * theta * theta, axis=-1)
             return int(np.sum(action > bound) + np.sum(action > 4.0 * n))
     else:
@@ -383,24 +370,6 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
     return SampledBoundCheck(name=f"plaquette quadratic bound {kind}({n}) k={k}",
                              n_samples=n_samples, violations=total,
                              worst_margin=np.nan)
-
-
-def _su2_mul(p, q):
-    from .su2 import su2_mul
-    return su2_mul(p, q)
-
-
-def _su2_inv(p):
-    from .su2 import su2_inverse
-    return su2_inverse(p)
-
-
-def _su2_angle(pts):
-    """Rotation half-angle theta in [0, pi] per point, cancellation-free."""
-    w0 = pts[..., 0]
-    wn = np.linalg.norm(pts[..., 1:], axis=-1)
-    wn = np.clip(wn, 0.0, 1.0)
-    return np.where(w0 >= 0.0, np.arcsin(wn), np.pi - np.arcsin(wn))
 
 
 def elementary_inequality_suite(n_draws, seed, n_workers=1,
@@ -444,11 +413,8 @@ def elementary_inequality_suite(n_draws, seed, n_workers=1,
                 bad["density-lower"] += int(np.sum(
                     rho_box * (1 + 1e-12) < factor * hat_box))
         pts = su2_haar(rng, count)
-        theta = _su2_angle(pts)
-        w0 = pts[..., 0]
-        act = np.where(w0 > 0.0,
-                       4.0 * np.sum(pts[..., 1:] ** 2, axis=-1) / (1.0 + w0),
-                       4.0 * (1.0 - w0))
+        theta = su2_angle(pts)
+        act = su2_plaquette_action(pts)
         bad["su2-pointwise"] += int(np.sum(act > 2.0 * theta * theta * (1 + 1e-12)))
         bad["su2-pointwise"] += int(np.sum(act > 8.0))
         half = theta <= np.pi / 2.0

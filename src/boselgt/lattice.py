@@ -119,27 +119,16 @@ class Lattice:
 
     @cached_property
     def _plaq_arrays(self):
-        coords = self.site_coords
         table = self._bond_arrays[3]
-        site, mus, nus, bonds = [], [], [], []
-        for s in range(self.n_sites):
-            for mu in range(self.d):
-                if coords[s, mu] >= self.L:
-                    continue
-                for nu in range(mu + 1, self.d):
-                    if coords[s, nu] >= self.L:
-                        continue
-                    c = coords[s]
-                    c_mu = c.copy(); c_mu[mu] += 1
-                    c_nu = c.copy(); c_nu[nu] += 1
-                    b1 = table[s, mu]
-                    b2 = table[self.site_index(c_mu), nu]
-                    b3 = table[self.site_index(c_nu), mu]
-                    b4 = table[s, nu]
-                    site.append(s); mus.append(mu); nus.append(nu)
-                    bonds.append((b1, b2, b3, b4))
-        return (np.array(site, dtype=np.int64), np.array(mus, dtype=np.int64),
-                np.array(nus, dtype=np.int64), np.array(bonds, dtype=np.int64))
+        pair_mu, pair_nu = np.triu_indices(self.d, 1)
+        forward = self.site_coords < self.L
+        # nonzero walks the mask row-major: site-major, then mu, then nu.
+        site, pair = np.nonzero(forward[:, pair_mu] & forward[:, pair_nu])
+        mu, nu = pair_mu[pair], pair_nu[pair]
+        step = self.L ** (self.d - 1 - np.arange(self.d))
+        bonds = np.stack([table[site, mu], table[site + step[mu], nu],
+                          table[site + step[nu], mu], table[site, nu]], axis=-1)
+        return site, mu, nu, bonds
 
     @property
     def plaq_site(self):

@@ -26,9 +26,9 @@ import numpy as np
 import scipy.linalg
 
 from . import mc
+from .actions import plaquette_actions
 from .errors import NotPositiveDefiniteError, NumericError, UsageError
 from .haar import haar_sample, peaked_cue_integral, weyl_integrate
-from .lattice import GaugeFixing, Lattice
 from .su2 import su2_haar, su2_to_matrix
 
 # Couplings up to this value integrate fine on the periodic grid; beyond it
@@ -99,24 +99,33 @@ def _real_coupling_block(g, field_kind):
     return np.block([[re, -im], [im, re]])
 
 
+def coupling_entries(width, tails, heads):
+    """Positions of the link blocks below the diagonal of Q, as (rows, cols).
+
+    Node t owns rows t * width .. (t + 1) * width - 1.  Both arrays have
+    shape (n_links, width, width), and entry [i, r, c] addresses
+    Q[heads[i] w + r, tails[i] w + c]: the block holding the transpose of
+    link i's hopping matrix.
+    """
+    a = np.arange(width)
+    rows = (heads * width)[:, None, None] + a[:, None]
+    cols = (tails * width)[:, None, None] + a
+    return np.broadcast_arrays(rows, cols)
+
+
 def _banded_form(n_nodes, width, tails, heads, hops):
     """Lower band of Q = 1 - (hopping blocks), LAPACK layout ab[k, c] = Q[c + k, c].
 
-    Node t owns rows t * width .. (t + 1) * width - 1.  Link i adds -hops[i]
-    at block (tails[i], heads[i]) and its transpose at the mirrored block;
-    heads[i] > tails[i], so only the transpose lies in the lower band.  The
-    band is kd = max(heads - tails) * width + width - 1 wide, and no two links
-    share an entry, so one scatter places them all.
+    Link i adds -hops[i] at block (tails[i], heads[i]) and its transpose at
+    the mirrored block; heads[i] > tails[i], so only the transpose lies in
+    the lower band.  The band is kd = max(heads - tails) * width + width - 1
+    wide, and no two links share an entry, so one scatter places them all.
     """
-    steps = heads - tails
-    kd = int(steps.max()) * width + width - 1
+    kd = int((heads - tails).max()) * width + width - 1
     ab = np.zeros((kd + 1, n_nodes * width))
     ab[0] = 1.0
-    a = np.arange(width)
-    # Entry [i, r, c] of the scatter is Q[heads[i] w + r, tails[i] w + c].
-    rows = (steps * width)[:, None, None] + a[None, :, None] - a[None, None, :]
-    cols = (tails * width)[:, None, None] + a[None, None, :]
-    ab[rows, cols] = -np.swapaxes(hops, -1, -2)
+    rows, cols = coupling_entries(width, tails, heads)
+    ab[rows - cols, cols] = -np.swapaxes(hops, -1, -2)
     return ab
 
 
@@ -179,11 +188,11 @@ def z_bose_exact_unscaled(params, config):
 
 # ---------------------------------------------------------- gauge sector
 
-def _sample_bonds(rng, n_bonds, n, kind, count):
-    """count configurations of Haar bond matrices, shape (count, n_bonds, n, n)."""
+def sample_bonds(rng, n, kind, size):
+    """Haar bond matrices of shape size + (n, n); SU(2) goes via quaternions."""
     if kind == "SU" and n == 2:
-        return su2_to_matrix(su2_haar(rng, (count, n_bonds)))
-    return haar_sample(rng, n, kind=kind, size=(count, n_bonds))
+        return su2_to_matrix(su2_haar(rng, size))
+    return haar_sample(rng, n, kind=kind, size=size)
 
 
 def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
@@ -198,26 +207,17 @@ def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
     """
     lat = params.lattice
     if gauge_fixed:
-        fixing = GaugeFixing.enhanced_temporal(lat)
-        active = fixing.retained_bonds
+        active = params.gauge_fixing.retained_bonds
     else:
         active = np.arange(lat.n_bonds)
     coupling = params.scaling.coupling
-    plaq = lat.plaq_bonds
     n = params.n
 
     def block(rng, count):
         bonds = np.broadcast_to(
             np.eye(n, dtype=complex), (count, lat.n_bonds, n, n)).copy()
-        bonds[:, active] = _sample_bonds(rng, len(active), n, params.kind, count)
-        g1 = bonds[:, plaq[:, 0]]
-        g2 = bonds[:, plaq[:, 1]]
-        g3 = bonds[:, plaq[:, 2]]
-        g4 = bonds[:, plaq[:, 3]]
-        dag = lambda m: np.conj(np.swapaxes(m, -1, -2))
-        hol = g1 @ g2 @ dag(g3) @ dag(g4)
-        tr = np.trace(hol, axis1=-2, axis2=-1)
-        action = coupling * np.sum(2.0 * (n - np.real(tr)), axis=-1)
+        bonds[:, active] = sample_bonds(rng, n, params.kind, (count, len(active)))
+        action = coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
         return np.exp(-action)
 
     moments = mc.sample_mean(block, n_samples, seed,
@@ -276,7 +276,7 @@ def z_wilson_d2_exact(params):
     if params.d != 2:
         raise UsageError(f"exact factorization requires d = 2, got {params.d}")
     z = z_single_bond(params.scaling.coupling, params.n, params.kind)
-    n_ret = GaugeFixing.enhanced_temporal(params.lattice).n_retained
+    n_ret = params.gauge_fixing.n_retained
     return Estimate.exact(n_ret * float(np.log(z)), method="quadrature")
 
 

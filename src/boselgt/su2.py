@@ -55,7 +55,7 @@ def su2_log(p):
     """Principal logarithm, shape (..., 4) -> (..., 3), |result| <= pi.
 
     The point (-1, 0, 0, 0) has no principal logarithm (every direction at
-    radius pi maps to it) and raises ValueError.  The radius is
+    radius pi maps to it) and raises ValueError.  The radius is su2_angle,
     arctan2(|w|, w0), which stays accurate where arcsin|w| does not: near the
     equator w0 = 0, where arcsin has unbounded slope, and near -1.
     """
@@ -65,7 +65,7 @@ def su2_log(p):
     wn = np.linalg.norm(w, axis=-1)
     if np.any((wn == 0.0) & (w0 < 0.0)):
         raise ValueError("logarithm undefined at -1")
-    scale = np.arctan2(wn, w0) / np.where(wn == 0.0, 1.0, wn)
+    scale = su2_angle(p) / np.where(wn == 0.0, 1.0, wn)
     return scale[..., None] * w
 
 
@@ -137,21 +137,37 @@ def su2_haar_density(a):
     return s * s / (2.0 * np.pi**2)
 
 
+def su2_angle(p):
+    """Rotation angle theta = arctan2(|w|, w0) in [0, pi] of a point.
+
+    The eigenvalue angles are +-theta.  Unlike arccos(w0) or arcsin|w| it
+    keeps full relative precision at every angle, small ones included.
+    """
+    p = np.asarray(p, dtype=float)
+    return np.arctan2(np.linalg.norm(p[..., 1:], axis=-1), p[..., 0])
+
+
 def su2_angle_norm_sq(p):
-    """Squared angle norm |lam|^2 = 2 theta^2 of a point, theta = arccos(w0).
+    """Squared angle norm |lam|^2 = 2 theta^2 of a point, theta = su2_angle(p).
 
     Equals the squared coefficient norm of the principal matrix logarithm
     (eigenvalue angles are +-theta).
     """
-    p = np.asarray(p, dtype=float)
-    theta = np.arccos(np.clip(p[..., 0], -1.0, 1.0))
+    theta = su2_angle(p)
     return 2.0 * theta * theta
 
 
 def su2_plaquette_action(p):
-    """Wilson plaquette action 2 Re tr(1 - g) = 4 (1 - w0) of a point."""
+    """Wilson plaquette action 2 Re tr(1 - g) = 4 (1 - w0) of a point.
+
+    For w0 > 0 it is evaluated as 4 |w|^2 / (1 + w0), the same number on the
+    unit sphere, free of the 1 - w0 cancellation near the identity (the
+    max(w0, 0) only keeps the unused branch finite at w0 = -1).
+    """
     p = np.asarray(p, dtype=float)
-    return 4.0 * (1.0 - p[..., 0])
+    w0 = p[..., 0]
+    near = 4.0 * np.sum(p[..., 1:] ** 2, axis=-1) / (1.0 + np.maximum(w0, 0.0))
+    return np.where(w0 > 0.0, near, 4.0 * (1.0 - w0))
 
 
 def capital_e(gamma):

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from boselgt.actions import ModelParams
+from boselgt import mc
+from boselgt.actions import GaugeConfig, ModelParams, wilson_action
 from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
                             check_plaquette_quadratic, d2_bond_upper_checks,
                             elementary_inequality_suite, gauge_rate_bounds,
                             verify_bose_bounds, verify_full_model,
                             verify_gauge_bounds)
 from boselgt.errors import UsageError
+from boselgt.groups import group_dim
+from boselgt.partition import bose_quadratic_form, logdet_posdef, sample_bonds
 
 
 # --------------------------------------------------------------- constants
@@ -142,6 +145,24 @@ def test_full_model_verifier():
         verify_full_model(p.with_(field_kind="complex"), n_samples=10, seed=0)
     with pytest.raises(UsageError):
         verify_full_model(p.with_(n_flavors=2), n_samples=10, seed=0)
+
+
+@pytest.mark.parametrize("n,kind", [(1, "U"), (2, "SU")])
+def test_full_model_verifier_matches_matter_sector_api(n, kind):
+    p = ModelParams(d=2, L=2, n=n, kind=kind, g_sq=2.0)
+    count, seed = 64, 1
+    rep = verify_full_model(p, n_samples=count, seed=seed, block_size=count)
+    # The one block draws from block_rng(seed, 0); redraw the same bonds and
+    # weight them through the per-configuration matter-sector API.
+    bonds = sample_bonds(mc.block_rng(seed, 0), n, kind, (count, p.lattice.n_bonds))
+    log_w = [-wilson_action(p, b) - 0.5 * logdet_posdef(bose_quadratic_form(
+        p, GaugeConfig(lattice=p.lattice, kind=kind, n=n, bonds=b)))
+        for b in bonds]
+    log_scale = (group_dim(kind, n) * p.gauge_fixing.n_retained
+                 * np.log(p.scaling.gauge_scale))
+    assert log_scale != 0.0
+    assert rep.log_value - log_scale == pytest.approx(
+        np.log(np.mean(np.exp(log_w))), rel=1e-12, abs=1e-12)
 
 
 def test_d2_bond_upper_checks():

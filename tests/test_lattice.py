@@ -91,6 +91,40 @@ def test_bond_arrays_match_loop_enumeration(d, L):
         assert np.array_equal(got, want)
 
 
+def loop_plaq_arrays(lat):
+    """Per-site enumeration of the plaquettes: the reference for the vectorised tables."""
+    coords = lat.site_coords
+    table = lat._bond_arrays[3]
+    site, mus, nus, bonds = [], [], [], []
+    for s in range(lat.n_sites):
+        for mu in range(lat.d):
+            if coords[s, mu] >= lat.L:
+                continue
+            for nu in range(mu + 1, lat.d):
+                if coords[s, nu] >= lat.L:
+                    continue
+                c_mu = coords[s].copy()
+                c_mu[mu] += 1
+                c_nu = coords[s].copy()
+                c_nu[nu] += 1
+                site.append(s)
+                mus.append(mu)
+                nus.append(nu)
+                bonds.append((table[s, mu], table[lat.site_index(c_mu), nu],
+                              table[lat.site_index(c_nu), mu], table[s, nu]))
+    return (np.array(site, dtype=np.int64), np.array(mus, dtype=np.int64),
+            np.array(nus, dtype=np.int64), np.array(bonds, dtype=np.int64))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_plaq_arrays_match_loop_enumeration(d, L):
+    lat = Lattice(d=d, L=L)
+    for got, want in zip(lat._plaq_arrays, loop_plaq_arrays(lat), strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_bond_index_round_trip():
     lat = Lattice(d=2, L=3)
     b = lat.bond_index((1, 1), 1)

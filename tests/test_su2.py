@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from boselgt.errors import UsageError
 from boselgt.groups import log_map_spectral
-from boselgt.su2 import (capital_e, matrix_to_su2, su2_angle_norm_sq,
-                         su2_bound_constants, su2_bounds_check, su2_exp,
-                         su2_haar, su2_haar_density, su2_identity,
-                         su2_inverse, su2_log, su2_mul, su2_plaquette_action,
-                         su2_to_matrix, su2_z_gluon, su2_z_weyl)
+from boselgt.su2 import (capital_e, matrix_to_su2, su2_angle,
+                         su2_angle_norm_sq, su2_bound_constants,
+                         su2_bounds_check, su2_exp, su2_haar, su2_haar_density,
+                         su2_identity, su2_inverse, su2_log, su2_mul,
+                         su2_plaquette_action, su2_to_matrix, su2_z_gluon,
+                         su2_z_weyl)
 
 RNG = np.random.default_rng(77)
 
@@ -113,6 +114,15 @@ def test_plaquette_action_is_trace_form():
     assert np.max(np.abs(su2_plaquette_action(p) - direct)) < 1e-13
     assert np.all(su2_plaquette_action(p) >= 0.0)
     assert np.all(su2_plaquette_action(p) <= 8.0)
+
+
+def test_small_angle_action_and_norm_keep_full_precision():
+    # |A| = 1e-6: 1 - w0 and arccos(w0) lose about 1e-4 relative here.
+    p = su2_exp(np.array([1e-6, 0.0, 0.0]))
+    assert su2_angle(p) == pytest.approx(1e-6, rel=1e-12)
+    assert su2_angle_norm_sq(p) == pytest.approx(2e-12, rel=1e-12)
+    assert su2_plaquette_action(p) == pytest.approx(8.0 * np.sin(5e-7) ** 2,
+                                                    rel=1e-12)
 
 
 def test_capital_e_matches_quadrature():
