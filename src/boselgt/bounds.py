@@ -33,12 +33,12 @@ import numpy as np
 
 from . import mc
 from .actions import GaugeConfig, plaquette_actions
-from .errors import NotPositiveDefiniteError, UsageError
+from .errors import UsageError
 from .groups import group_dim
 from .haar import cue_norm, gue_integral, gue_norm, haar_sample
 from .lattice import GaugeFixing
-from .partition import (Estimate, bose_quadratic_form, coupling_entries,
-                        logdet_posdef, sample_bonds, z_single_bond, z_wilson_mc)
+from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
+                        sample_bonds, z_single_bond, z_wilson_mc)
 from .su2 import (su2_angle, su2_bound_constants, su2_haar, su2_inverse,
                   su2_mul, su2_plaquette_action)
 
@@ -188,13 +188,17 @@ class SampledBoundCheck:
 
 
 def verify_bose_bounds(params, n_configs, seed, n_workers=1, block_size=32):
-    """Check 1 <= Z_B(g) <= e^{rate * n_sites} and det Q <= 1 on random gauges.
+    """Check 1 <= Z_B(g) <= e^{n_f rate n_sites} and det Q <= 1 on random gauges.
 
-    Returns a SampledBoundCheck with the count of configurations violating
-    any of the three inequalities.
+    Z_B for n_f flavors is the n_f-th power of the one-flavor value, so the
+    one-flavor cap rate * n_sites is multiplied by n_f.  Returns a
+    SampledBoundCheck with the count of configurations violating any of the
+    three inequalities.  Forms are factorised one configuration at a time:
+    a stacked block of large forms costs far more memory than it saves time.
     """
     lat = params.lattice
-    log_cap = bose_upper_rate(params.n, params.L, params.field_kind) * lat.n_sites
+    log_cap = (params.n_flavors * lat.n_sites
+               * bose_upper_rate(params.n, params.L, params.field_kind))
 
     def block(rng, count):
         bad = 0
@@ -286,23 +290,12 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     n_ret = params.gauge_fixing.n_retained
     log_scale = dim * n_ret * np.log(params.scaling.gauge_scale)
     coupling = params.scaling.coupling
-    kappa_sq = params.scaling.kappa_sq
-    msize = lat.n_sites * params.n
-    rows, cols = coupling_entries(params.n, lat.bond_tail, lat.bond_head)
 
     def block(rng, count):
         bonds = sample_bonds(rng, params.n, params.kind, (count, lat.n_bonds))
         actions = coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
-        qs = np.broadcast_to(np.eye(msize), (count, msize, msize)).copy()
-        qs[:, rows, cols] = qs[:, cols, rows] = -kappa_sq * np.swapaxes(
-            np.real(bonds), -1, -2)
-        try:
-            chol = np.linalg.cholesky(qs)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(
-                "full-model Bose form is not positive definite",
-                float(np.min(np.linalg.eigvalsh(qs)))) from None
-        log_z_b = -np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+        log_z_b = -0.5 * logdet_posdef(bose_quadratic_form(params, bonds),
+                                       context="full-model Bose form")
         return np.exp(-actions + log_z_b)
 
     moments = mc.sample_mean(block, n_samples, seed,

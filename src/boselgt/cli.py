@@ -149,7 +149,7 @@ def run_bose_exact(cfg):
         config = GaugeConfig.random(params.lattice, rng, n=params.n,
                                     kind=params.kind)
     scaled = z_bose_exact(params, config)
-    unscaled = z_bose_exact_unscaled(params, config)
+    unscaled = z_bose_exact_unscaled(params, scaled)
     payload = {"gauge": cfg["gauge"], "seed": cfg["seed"],
                "scaled": estimate_payload(scaled),
                "unscaled": estimate_payload(unscaled)}

@@ -2,8 +2,8 @@
 
 The command line front end maps these onto exit codes: bad arguments or
 unsupported parameter ranges give exit code 2, numerical failures (quadrature
-that does not converge, a quadratic form that is not positive definite) give
-exit code 3.
+that does not converge, a quadratic form that is not positive definite, Monte
+Carlo weights that all underflow) give exit code 3.
 """
 
 

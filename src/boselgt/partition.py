@@ -15,6 +15,14 @@ L^{d-1} apart and Q has lower bandwidth kd = (L^{d-1} + 1) * width - 1 with
 width = N (real) or 2 N (complex).  The banded Cholesky costs about M kd^2
 instead of M^3 / 3 and stores (kd + 1) M entries instead of M^2.
 
+A stack of forms, one per gauge configuration in a bond array of shape
+lead + (n_bonds, N, N), is one array ab of shape (kd + 1,) + lead + (M,)
+with ab[k, ..., c] = Q[..., c + k, c].  The band axis comes first, so
+ab.reshape(kd + 1, -1) is, without a copy, the band of the block-diagonal
+matrix of all the forms: entries past the end of each form are zero, so
+neighbours do not couple, and one banded Cholesky factorises the stack.
+This module is the only place that lays out or factorises Q.
+
 Values that can leave the double range are carried as logarithms; Estimate
 keeps both, with log_value authoritative.
 """
@@ -82,88 +90,81 @@ class Estimate:
     def from_moments(cls, moments, seed):
         m = moments
         if m.mean <= 0.0:
-            raise NotPositiveDefiniteError(
-                "Monte Carlo mean of a positive quantity came out nonpositive",
-                m.mean)
+            raise NumericError(
+                f"Monte Carlo mean of a positive quantity came out {m.mean:.6e}: "
+                "the weights underflowed")
         return cls(log_value=float(np.log(m.mean)), std_error=m.std_error,
                    method="monte-carlo", n_samples=m.n, seed=seed)
 
 
 # ----------------------------------------------------------- Bose sector
 
-def _real_coupling_block(g, field_kind):
-    """Per-bond hopping block: Re g for real fields, the R^{2N} embedding else."""
-    if field_kind == "real":
-        return np.real(g)
-    re, im = np.real(g), np.imag(g)
-    return np.block([[re, -im], [im, re]])
+def _banded_form(n_nodes, width, tails, heads, hops):
+    """Lower band of Q = 1 - (hopping blocks), stacked over the lead axes.
 
-
-def coupling_entries(width, tails, heads):
-    """Positions of the link blocks below the diagonal of Q, as (rows, cols).
-
-    Node t owns rows t * width .. (t + 1) * width - 1.  Both arrays have
-    shape (n_links, width, width), and entry [i, r, c] addresses
-    Q[heads[i] w + r, tails[i] w + c]: the block holding the transpose of
-    link i's hopping matrix.
+    hops has shape lead + (n_links, width, width) and ab the module's layout
+    (kd + 1,) + lead + (n_nodes * width,).  Link i adds -hops[i] at block
+    (tails[i], heads[i]) and its transpose at the mirrored block; heads[i] >
+    tails[i], so only the transpose lies in the lower band.  The band is
+    kd = max(heads - tails) * width + width - 1 wide, and no two links share
+    an entry, so one scatter places them all.
     """
+    lead = hops.shape[:-3]
+    kd = int((heads - tails).max()) * width + width - 1
+    ab = np.zeros((kd + 1,) + lead + (n_nodes * width,))
+    ab[0] = 1.0
+    # Entry [i, r, c] is Q[heads[i] w + r, tails[i] w + c]; the index arrays
+    # straddle the lead axes, so the values come as (n_links, w, w) + lead.
     a = np.arange(width)
     rows = (heads * width)[:, None, None] + a[:, None]
     cols = (tails * width)[:, None, None] + a
-    return np.broadcast_arrays(rows, cols)
-
-
-def _banded_form(n_nodes, width, tails, heads, hops):
-    """Lower band of Q = 1 - (hopping blocks), LAPACK layout ab[k, c] = Q[c + k, c].
-
-    Link i adds -hops[i] at block (tails[i], heads[i]) and its transpose at
-    the mirrored block; heads[i] > tails[i], so only the transpose lies in
-    the lower band.  The band is kd = max(heads - tails) * width + width - 1
-    wide, and no two links share an entry, so one scatter places them all.
-    """
-    kd = int((heads - tails).max()) * width + width - 1
-    ab = np.zeros((kd + 1, n_nodes * width))
-    ab[0] = 1.0
-    rows, cols = coupling_entries(width, tails, heads)
-    ab[rows - cols, cols] = -np.swapaxes(hops, -1, -2)
+    ab[rows - cols, ..., cols] = -np.moveaxis(
+        np.swapaxes(hops, -1, -2), range(len(lead)), range(-len(lead), 0))
     return ab
 
 
 def bose_quadratic_form(params, config):
     """Real symmetric Q with S_Bose = phi^T Q phi / 2, in lower band storage.
 
-    Fields are site-major blocks of width N for real fields and 2 N for
-    complex ones, so M = n_sites * width.  Diagonal blocks are the identity;
-    each bond contributes -kappa^2 times its coupling block and the
-    transpose on the mirrored position.  With lexicographic sites a bond
-    spans at most L^{d-1} sites, so Q has lower bandwidth
-    kd = (L^{d-1} + 1) * width - 1 and is returned as ab of shape (kd + 1, M)
-    with ab[k, c] = Q[c + k, c] (scipy.linalg.cholesky_banded, lower=True).
+    config is a GaugeConfig or a bond array of shape lead + (n_bonds, N, N);
+    ab has shape (kd + 1,) + lead + (M,).  Fields are site-major blocks of
+    width N for real fields and 2 N for complex ones (the R^{2N} embedding
+    of each bond), so M = n_sites * width.  Diagonal blocks are the
+    identity; each bond contributes -kappa^2 times its coupling block and
+    the transpose on the mirrored position.
     """
     lat = params.lattice
-    width = params.n if params.field_kind == "real" else 2 * params.n
-    hops = params.scaling.kappa_sq * _real_coupling_block(
-        config.bonds, params.field_kind)
-    return _banded_form(lat.n_sites, width, lat.bond_tail, lat.bond_head, hops)
+    g = getattr(config, "bonds", config)
+    if params.field_kind == "real":
+        blocks = np.real(g)
+    else:
+        re, im = np.real(g), np.imag(g)
+        blocks = np.block([[re, -im], [im, re]])
+    return _banded_form(lat.n_sites, blocks.shape[-1], lat.bond_tail,
+                        lat.bond_head, params.scaling.kappa_sq * blocks)
 
 
 def logdet_posdef(ab, context="quadratic form"):
-    """log det of a symmetric positive definite band matrix via Cholesky.
+    """log det of symmetric positive definite band matrices via Cholesky.
 
-    ab is the lower band in LAPACK layout, ab[k, c] = Q[c + k, c].  The
-    Gershgorin bound says eigenvalues are at least 1 - 2 d kappa^2 times
-    the largest coupling row sum, so well inside the hopping range the
-    factorization cannot fail; if it does (e.g. at the massless edge with
-    round-off), the smallest eigenvalue of the band is named in the error.
+    A 2-D band ab[k, c] = Q[c + k, c] gives a float; a stack of shape
+    (kd + 1,) + lead + (M,) gives an array over lead, from one banded
+    Cholesky of the block-diagonal stack.  The Gershgorin bound says
+    eigenvalues are at least 1 - 2 d kappa^2 times the largest coupling row
+    sum, so well inside the hopping range the factorization cannot fail; if
+    it does (e.g. at the massless edge with round-off), the smallest
+    eigenvalue of the stack is named in the error.
     """
+    stacked = ab.reshape(ab.shape[0], -1)
     try:
-        chol = scipy.linalg.cholesky_banded(ab, lower=True)
+        chol = scipy.linalg.cholesky_banded(stacked, lower=True)
     except np.linalg.LinAlgError:
         smallest = scipy.linalg.eigvals_banded(
-            ab, lower=True, select="i", select_range=(0, 0))
+            stacked, lower=True, select="i", select_range=(0, 0))
         raise NotPositiveDefiniteError(
             f"{context} is not positive definite", float(smallest[0])) from None
-    return 2.0 * float(np.sum(np.log(chol[0])))
+    logdet = 2.0 * np.sum(np.log(chol[0].reshape(ab.shape[1:])), axis=-1)
+    return float(logdet) if ab.ndim == 2 else logdet
 
 
 def z_bose_exact(params, config):
@@ -177,13 +178,14 @@ def z_bose_exact(params, config):
     return Estimate.exact(-0.5 * params.n_flavors * logdet)
 
 
-def z_bose_exact_unscaled(params, config):
-    """Unscaled Bose value; equals s_B^{-N n_f Lambda_s} (x2 complex) times scaled."""
-    ab = bose_quadratic_form(params, config)
-    # Q_u = s_B^2 Q exactly, so log det shifts by (matrix size) * log s_B^2.
-    logdet = (logdet_posdef(ab, context="Bose quadratic form")
-              + ab.shape[1] * np.log(params.scaling.bose_scale**2))
-    return Estimate.exact(-0.5 * params.n_flavors * logdet)
+def z_bose_exact_unscaled(params, scaled):
+    """Unscaled Bose value from the scaled Estimate of z_bose_exact.
+
+    Q_u = s_B^2 Q exactly, so log Z_B shifts by -(n_flavors / 2) M log s_B^2.
+    """
+    m = params.lattice.n_sites * params.n * (1 if params.field_kind == "real" else 2)
+    shift = m * np.log(params.scaling.bose_scale**2)
+    return Estimate.exact(scaled.log_value - 0.5 * params.n_flavors * shift)
 
 
 # ---------------------------------------------------------- gauge sector

@@ -3,8 +3,8 @@
 perfbench/spans.py wraps functions by looking them up in the modules whose
 callers resolve them; a refactor that drops or moves one of those names
 makes the traced benchmark fail or stop counting.  This loads spans.py by
-path, instruments the package, runs two small Monte Carlo calls under
-recording and checks that the layers it counts were seen.
+path, instruments the package, runs small Monte Carlo and bose-exact calls
+under recording and checks that the layers it counts were seen.
 """
 
 import importlib.util
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from boselgt import bounds, partition
+from boselgt import bounds, cli, partition
 from boselgt.actions import ModelParams
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -51,3 +51,21 @@ def test_instrument_rebinds_and_restores(spans):
     assert ix.counted("su2.haar") == 64 * 1 + 64 * 4
     assert ix.calls("su2.to_matrix") == 4
     assert ix.counted("actions.plaquette") == 64
+    # The full-model verifier factorises each block's forms in one call.
+    assert ix.calls("partition.logdet") == 2
+
+
+def test_bose_exact_factorises_once_per_record(spans, tmp_path):
+    tracer = spans.Tracer()
+    try:
+        spans.instrument(tracer)
+        with tracer.recording("test"):
+            code = cli.main(["bose-exact", "--d", "2", "--L", "2",
+                             "--output", str(tmp_path / "bose.json")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    ix = spans.SpanIndex(tracer.spans)
+    # The unscaled value is derived from the scaled one.
+    assert ix.calls("partition.logdet") == 1
+    assert ix.calls("partition.z_bose_exact") == 2

@@ -120,6 +120,14 @@ def test_bose_verifier_complex_fields():
     assert chk.passed
 
 
+def test_bose_cap_counts_every_flavor():
+    # Z_B for n_f flavors is the n_f-th power of the one-flavor value, so
+    # the cap on log Z_B is n_f * rate * n_sites.
+    chk = verify_bose_bounds(ModelParams(d=2, L=3, n_flavors=8), 50, seed=0)
+    assert chk.violations == 0
+    assert chk.worst_margin >= 0.0
+
+
 def test_gauge_verifier_d2_is_exact():
     rep = verify_gauge_bounds(ModelParams(d=2, L=4, a=0.01))
     assert rep.method == "quadrature"

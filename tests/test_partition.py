@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boselgt.actions import GaugeConfig, ModelParams
-from boselgt.errors import (NotPositiveDefiniteError, UsageError)
+from boselgt.errors import NotPositiveDefiniteError, NumericError, UsageError
 from boselgt.haar import haar_sample
 from boselgt.mc import Moments
 from boselgt.partition import (Estimate, bose_quadratic_form, chain_partition,
@@ -94,8 +94,16 @@ def test_estimate_from_moments():
     assert est.log_value == pytest.approx(np.log(2.0))
     assert est.method == "monte-carlo"
     assert est.n_samples == 100 and est.seed == 5
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NumericError):
         Estimate.from_moments(Moments(n=100, mean=-0.5, m2=1.0), seed=0)
+
+
+def test_underflowed_mean_is_named_as_underflow():
+    # Every weight e^{-S} rounding to 0 is a Monte Carlo failure, not a
+    # quadratic form that failed to be positive definite.
+    with pytest.raises(NumericError, match="underflow") as err:
+        Estimate.from_moments(Moments(n=100, mean=0.0, m2=0.0), seed=0)
+    assert not isinstance(err.value, NotPositiveDefiniteError)
 
 
 # ------------------------------------------------------------- Bose sector
@@ -159,8 +167,8 @@ def test_scaled_unscaled_shift_is_the_volume_log():
         p = ModelParams(d=2, L=3, a=0.2, m_u=1.1, kappa_u_sq=0.6,
                         field_kind=field_kind, n_flavors=2)
         cfg = GaugeConfig.random(p.lattice, np.random.default_rng(51))
-        shift = (z_bose_exact(p, cfg).log_value
-                 - z_bose_exact_unscaled(p, cfg).log_value)
+        scaled = z_bose_exact(p, cfg)
+        shift = scaled.log_value - z_bose_exact_unscaled(p, scaled).log_value
         m = p.lattice.n_sites * width
         assert shift == pytest.approx(
             p.n_flavors * m * np.log(p.scaling.bose_scale), rel=1e-10)
@@ -202,6 +210,45 @@ def test_band_holds_every_nonzero(d, L, field_kind, width):
     kd = bose_quadratic_form(p, cfg).shape[0] - 1
     assert kd == np.max(np.abs(rows - cols))
     assert kd == (L ** (d - 1) + 1) * width - 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("field_kind", ["real", "complex"])
+@pytest.mark.parametrize("d,L", [(2, 4), (3, 3)])
+def test_stacked_bands_factorise_as_one(d, L, field_kind, n):
+    p = ModelParams(d=d, L=L, n=n, field_kind=field_kind,
+                    m_u=0.5, kappa_u_sq=1.0)
+    rng = np.random.default_rng(100 * d + 10 * n)
+    configs = [GaugeConfig.random(p.lattice, rng, n=n) for _ in range(5)]
+    bands = [bose_quadratic_form(p, cfg) for cfg in configs]
+    ab = bose_quadratic_form(p, np.stack([cfg.bonds for cfg in configs]))
+    assert np.array_equal(ab, np.stack(bands, axis=1))
+    logdets = logdet_posdef(ab)
+    assert logdets.shape == (5,)
+    # Entries past the end of each form are zero, so the block-diagonal
+    # stack factorises into the per-form Cholesky factors, at these band
+    # widths bit for bit.
+    assert np.array_equal(logdets, [logdet_posdef(b) for b in bands])
+    for logdet, cfg in zip(logdets, configs):
+        sign, expect = np.linalg.slogdet(dense_bose_form(p, cfg))
+        assert sign == 1.0
+        assert logdet == pytest.approx(expect, rel=1e-10)
+
+
+def test_stacked_band_failure_names_a_negative_eigenvalue():
+    p = ModelParams(d=2, L=3, n=2, m_u=0.5, kappa_u_sq=1.0)
+    rng = np.random.default_rng(7)
+    bonds = np.stack([GaugeConfig.random(p.lattice, rng, n=2).bonds
+                      for _ in range(5)])
+    ab = bose_quadratic_form(p, bonds)
+    # Flip the sign of the third form's diagonal: Q -> -I - H is indefinite
+    # by itself while the other four stay positive definite.
+    ab[0, 2] = -1.0
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        logdet_posdef(ab)
+    smallest = np.linalg.eigvalsh(band_to_dense(ab[:, 2]))[0]
+    assert smallest < 0.0
+    assert err.value.smallest_pivot == pytest.approx(smallest, rel=1e-10)
 
 
 # ------------------------------------------------------------ gauge sector
