@@ -36,7 +36,7 @@ from .actions import GaugeConfig, plaquette_actions
 from .errors import UsageError
 from .groups import group_dim
 from .haar import cue_norm, gue_integral, gue_norm, haar_sample
-from .lattice import GaugeFixing
+from .lattice import GaugeFixing, Lattice
 from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
                         sample_bonds, z_single_bond, z_wilson_mc)
 from .su2 import (su2_angle, su2_bound_constants, su2_haar, su2_inverse,
@@ -342,16 +342,17 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
             bound = k * n * np.sum(2.0 * theta * theta, axis=-1)
             return int(np.sum(action > bound) + np.sum(action > 4.0 * n))
     else:
+        # The one plaquette of the d = 2, L = 2 lattice, walked g1 g2 g3^dag
+        # g4^dag as the signs say; its first k bonds are Haar, the rest 1.
+        lat = Lattice(d=2, L=2)
+        haar_bonds = lat.plaq_bonds[0][:k]
+
         def block(rng, count):
             mats = haar_sample(rng, n, kind=kind, size=(count, k))
-            hol = mats[:, 0]
-            for j in range(1, k):
-                nxt = mats[:, j]
-                if signs[j] < 0:
-                    nxt = np.conj(np.swapaxes(nxt, -1, -2))
-                hol = hol @ nxt
-            tr = np.trace(hol, axis1=-2, axis2=-1)
-            action = 2.0 * (n - np.real(tr))
+            bonds = np.broadcast_to(
+                np.eye(n, dtype=complex), (count, lat.n_bonds, n, n)).copy()
+            bonds[:, haar_bonds] = mats
+            action = plaquette_actions(lat, bonds)[:, 0]
             ang = np.angle(np.linalg.eigvals(mats))
             ang = np.where(ang <= -np.pi, np.pi, ang)
             bound = k * n * np.sum(ang * ang, axis=(-1, -2))

@@ -1,11 +1,19 @@
 """Haar sampling and eigenvalue-angle (Weyl) integration for U(N) and SU(N).
 
-Sampling is QR of a complex Gaussian matrix with the phase correction that
-makes the factorization unique (each column scaled by the phase of the
-corresponding diagonal entry of R); without it the QR convention of the
-linear algebra backend biases the distribution.  SU(N) samples divide the
-determinant out of one row, which pushes Haar on U(N) forward to Haar on
-SU(N) because right translation by special unitaries commutes with the map.
+Sampling orthonormalises the columns of a complex Gaussian matrix Z by
+Gram-Schmidt (Mezzadri, Notices AMS 54 (2007) 592).  That is the Q of the
+unique factorization Z = Q R with R upper triangular and R's diagonal
+positive.  Left-multiplying Z by a fixed unitary V leaves the Gaussian law
+unchanged and turns Q into V Q with the same R, so Q is Haar distributed.
+A library QR needs its columns rephased to make R's diagonal positive;
+without that the library's sign convention biases the distribution.
+Gram-Schmidt gives a positive diagonal by construction.  Each column is
+projected twice against the earlier ones, which keeps Q unitary to round-off
+(classical Gram-Schmidt with one re-orthogonalisation pass).  The loops run
+over the N^2 matrix entries, each vectorised over all samples, so no
+per-matrix LAPACK call is made.  SU(N) samples divide the determinant out of
+one row, which pushes Haar on U(N) forward to Haar on SU(N) because right
+translation by special unitaries commutes with the map.
 
 Class-function integrals reduce to the eigenvalue angles.  For U(N) the
 joint angle density is prod_{j<k} 2(1 - cos(l_j - l_k)) on (-pi, pi]^N with
@@ -44,9 +52,10 @@ def wrap_angle(lam):
 def haar_sample(rng, n, kind="U", size=()):
     """Haar-distributed matrices of shape size + (n, n).
 
-    kind "U" or "SU"; for n = 1 the QR step degenerates to normalizing one
-    complex Gaussian, which is the same distribution, so that shortcut is
-    taken (SU(1) is the trivial group).
+    kind "U" or "SU".  The Gaussian columns are orthonormalised by
+    Gram-Schmidt with one re-orthogonalisation pass, entry by entry over the
+    whole batch; for n = 1 that is normalizing one complex Gaussian (SU(1)
+    is the trivial group).
     """
     if kind not in ("U", "SU"):
         raise UsageError(f"unknown group kind {kind!r}")
@@ -58,11 +67,23 @@ def haar_sample(rng, n, kind="U", size=()):
             return np.ones(shape + (1, 1), dtype=complex)
         z = rng.standard_normal(shape + (1, 1)) + 1j * rng.standard_normal(shape + (1, 1))
         return z / np.abs(z)
-    a = (rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n)))
-    a /= np.sqrt(2.0)
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (diag / np.abs(diag))[..., None, :]
+    z = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    q = np.empty_like(z)
+    done = []   # finished columns and their conjugates, one plane per row
+    for k in range(n):
+        col = [z[..., i, k].copy() for i in range(n)]
+        for _ in range(2):
+            for u, conj_u in done:
+                c = conj_u[0] * col[0]
+                for i in range(1, n):
+                    c += conj_u[i] * col[i]
+                for i in range(n):
+                    col[i] -= c * u[i]
+        norm = np.sqrt(sum(x.real * x.real + x.imag * x.imag for x in col))
+        for i, x in enumerate(col):
+            x /= norm
+            q[..., i, k] = x
+        done.append((col, [np.conj(x) for x in col]))
     if kind == "SU":
         det = np.linalg.det(q)
         q[..., 0, :] = q[..., 0, :] * np.conj(det)[..., None]

@@ -10,6 +10,8 @@ from boselgt.actions import (FIELD_KINDS, GaugeConfig, ModelParams,
                              plaquette_holonomies, wilson_action)
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample
+from boselgt.su2 import (su2_exp, su2_inverse, su2_mul, su2_plaquette_action,
+                         su2_to_matrix)
 
 RNG = np.random.default_rng(2024)
 
@@ -103,6 +105,51 @@ def test_u1_holonomy_signs():
     assert hol == pytest.approx(np.exp(1j * total), rel=1e-14)
     act = plaquette_actions(lat, bonds)[0]
     assert act == pytest.approx(2.0 * (1.0 - np.cos(total)), rel=1e-13)
+
+
+def _matmul_chain(lattice, bonds):
+    """Oracle holonomy g1 g2 g3^dag g4^dag by explicit batched matmul."""
+    g1, g2, g3, g4 = (bonds[..., lattice.plaq_bonds[:, c], :, :] for c in range(4))
+    dag = lambda m: np.conj(np.swapaxes(m, -1, -2))
+    return np.matmul(np.matmul(np.matmul(g1, g2), dag(g3)), dag(g4))
+
+
+@pytest.mark.parametrize("n,kind", [(1, "U"), (2, "U"), (3, "U"),
+                                    (2, "SU"), (3, "SU")])
+@pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
+def test_plaquette_kernel_matches_matmul_chain(n, kind, lead):
+    lat = ModelParams(d=3, L=2).lattice
+    rng = np.random.default_rng(100 * n + len(lead))
+    bonds = haar_sample(rng, n, kind=kind, size=lead + (lat.n_bonds,))
+    hol = _matmul_chain(lat, bonds)
+    expect = 2.0 * (n - np.real(np.trace(hol, axis1=-2, axis2=-1)))
+    got_hol = plaquette_holonomies(lat, bonds)
+    got = plaquette_actions(lat, bonds)
+    assert got_hol.shape == lead + (lat.n_plaquettes, n, n)
+    assert got.shape == lead + (lat.n_plaquettes,)
+    assert np.max(np.abs(got_hol - hol)) < 1e-13
+    assert np.max(np.abs(got - expect)) < 1e-13
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_plaquette_action_keeps_precision_near_identity(eps):
+    # Small lattice spacing puts every plaquette near the identity, where
+    # 2(N - Re tr hol) cancels; the kernel must keep full relative precision.
+    lat = ModelParams(d=3, L=3).lattice
+    pb = lat.plaq_bonds
+    rng = np.random.default_rng(77)
+    pts = su2_exp(eps * rng.standard_normal((lat.n_bonds, 3)))
+    hol = su2_mul(su2_mul(su2_mul(pts[pb[:, 0]], pts[pb[:, 1]]),
+                          su2_inverse(pts[pb[:, 2]])), su2_inverse(pts[pb[:, 3]]))
+    expect = su2_plaquette_action(hol)
+    got = plaquette_actions(lat, su2_to_matrix(pts))
+    assert np.max(np.abs(got / expect - 1.0)) < 1e-12
+
+    theta = eps * rng.standard_normal(lat.n_bonds)
+    s = theta[pb[:, 0]] + theta[pb[:, 1]] - theta[pb[:, 2]] - theta[pb[:, 3]]
+    expect = 4.0 * np.sin(s / 2.0) ** 2
+    got = plaquette_actions(lat, np.exp(1j * theta)[:, None, None])
+    assert np.max(np.abs(got / expect - 1.0)) < 1e-12
 
 
 def test_wilson_action_coupling_prefactor():

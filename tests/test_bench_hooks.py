@@ -55,6 +55,31 @@ def test_instrument_rebinds_and_restores(spans):
     assert ix.calls("partition.logdet") == 2
 
 
+@pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")
+def test_u2_sampler_and_plaquettes_are_counted(spans):
+    # U(2) bonds come from haar_sample, which the tracer wraps where
+    # partition resolves it; a sampler that bypasses that name counts 0.
+    p = ModelParams(d=3, L=2, n=2, kind="U")
+    lat = p.lattice
+    tracer = spans.Tracer()
+    try:
+        spans.instrument(tracer)
+        with tracer.recording("test"):
+            partition.z_wilson_mc(p, 64, seed=0, gauge_fixed=True, block_size=32)
+            bounds.verify_full_model(p, 64, seed=0, block_size=32)
+    finally:
+        tracer.restore()
+    ix = spans.SpanIndex(tracer.spans)
+    assert ix.calls("mc.block") == 4
+    assert ix.counted("haar.sample") == (
+        64 * p.gauge_fixing.n_retained + 64 * lat.n_bonds)
+    assert ix.counted("su2.haar") == 0
+    # The tracer wraps plaquette_actions where bounds resolves it, so only
+    # the full-model blocks are counted.
+    assert ix.counted("actions.plaquette") == 64 * lat.n_plaquettes
+    assert ix.calls("partition.logdet") == 2
+
+
 def test_bose_exact_factorises_once_per_record(spans, tmp_path):
     tracer = spans.Tracer()
     try:

@@ -33,6 +33,36 @@ def test_haar_unitarity_and_determinant(n):
     assert np.max(np.abs(np.linalg.det(su) - 1.0)) < 1e-12
 
 
+def _phase_fixed_qr(seed, n, kind, size):
+    """Oracle: library QR of the same Gaussians, R's diagonal made positive."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(size + (n, n)) + 1j * rng.standard_normal(size + (n, n))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., None, :]
+    if kind == "SU":
+        q[..., 0, :] *= np.conj(np.linalg.det(q))[..., None]
+    return q
+
+
+@pytest.mark.parametrize("n,kind", [(2, "U"), (3, "U"), (2, "SU"), (3, "SU")])
+@pytest.mark.parametrize("size", [(), (9,), (4, 6)])
+def test_haar_sample_is_phase_fixed_qr_of_the_same_gaussians(n, kind, size):
+    seed = 31 * n + len(size)
+    u = haar_sample(np.random.default_rng(seed), n, kind=kind, size=size)
+    assert u.shape == size + (n, n)
+    assert np.max(np.abs(u - _phase_fixed_qr(seed, n, kind, size))) < 1e-12
+
+
+@pytest.mark.parametrize("n,kind", [(2, "U"), (3, "U"), (3, "SU")])
+def test_haar_unitarity_over_many_draws(n, kind):
+    u = haar_sample(np.random.default_rng(8), n, kind=kind, size=(100_000,))
+    dev = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(n))
+    assert np.max(dev) <= 1e-14
+    if kind == "SU":
+        assert np.max(np.abs(np.linalg.det(u) - 1.0)) <= 1e-12
+
+
 def test_haar_first_moment_vanishes():
     # E[U] = 0 for Haar; with 2e5 samples the mean is ~ N(0, 1/(2e5 n)).
     n = 2
