@@ -34,18 +34,30 @@ import numpy as np
 from . import mc
 from .actions import GaugeConfig, plaquette_actions
 from .errors import UsageError
-from .groups import group_dim
 from .haar import cue_norm, gue_integral, gue_norm, haar_sample
 from .lattice import GaugeFixing, Lattice
 from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
-                        sample_bonds, z_single_bond, z_wilson_mc)
-from .su2 import (su2_angle, su2_bound_constants, su2_haar, su2_inverse,
-                  su2_mul, su2_plaquette_action)
+                        sample_bonds, z_single_bond, z_wilson_d2_exact,
+                        z_wilson_mc)
+from .su2 import (su2_angle, su2_angle_norm_sq, su2_bound_constants,
+                  su2_haar, su2_inverse, su2_mul, su2_plaquette_action)
 
 DETERMINISTIC_LOG_RTOL = 1e-8
 
 
 # --------------------------------------------------------------- constants
+
+def group_dim(kind, n):
+    """Real dimension d(N) of the group: N^2 for U(N), N^2 - 1 for SU(N).
+
+    It is the exponent of the gauge scale per retained bond, s_Y^{d(N) Lr}.
+    """
+    if kind == "U":
+        return n * n
+    if kind == "SU":
+        return n * n - 1
+    raise UsageError(f"unknown group kind {kind!r}")
+
 
 def bose_upper_rate(n, L, field_kind="real"):
     """Per-site log upper bound for the Bose value, N(1 - 1/L) ln(2)/2.
@@ -225,7 +237,8 @@ def verify_bose_bounds(params, n_configs, seed, n_workers=1, block_size=32):
 
 # -------------------------------------------------- gauge sector verifier
 
-def verify_gauge_bounds(params, n_samples=200_000, seed=0, n_workers=1):
+def verify_gauge_bounds(params, n_samples=200_000, seed=0, n_workers=1,
+                        block_size=mc.DEFAULT_BLOCK_SIZE):
     """Sandwich the scaled gauge partition value between its rate bounds.
 
     The scaled value is s_Y^{dim * Lr} Z_w.  For d = 2 the one-bond
@@ -237,11 +250,11 @@ def verify_gauge_bounds(params, n_samples=200_000, seed=0, n_workers=1):
     dim = group_dim(params.kind, params.n)
     log_scale = dim * n_ret * np.log(params.scaling.gauge_scale)
     if params.d == 2:
-        z = z_single_bond(params.scaling.coupling, params.n, params.kind)
-        est = Estimate.exact(log_scale + n_ret * np.log(z), method="quadrature")
+        est = Estimate.exact(log_scale + z_wilson_d2_exact(params).log_value,
+                             method="quadrature")
     else:
-        raw = z_wilson_mc(params, n_samples, seed,
-                          n_workers=n_workers, gauge_fixed=True)
+        raw = z_wilson_mc(params, n_samples, seed, n_workers=n_workers,
+                          gauge_fixed=True, block_size=block_size)
         est = Estimate(log_value=log_scale + raw.log_value,
                        std_error=raw.std_error, method=raw.method,
                        n_samples=raw.n_samples, seed=raw.seed)
@@ -338,8 +351,7 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
                 nxt = pts[:, j] if signs[j] > 0 else su2_inverse(pts[:, j])
                 hol = su2_mul(hol, nxt)
             action = su2_plaquette_action(hol)
-            theta = su2_angle(pts)
-            bound = k * n * np.sum(2.0 * theta * theta, axis=-1)
+            bound = k * n * np.sum(su2_angle_norm_sq(pts), axis=-1)
             return int(np.sum(action > bound) + np.sum(action > 4.0 * n))
     else:
         # The one plaquette of the d = 2, L = 2 lattice, walked g1 g2 g3^dag

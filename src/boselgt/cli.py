@@ -97,7 +97,9 @@ MC_OPTS = (
     Opt("--seed", "int", 0, "base seed of the counter RNG"),
     Opt("--workers", "int", 1, "worker threads (results identical for any count)"),
     Opt("--block-size", "int", mc.DEFAULT_BLOCK_SIZE,
-        "samples per RNG block (fixed block size keeps runs reproducible)"),
+        "Monte Carlo samples per RNG block (fixed block size keeps runs "
+        "reproducible); the verify-bounds Bose check always draws 32 "
+        "configurations per block"),
 )
 
 
@@ -186,13 +188,15 @@ def run_verify_bounds(cfg):
               f"({chk.violations} violations in {chk.n_samples} configs)")
     if which in ("gauge", "all"):
         rep = verify_gauge_bounds(params, n_samples=cfg["samples"],
-                                  seed=cfg["seed"], n_workers=cfg["workers"])
+                                  seed=cfg["seed"], n_workers=cfg["workers"],
+                                  block_size=cfg["block_size"])
         checks["gauge"] = _report_payload(rep)
         all_pass &= rep.passed
         _print_report(rep)
     if which in ("full", "all"):
         rep = verify_full_model(params, cfg["samples"], cfg["seed"],
-                                n_workers=cfg["workers"])
+                                n_workers=cfg["workers"],
+                                block_size=cfg["block_size"])
         checks["full"] = _report_payload(rep)
         all_pass &= rep.passed
         _print_report(rep)

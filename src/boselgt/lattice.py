@@ -131,16 +131,8 @@ class Lattice:
         return site, mu, nu, bonds
 
     @property
-    def plaq_site(self):
-        return self._plaq_arrays[0]
-
-    @property
     def plaq_mu(self):
         return self._plaq_arrays[1]
-
-    @property
-    def plaq_nu(self):
-        return self._plaq_arrays[2]
 
     @property
     def plaq_bonds(self):

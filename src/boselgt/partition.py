@@ -239,7 +239,8 @@ def z_single_bond(c, n=1, kind="U", rtol=1e-9):
 
     The Haar average of e^{-c |1 - g|_HS^2} written over eigenvalue angles.
     U(N) up to N = 3 and SU(2) are supported; mild couplings use the
-    periodic grid, peaked ones the rescaled Gauss-Legendre route.
+    periodic grid, peaked ones the rescaled Gauss-Legendre route (U(N)) or
+    the adaptive SU(2) angle integral.
     """
     if c <= 0.0:
         raise UsageError(f"coupling must be positive, got {c}")
@@ -253,19 +254,15 @@ def z_single_bond(c, n=1, kind="U", rtol=1e-9):
         half = np.sin(lam / 2.0)
         return 4.0 * c * np.sum(half * half, axis=-1)
 
-    if kind == "SU":
-        # Angles (lam, -lam) with density 4 sin^2(lam); the generic weyl
-        # route covers mild c, a dedicated radial integral the peaked range.
-        if c <= PERIODIC_GRID_MAX_COUPLING:
-            return weyl_integrate(
-                lambda lam: np.exp(-action(lam)), n, kind="SU",
-                rtol=max(rtol, 1e-10))
-        from .su2 import su2_z_weyl_coupling
-        return su2_z_weyl_coupling(c)
     if c <= PERIODIC_GRID_MAX_COUPLING:
         return weyl_integrate(
-            lambda lam: np.exp(-action(lam)), n, kind="U",
+            lambda lam: np.exp(-action(lam)), n, kind=kind,
             rtol=max(rtol, 1e-10))
+    if kind == "SU":
+        # Angles (lam, -lam) with density 4 sin^2(lam): a dedicated radial
+        # integral covers the peaked range.
+        from .su2 import su2_z_weyl_coupling
+        return su2_z_weyl_coupling(c)
     return peaked_cue_integral(action, n, peak_scale=c, rtol=rtol)
 
 

@@ -90,12 +90,6 @@ def su2_inverse(p):
     return np.concatenate([p[..., :1], -p[..., 1:]], axis=-1)
 
 
-def su2_identity(shape=()):
-    out = np.zeros(tuple(shape) + (4,))
-    out[..., 0] = 1.0
-    return out
-
-
 def su2_to_matrix(p):
     """Points (..., 4) -> complex matrices (..., 2, 2)."""
     p = np.asarray(p, dtype=float)
@@ -106,16 +100,6 @@ def su2_to_matrix(p):
     m[..., 1, 0] = -w2 + 1j * w1
     m[..., 1, 1] = w0 - 1j * w3
     return m
-
-
-def matrix_to_su2(m):
-    """Inverse of su2_to_matrix (no unitarity check, use on trusted input)."""
-    m = np.asarray(m, dtype=complex)
-    w0 = np.real(m[..., 0, 0] + m[..., 1, 1]) / 2.0
-    w3 = np.imag(m[..., 0, 0] - m[..., 1, 1]) / 2.0
-    w1 = np.imag(m[..., 0, 1] + m[..., 1, 0]) / 2.0
-    w2 = np.real(m[..., 0, 1] - m[..., 1, 0]) / 2.0
-    return np.stack([w0, w1, w2, w3], axis=-1)
 
 
 def su2_haar(rng, size=()):

@@ -8,14 +8,22 @@ from boselgt.actions import GaugeConfig, ModelParams, wilson_action
 from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
                             check_plaquette_quadratic, d2_bond_upper_checks,
                             elementary_inequality_suite, gauge_rate_bounds,
-                            verify_bose_bounds, verify_full_model,
+                            group_dim, verify_bose_bounds, verify_full_model,
                             verify_gauge_bounds)
 from boselgt.errors import UsageError
-from boselgt.groups import group_dim
 from boselgt.partition import bose_quadratic_form, logdet_posdef, sample_bonds
 
 
 # --------------------------------------------------------------- constants
+
+def test_group_dim():
+    assert group_dim("U", 1) == 1
+    assert group_dim("U", 3) == 9
+    assert group_dim("SU", 2) == 3
+    assert group_dim("SU", 3) == 8
+    with pytest.raises(UsageError):
+        group_dim("O", 2)
+
 
 def test_bose_upper_rate_forms():
     assert bose_upper_rate(1, 2) == pytest.approx(np.log(2.0) / 4.0, rel=1e-15)

@@ -12,7 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from boselgt.actions import ScalingFactors
+from boselgt.actions import ModelParams, ScalingFactors
+from boselgt.bounds import verify_full_model, verify_gauge_bounds
 from boselgt.cli import main
 from boselgt.partition import z_single_bond
 from boselgt.records import ResultRecord, load_schema
@@ -227,6 +228,25 @@ def test_verify_bounds_small_model_passes(tmp_path, capsys):
     assert payload["checks"]["full"]["verdict"] == "pass"
     assert payload["rates"]["gauge_lower"] < payload["rates"]["gauge_upper"]
     assert "overall: pass" in stdout
+
+
+@pytest.mark.parametrize("which,d,verify", [
+    ("full", 2, verify_full_model),
+    ("gauge", 3, verify_gauge_bounds),
+])
+def test_verify_bounds_block_size_reaches_the_estimator(which, d, verify,
+                                                        tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    code, _, _ = run_cli(
+        ["verify-bounds", "--d", d, "--L", 2, "--which", which,
+         "--samples", 20_000, "--seed", 1, "--block-size", 64,
+         "--output", out], capsys)
+    assert code in (0, 1)
+    rec = read_record(out)
+    assert rec.config["block_size"] == 64
+    direct = verify(ModelParams(d=d, L=2), n_samples=20_000, seed=1,
+                    block_size=64)
+    assert rec.payload["checks"][which]["log_value"] == direct.log_value
 
 
 def test_su2_check_pins_the_frozen_constants(tmp_path, capsys):

@@ -54,7 +54,7 @@ def test_haar_sample_is_phase_fixed_qr_of_the_same_gaussians(n, kind, size):
     assert np.max(np.abs(u - _phase_fixed_qr(seed, n, kind, size))) < 1e-12
 
 
-@pytest.mark.parametrize("n,kind", [(2, "U"), (3, "U"), (3, "SU")])
+@pytest.mark.parametrize("n,kind", [(2, "U"), (3, "U"), (2, "SU"), (3, "SU")])
 def test_haar_unitarity_over_many_draws(n, kind):
     u = haar_sample(np.random.default_rng(8), n, kind=kind, size=(100_000,))
     dev = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(n))

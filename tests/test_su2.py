@@ -7,13 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boselgt.errors import UsageError
-from boselgt.groups import log_map_spectral
-from boselgt.su2 import (capital_e, matrix_to_su2, su2_angle,
-                         su2_angle_norm_sq, su2_bound_constants,
-                         su2_bounds_check, su2_exp, su2_haar, su2_haar_density,
-                         su2_identity, su2_inverse, su2_log, su2_mul,
-                         su2_plaquette_action, su2_to_matrix, su2_z_gluon,
-                         su2_z_weyl)
+from boselgt.su2 import (capital_e, su2_angle, su2_angle_norm_sq,
+                         su2_bound_constants, su2_bounds_check, su2_exp,
+                         su2_haar, su2_haar_density, su2_inverse, su2_log,
+                         su2_mul, su2_plaquette_action, su2_to_matrix,
+                         su2_z_gluon, su2_z_weyl)
 
 RNG = np.random.default_rng(77)
 
@@ -70,14 +68,9 @@ def test_mul_matches_matrix_product():
 def test_inverse_and_identity():
     p = su2_haar(RNG, size=(50,))
     prod = su2_mul(p, su2_inverse(p))
-    assert np.max(np.abs(prod - su2_identity((50,)))) < 1e-14
+    assert np.max(np.abs(prod - [1.0, 0.0, 0.0, 0.0])) < 1e-14
     m = su2_to_matrix(p)
     assert np.max(np.abs(su2_to_matrix(su2_inverse(p)) - m.conj().swapaxes(-1, -2))) < 1e-15
-
-
-def test_matrix_round_trip():
-    p = su2_haar(RNG, size=(100,))
-    assert np.max(np.abs(matrix_to_su2(su2_to_matrix(p)) - p)) < 1e-15
 
 
 def test_haar_points_are_unit_and_isotropic():
@@ -103,7 +96,7 @@ def test_haar_density_normalizes_over_the_ball():
 
 def test_angle_norm_agrees_with_spectral_log():
     for p in su2_haar(RNG, size=(50,)):
-        _, lam = log_map_spectral(su2_to_matrix(p), kind="SU")
+        lam = np.angle(np.linalg.eigvals(su2_to_matrix(p)))
         assert su2_angle_norm_sq(p) == pytest.approx(float(lam @ lam), rel=1e-8, abs=1e-10)
 
 
