@@ -50,13 +50,15 @@ def main(argv=None):
         rep = verify_gauge_bounds(params, n_samples=args.samples,
                                   seed=args.seed, n_workers=args.workers)
         print(f"  gauge rates ({rep.method}): {rep.verdict}, log value "
-              f"{rep.log_value:.6g} in [{rep.log_lower:.6g}, {rep.log_upper:.6g}]")
+              f"{rep.log_value:.6g} in [{rep.log_lower:.6g}, {rep.log_upper:.6g}], "
+              f"sigma_log {rep.std_error_log:.2g}")
         failures += not rep.passed
 
         rep = verify_full_model(params, args.samples, args.seed,
                                 n_workers=args.workers)
         print(f"  full model: {rep.verdict}, log value {rep.log_value:.6g} "
-              f"in [{rep.log_lower:.6g}, {rep.log_upper:.6g}]")
+              f"in [{rep.log_lower:.6g}, {rep.log_upper:.6g}], "
+              f"sigma_log {rep.std_error_log:.2g}")
         failures += not rep.passed
 
     print("\n== group-level inequalities ==")

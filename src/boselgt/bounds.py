@@ -23,11 +23,13 @@ the ones asserted; the d = 2 direct check below also verifies the sharper
 
 Monte Carlo verdicts use a three-sigma window: pass when the window lies
 inside the bounds, fail when it lies strictly outside, inconclusive when it
-straddles a boundary.  Deterministic verdicts use a relative tolerance of
-1e-8 on the log scale.
+straddles a boundary.  The window's sigma_log is the relative standard
+error of the unscaled Monte Carlo mean; it does not change under the gauge
+scale s_Y^{d(N) Lr}, which only shifts the log value.  Deterministic
+verdicts use a relative tolerance of 1e-8 on the log scale.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,14 +175,18 @@ class BoundReport:
 
 
 def _report_from_estimate(name, est, log_lower, log_upper):
-    # Relative error of the value is the absolute error of its log for
-    # small errors; that is the scale the verdict window uses.
-    sigma_log = est.rel_error if est.std_error > 0.0 else 0.0
     return BoundReport(
         name=name, log_value=est.log_value,
         log_lower=float(log_lower), log_upper=float(log_upper),
-        std_error_log=float(sigma_log) if np.isfinite(sigma_log) else np.inf,
+        std_error_log=est.std_error_log,
         n_samples=est.n_samples, method=est.method)
+
+
+def _gauge_scaled(params, est):
+    """est times the gauge scale s_Y^{d(N) Lr}: a shift of log_value only."""
+    log_scale = (group_dim(params.kind, params.n) * params.gauge_fixing.n_retained
+                 * np.log(params.scaling.gauge_scale))
+    return replace(est, log_value=est.log_value + log_scale)
 
 
 # --------------------------------------------------- Bose sector verifier
@@ -247,19 +253,13 @@ def verify_gauge_bounds(params, n_samples=200_000, seed=0, n_workers=1,
     """
     consts = BoundConstants.for_params(params)
     n_ret = params.gauge_fixing.n_retained
-    dim = group_dim(params.kind, params.n)
-    log_scale = dim * n_ret * np.log(params.scaling.gauge_scale)
     if params.d == 2:
-        est = Estimate.exact(log_scale + z_wilson_d2_exact(params).log_value,
-                             method="quadrature")
+        est = z_wilson_d2_exact(params)
     else:
-        raw = z_wilson_mc(params, n_samples, seed, n_workers=n_workers,
+        est = z_wilson_mc(params, n_samples, seed, n_workers=n_workers,
                           gauge_fixed=True, block_size=block_size)
-        est = Estimate(log_value=log_scale + raw.log_value,
-                       std_error=raw.std_error, method=raw.method,
-                       n_samples=raw.n_samples, seed=raw.seed)
     return _report_from_estimate(
-        "gauge-sector bounds", est,
+        "gauge-sector bounds", _gauge_scaled(params, est),
         consts.gauge_lower * n_ret, consts.gauge_upper * n_ret)
 
 
@@ -299,9 +299,6 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     lat = params.lattice
     consts = BoundConstants.for_params(params)
     lo_rate, up_rate = consts.combined_rates(lat)
-    dim = group_dim(params.kind, params.n)
-    n_ret = params.gauge_fixing.n_retained
-    log_scale = dim * n_ret * np.log(params.scaling.gauge_scale)
     coupling = params.scaling.coupling
 
     def block(rng, count):
@@ -313,9 +310,7 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
 
     moments = mc.sample_mean(block, n_samples, seed,
                              n_workers=n_workers, block_size=block_size)
-    est = Estimate.from_moments(moments, seed)
-    est = Estimate(log_value=log_scale + est.log_value, std_error=est.std_error,
-                   method=est.method, n_samples=est.n_samples, seed=seed)
+    est = _gauge_scaled(params, Estimate.from_moments(moments, seed))
     return _report_from_estimate(
         "full-model bounds", est,
         lo_rate * lat.n_sites, up_rate * lat.n_sites)

@@ -58,18 +58,22 @@ class Opt:
         return self.flag.lstrip("-").replace("-", "_")
 
 
-def _parse_float_list(text):
-    try:
-        return tuple(float(t) for t in str(text).split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
+def _comma_list(item):
+    def parse(text):
+        return tuple(item(t) for t in text.split(",") if t.strip())
+    parse.__name__ = f"{item.__name__} list"  # argparse names it on failure
+    return parse
 
 
-def _parse_int_list(text):
-    try:
-        return tuple(int(t) for t in str(text).split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
+def _parse_bool(text):
+    return _BOOL_STRINGS[text.lower()]
+
+
+# One parser per Opt.kind, used as the argparse type= of a flag and on the
+# raw string of a config-file value; each raises ValueError or KeyError.
+_PARSERS = {"int": int, "float": float, "str": str, "choice": str,
+           "bool": _parse_bool, "floats": _comma_list(float),
+           "ints": _comma_list(int)}
 
 
 COMMON_OPTS = (
@@ -393,18 +397,9 @@ def _add_opt(sp, opt):
     kw = {"help": opt.help, "default": argparse.SUPPRESS, "dest": opt.dest}
     if opt.kind == "bool":
         sp.add_argument(opt.flag, action="store_true", **kw)
-    elif opt.kind == "floats":
-        sp.add_argument(opt.flag, type=_parse_float_list, **kw)
-    elif opt.kind == "ints":
-        sp.add_argument(opt.flag, type=_parse_int_list, **kw)
-    elif opt.kind == "choice":
-        sp.add_argument(opt.flag, type=str, choices=opt.choices, **kw)
-    elif opt.kind == "int":
-        sp.add_argument(opt.flag, type=int, **kw)
-    elif opt.kind == "float":
-        sp.add_argument(opt.flag, type=float, **kw)
     else:
-        sp.add_argument(opt.flag, type=str, **kw)
+        sp.add_argument(opt.flag, type=_PARSERS[opt.kind], choices=opt.choices,
+                        **kw)
 
 
 def build_parser():
@@ -422,24 +417,13 @@ def build_parser():
 def _coerce(opt, raw, origin):
     raw = raw.strip()
     try:
-        if opt.kind == "bool":
-            return _BOOL_STRINGS[raw.lower()]
-        if opt.kind == "int":
-            return int(raw)
-        if opt.kind == "float":
-            return float(raw)
-        if opt.kind == "floats":
-            return tuple(float(t) for t in raw.split(",") if t.strip())
-        if opt.kind == "ints":
-            return tuple(int(t) for t in raw.split(",") if t.strip())
-        if opt.kind == "choice":
-            if raw not in opt.choices:
-                raise UsageError(
-                    f"{origin}: {opt.flag} must be one of {opt.choices}, got {raw!r}")
-            return raw
-        return raw
+        value = _PARSERS[opt.kind](raw)
     except (ValueError, KeyError):
         raise UsageError(f"{origin}: cannot parse {raw!r} for {opt.flag}") from None
+    if opt.choices and value not in opt.choices:
+        raise UsageError(
+            f"{origin}: {opt.flag} must be one of {opt.choices}, got {raw!r}")
+    return value
 
 
 def read_config_file(path, command, opts):

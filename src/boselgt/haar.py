@@ -40,6 +40,10 @@ MAX_ANGLE_AXES_N = 3  # eigenvalue quadrature refuses N >= 4 (cost blows up)
 _WEYL_NODES_SMALL = 256  # per axis for N <= 2
 _WEYL_NODES_N3 = 96
 
+# Half-width cap of the rescaled peak box: wherever the action dominates
+# (4/pi^2) peak_scale |lam|^2 the tail beyond it is below e^{-70} relative.
+PEAK_MAX_HALF_WIDTH = 13.5
+
 
 def wrap_angle(lam):
     """Wrap angles into (-pi, pi]; the branch value -pi maps to +pi."""
@@ -173,12 +177,12 @@ def _weyl_value(f, n, kind, m):
     return float(np.sum(vals * cue_density(lam)) * weight)
 
 
-def weyl_integrate(f, n, kind="U", nodes=None, rtol=1e-8, atol=0.0, check=True):
+def weyl_integrate(f, n, kind="U", rtol=1e-8, atol=0.0):
     """Haar expectation of a class function given by its angle form.
 
     f maps an array (..., N) of eigenvalue angles to values (...,).  The
-    measure is normalized: f = 1 integrates to 1.  With check=True the grid
-    is halved once and the difference must satisfy
+    measure is normalized: f = 1 integrates to 1.  The grid is halved once
+    and the difference must satisfy
     |fine - coarse| <= max(rtol |fine|, atol), else a QuadratureError reports
     the achieved relative tolerance.  The absolute floor matters only for
     integrals that vanish by symmetry, where no relative target is meaningful;
@@ -191,24 +195,23 @@ def weyl_integrate(f, n, kind="U", nodes=None, rtol=1e-8, atol=0.0, check=True):
     if n > MAX_ANGLE_AXES_N:
         raise UsageError(
             f"eigenvalue-angle quadrature supports N <= {MAX_ANGLE_AXES_N}, got {n}")
-    if nodes is None:
-        nodes = _WEYL_NODES_SMALL if n <= 2 else _WEYL_NODES_N3
+    nodes = _WEYL_NODES_SMALL if n <= 2 else _WEYL_NODES_N3
     val = _weyl_value(f, n, kind, nodes)
-    if check:
-        coarse = _weyl_value(f, n, kind, nodes // 2)
-        err = abs(val - coarse)
-        if err > max(rtol * abs(val), atol):
-            achieved = err / max(abs(val), 1e-300)
-            raise QuadratureError("eigenvalue-angle quadrature did not converge", achieved)
+    coarse = _weyl_value(f, n, kind, nodes // 2)
+    err = abs(val - coarse)
+    if err > max(rtol * abs(val), atol):
+        achieved = err / max(abs(val), 1e-300)
+        raise QuadratureError("eigenvalue-angle quadrature did not converge", achieved)
     return val
 
 
-def scaled_grid_integral(f, n_axes, half_width, nodes=None, chunk=1 << 19):
+def scaled_grid_integral(f, n_axes, half_width, nodes=None):
     """Tensor Gauss-Legendre integral of f over [-half_width, half_width]^n_axes.
 
     f maps (m, n_axes) points to (m,) values and must be smooth; used for
-    one-bond integrands after rescaling the peak to unit width.  Evaluation
-    is chunked along the first axis to bound memory.
+    one-bond integrands after rescaling the peak to unit width.  With two or
+    more axes f is called once per node of the first axis, on the full grid
+    of the others, so one call sees nodes^(n_axes - 1) points.
     """
     if n_axes > MAX_ANGLE_AXES_N:
         raise UsageError(
@@ -233,20 +236,19 @@ def scaled_grid_integral(f, n_axes, half_width, nodes=None, chunk=1 << 19):
     return total
 
 
-def peaked_cue_integral(action_of_angles, n, peak_scale, rtol=1e-9,
-                        max_half_width=13.5, nodes=None):
+def peaked_cue_integral(action_of_angles, n, peak_scale, rtol=1e-9):
     """(1/cue_norm) integral over (-pi, pi]^N of e^{-action} * cue density.
 
     For actions concentrated near the origin with curvature ~ peak_scale:
     substituting lam = y / sqrt(s), s = max(peak_scale, 1), moves the peak to
-    unit width, and Gauss-Legendre on [-Y, Y]^N with Y = min(pi sqrt(s), W)
-    resolves it.  The truncation at W = 13.5 is safe whenever the action
-    dominates (4/pi^2) * peak_scale * |lam|^2, which gives a relative tail
-    below e^{-70}.  Convergence is checked by halving the node count.
+    unit width, and Gauss-Legendre on [-Y, Y]^N with
+    Y = min(pi sqrt(s), PEAK_MAX_HALF_WIDTH) resolves it.  The truncation is
+    safe whenever the action dominates (4/pi^2) * peak_scale * |lam|^2.
+    Convergence is checked by halving the node count.
     """
     s = max(float(peak_scale), 1.0)
     root = np.sqrt(s)
-    half = min(np.pi * root, max_half_width)
+    half = min(np.pi * root, PEAK_MAX_HALF_WIDTH)
 
     def integrand(y):
         lam = y / root
@@ -256,8 +258,7 @@ def peaked_cue_integral(action_of_angles, n, peak_scale, rtol=1e-9,
         raw = scaled_grid_integral(integrand, n_axes=n, half_width=half, nodes=m)
         return raw * root ** (-n) / cue_norm(n)
 
-    if nodes is None:
-        nodes = 192 if n <= 2 else 128
+    nodes = 192 if n <= 2 else 128
     fine = value(nodes)
     coarse = value(nodes // 2)
     achieved = abs(fine - coarse) / max(abs(fine), 1e-300)

@@ -34,7 +34,6 @@ class Lattice:
     d: int
     L: int
     a: float = 1.0
-    boundary: str = "free"
 
     def __post_init__(self):
         if self.d not in (2, 3, 4):
@@ -43,9 +42,6 @@ class Lattice:
             raise UsageError(f"side length must be an integer >= 2, got {self.L}")
         if not 0.0 < self.a <= 1.0:
             raise UsageError(f"lattice spacing must be in (0, 1], got {self.a}")
-        if self.boundary != "free":
-            raise UsageError(
-                f"only free boundary conditions are supported, got {self.boundary!r}")
 
     # ---- counts (closed forms; the enumerations below must agree) ----
 

@@ -24,11 +24,12 @@ neighbours do not couple, and one banded Cholesky factorises the stack.
 This module is the only place that lays out or factorises Q.
 
 Values that can leave the double range are carried as logarithms; Estimate
-keeps both, with log_value authoritative.
+keeps both, with log_value authoritative, and carries its error on the log
+scale, where a known scale factor does not touch it.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -51,13 +52,17 @@ class Estimate:
     """A partition value (or similar scalar) with provenance.
 
     log_value is always finite and authoritative; value is exp(log_value)
-    when that fits in a double and 0.0 / inf otherwise.  std_error is the
-    standard error of value (0 for deterministic methods).  For Monte Carlo
+    when that fits in a double and 0.0 / inf otherwise.  std_error_log is
+    the standard error of log_value: for Monte Carlo the relative standard
+    error sigma / mean of the unscaled sample mean, 0 for deterministic
+    methods.  A known scale, such as the gauge scale s_Y^{d(N) Lr}, shifts
+    log_value and leaves std_error_log alone, so every rescaling is
+    replace(est, log_value=est.log_value + shift).  For Monte Carlo
     estimates n_samples and seed identify the run.
     """
 
     log_value: float
-    std_error: float
+    std_error_log: float
     method: str
     n_samples: int = 0
     seed: int | None = None
@@ -65,8 +70,8 @@ class Estimate:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.std_error < 0.0:
-            raise ValueError(f"std_error must be >= 0, got {self.std_error}")
+        if self.std_error_log < 0.0:
+            raise ValueError(f"std_error_log must be >= 0, got {self.std_error_log}")
 
     @property
     def value(self):
@@ -77,14 +82,13 @@ class Estimate:
         return float(np.exp(self.log_value))
 
     @property
-    def rel_error(self):
-        """Standard error relative to the value (meaningful for MC)."""
-        v = self.value
-        return self.std_error / v if v not in (0.0, np.inf) else np.nan
+    def std_error(self):
+        """Standard error of value (0.0 for exact estimates, even at inf)."""
+        return self.value * self.std_error_log if self.std_error_log else 0.0
 
     @classmethod
     def exact(cls, log_value, method="exact-determinant"):
-        return cls(log_value=float(log_value), std_error=0.0, method=method)
+        return cls(log_value=float(log_value), std_error_log=0.0, method=method)
 
     @classmethod
     def from_moments(cls, moments, seed):
@@ -93,7 +97,8 @@ class Estimate:
             raise NumericError(
                 f"Monte Carlo mean of a positive quantity came out {m.mean:.6e}: "
                 "the weights underflowed")
-        return cls(log_value=float(np.log(m.mean)), std_error=m.std_error,
+        return cls(log_value=float(np.log(m.mean)),
+                   std_error_log=m.std_error / m.mean,
                    method="monte-carlo", n_samples=m.n, seed=seed)
 
 
@@ -185,7 +190,7 @@ def z_bose_exact_unscaled(params, scaled):
     """
     m = params.lattice.n_sites * params.n * (1 if params.field_kind == "real" else 2)
     shift = m * np.log(params.scaling.bose_scale**2)
-    return Estimate.exact(scaled.log_value - 0.5 * params.n_flavors * shift)
+    return replace(scaled, log_value=scaled.log_value - 0.5 * params.n_flavors * shift)
 
 
 # ---------------------------------------------------------- gauge sector
@@ -225,9 +230,9 @@ def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
     moments = mc.sample_mean(block, n_samples, seed,
                              n_workers=n_workers, block_size=block_size)
     est = Estimate.from_moments(moments, seed)
-    if est.std_error > 0.1 * moments.mean:
+    if est.std_error_log > 0.1:
         warnings.warn(
-            f"gauge Monte Carlo relative error {est.std_error / moments.mean:.1%} "
+            f"gauge Monte Carlo relative error {est.std_error_log:.1%} "
             "exceeds 10%; increase n_samples", stacklevel=2)
     return est
 

@@ -11,7 +11,8 @@ from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
                             group_dim, verify_bose_bounds, verify_full_model,
                             verify_gauge_bounds)
 from boselgt.errors import UsageError
-from boselgt.partition import bose_quadratic_form, logdet_posdef, sample_bonds
+from boselgt.partition import (bose_quadratic_form, logdet_posdef, sample_bonds,
+                               z_wilson_mc)
 
 
 # --------------------------------------------------------------- constants
@@ -177,8 +178,27 @@ def test_full_model_verifier_matches_matter_sector_api(n, kind):
     log_scale = (group_dim(kind, n) * p.gauge_fixing.n_retained
                  * np.log(p.scaling.gauge_scale))
     assert log_scale != 0.0
+    w = np.exp(log_w)
     assert rep.log_value - log_scale == pytest.approx(
-        np.log(np.mean(np.exp(log_w))), rel=1e-12, abs=1e-12)
+        np.log(np.mean(w)), rel=1e-12, abs=1e-12)
+    # sigma_log is the relative error of the unscaled mean, whatever the scale.
+    assert rep.std_error_log == pytest.approx(
+        np.std(w, ddof=1) / np.sqrt(count) / np.mean(w), rel=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")
+def test_gauge_verifier_error_does_not_move_with_the_scale():
+    # At a = 0.5 the gauge scale s_Y^{d(N) Lr} is far from 1; it shifts the
+    # log value and leaves the relative error of the Monte Carlo mean alone.
+    p = ModelParams(d=3, L=2, n=2, kind="SU", a=0.5)
+    count, seed = 4000, 3
+    rep = verify_gauge_bounds(p, n_samples=count, seed=seed)
+    raw = z_wilson_mc(p, count, seed, gauge_fixed=True)
+    log_scale = (group_dim("SU", 2) * p.gauge_fixing.n_retained
+                 * np.log(p.scaling.gauge_scale))
+    assert abs(log_scale) > 1.0
+    assert rep.log_value == pytest.approx(raw.log_value + log_scale, rel=1e-14)
+    assert rep.std_error_log == pytest.approx(raw.std_error / raw.value, rel=1e-12)
 
 
 def test_d2_bond_upper_checks():

@@ -133,6 +133,35 @@ def test_unparseable_config_value_is_a_usage_error(tmp_path, capsys):
     assert "cannot parse" in stderr
 
 
+@pytest.mark.parametrize("section,line,message", [
+    ("wilson-mc", "kind = SO", "must be one of"),
+    ("wilson-mc", "samples = 1.5", "cannot parse"),
+    ("cue-gue", "betas = 0.1,x", "cannot parse"),
+    ("sweep", "L-values = 2,3.5", "cannot parse"),
+])
+def test_bad_config_values_are_usage_errors(tmp_path, capsys, section, line,
+                                            message):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{section}]\n{line}\n")
+    code, _, stderr = run_cli([section, "--config", ini], capsys)
+    assert code == 2
+    assert message in stderr
+
+
+def test_config_lists_and_bools_parse_like_flags(tmp_path, capsys):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[sweep]\na-values = 1, 0.5\nL-values = 2,\n"
+                   "force = Yes\n")
+    out = tmp_path / "rec.json"
+    code, _, _ = run_cli(["sweep", "--config", ini, "--out-dir",
+                          tmp_path / "pts", "--output", out], capsys)
+    assert code == 0
+    cfg = read_record(out).config
+    assert cfg["a_values"] == [1.0, 0.5]
+    assert cfg["L_values"] == [2]
+    assert cfg["force"] is True
+
+
 def test_sweep_rejects_other_dimensions(tmp_path, capsys):
     code, _, stderr = run_cli(
         ["sweep", "--d", 3, "--out-dir", tmp_path], capsys)
@@ -154,6 +183,18 @@ def test_bad_choice_flag_exits_2_via_argparse(capsys):
         main(["z-bond", "--kind", "SO"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cue-gue", "--betas", "0.1,x"],
+    ["sweep", "--L-values", "2,3.5"],
+    ["wilson-mc", "--samples", "many"],
+])
+def test_bad_flag_value_exits_2_naming_the_option(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {argv[1]}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -196,7 +196,8 @@ def test_invalid_lattices_rejected():
         Lattice(d=2, L=3, a=0.0)
     with pytest.raises(UsageError):
         Lattice(d=2, L=3, a=1.5)
-    with pytest.raises(UsageError):
+    # Boundaries are always free; there is no knob to ask for another.
+    with pytest.raises(TypeError):
         Lattice(d=2, L=3, boundary="periodic")
 
 

@@ -1,5 +1,7 @@
 """Partition values: exact determinants, Monte Carlo, one-bond, kernels."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,23 +81,37 @@ def test_estimate_value_clamps():
     assert Estimate.exact(800.0).value == np.inf
     assert Estimate.exact(-800.0).value == 0.0
     assert Estimate.exact(0.0).value == 1.0
-    assert np.isnan(Estimate.exact(800.0).rel_error)
+    assert Estimate.exact(800.0).std_error_log == 0.0
+    assert Estimate.exact(800.0).std_error == 0.0
 
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        Estimate(log_value=0.0, std_error=0.0, method="guesswork")
+        Estimate(log_value=0.0, std_error_log=0.0, method="guesswork")
     with pytest.raises(ValueError):
-        Estimate(log_value=0.0, std_error=-1.0, method="quadrature")
+        Estimate(log_value=0.0, std_error_log=-1.0, method="quadrature")
 
 
 def test_estimate_from_moments():
-    est = Estimate.from_moments(Moments(n=100, mean=2.0, m2=99.0), seed=5)
+    moments = Moments(n=100, mean=2.0, m2=99.0)
+    est = Estimate.from_moments(moments, seed=5)
     assert est.log_value == pytest.approx(np.log(2.0))
+    assert est.std_error_log == moments.std_error / 2.0
+    assert est.std_error == pytest.approx(moments.std_error, rel=1e-15)
     assert est.method == "monte-carlo"
     assert est.n_samples == 100 and est.seed == 5
     with pytest.raises(NumericError):
         Estimate.from_moments(Moments(n=100, mean=-0.5, m2=1.0), seed=0)
+
+
+def test_rescaling_by_replace_keeps_the_log_error():
+    # A known scale factor shifts log_value; the error of the log, and so
+    # the relative error of the value, stays what the sample gave.
+    est = Estimate.from_moments(Moments(n=100, mean=2.0, m2=99.0), seed=5)
+    scaled = replace(est, log_value=est.log_value + 3.0)
+    assert scaled.std_error_log == est.std_error_log
+    assert scaled.std_error == pytest.approx(np.exp(3.0) * est.std_error, rel=1e-14)
+    assert (scaled.method, scaled.n_samples, scaled.seed) == ("monte-carlo", 100, 5)
 
 
 def test_underflowed_mean_is_named_as_underflow():
@@ -267,7 +283,7 @@ def test_wilson_mc_agrees_with_d2_exact():
     assert exact.std_error == 0.0
     for gauge_fixed in (False, True):
         est = z_wilson_mc(p, n_samples=40_000, seed=3, gauge_fixed=gauge_fixed)
-        sigma_log = est.rel_error
+        sigma_log = est.std_error_log
         assert abs(est.log_value - exact.log_value) < 3.0 * sigma_log
 
 
@@ -277,7 +293,7 @@ def test_gauge_fixed_sampling_agrees_with_free():
     p = ModelParams(d=2, L=3)
     free = z_wilson_mc(p, n_samples=20_000, seed=9)
     fixed = z_wilson_mc(p, n_samples=20_000, seed=9, gauge_fixed=True)
-    joint = np.hypot(free.rel_error, fixed.rel_error)
+    joint = np.hypot(free.std_error_log, fixed.std_error_log)
     assert abs(free.log_value - fixed.log_value) < 3.0 * joint
 
 

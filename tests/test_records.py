@@ -71,11 +71,12 @@ def test_safe_value_clamps():
 
 
 def test_estimate_payload_fields():
-    est = Estimate(log_value=-3.0, std_error=0.1, method="monte-carlo",
+    est = Estimate(log_value=-3.0, std_error_log=0.1, method="monte-carlo",
                    n_samples=1000, seed=7)
     pay = estimate_payload(est)
     assert pay == {"log_value": -3.0, "value": pytest.approx(math.exp(-3.0)),
-                   "std_error": 0.1, "method": "monte-carlo",
+                   "std_error": pytest.approx(0.1 * math.exp(-3.0), rel=1e-15),
+                   "method": "monte-carlo",
                    "n_samples": 1000, "seed": 7}
     huge = estimate_payload(Estimate.exact(-900.0))
     assert huge["value"] is None

@@ -40,3 +40,8 @@ def test_bound_suite_runs_to_its_summary(capsys):
     assert out.rstrip().endswith("all checks passed")
     for tag in ("d=2 L=3 U(1)", "d=2 L=4 U(2)", "d=3 L=2 SU(2)"):
         assert f"== {tag} ==" in out
+    # The error behind every gauge and full-model verdict is printed.
+    verdicts = [line for line in out.splitlines()
+                if line.lstrip().startswith(("gauge rates", "full model"))]
+    assert len(verdicts) == 6
+    assert all(", sigma_log " in line for line in verdicts)
