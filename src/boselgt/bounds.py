@@ -36,13 +36,15 @@ import numpy as np
 from . import mc
 from .actions import GaugeConfig, plaquette_actions
 from .errors import UsageError
-from .haar import cue_norm, gue_integral, gue_norm, haar_sample
+from .haar import (cue_density, cue_density_vandermonde, cue_norm, gue_density,
+                   gue_integral, gue_norm, haar_sample)
 from .lattice import GaugeFixing, Lattice
 from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
                         sample_bonds, z_single_bond, z_wilson_d2_exact,
                         z_wilson_mc)
 from .su2 import (su2_angle, su2_angle_norm_sq, su2_bound_constants,
-                  su2_haar, su2_inverse, su2_mul, su2_plaquette_action)
+                  su2_haar, su2_haar_density, su2_inverse, su2_mul,
+                  su2_plaquette_action)
 
 DETERMINISTIC_LOG_RTOL = 1e-8
 
@@ -74,8 +76,8 @@ def bose_upper_rate(n, L, field_kind="real"):
 def gauge_rate_bounds(kind, n, d, g0_sq=4.0):
     """(lower, upper) log bounds for the scaled one-bond gauge value.
 
-    Uniform over a in (0, 1] and 0 < g^2 <= g0^2.  U(N) supports N <= 3
-    (the Vandermonde integrals refuse more); SU is available for N = 2 only.
+    Uniform over a in (0, 1] and 0 < g^2 <= g0^2.  U(N) holds for every N;
+    SU is available for N = 2 only.
     """
     if d not in (2, 3, 4):
         raise UsageError(f"dimension must be 2, 3 or 4, got {d}")
@@ -387,8 +389,6 @@ def elementary_inequality_suite(n_draws, seed, n_workers=1,
          density between (2/pi)^2/(2 pi^2) and 1/(2 pi^2) on theta <= pi/2.
     Returns a dict name -> SampledBoundCheck.
     """
-    from .haar import cue_density, cue_density_vandermonde, gue_density
-
     def block(rng, count):
         bad = {"upper-quadratic": 0, "lower-quadratic": 0,
                "density-upper": 0, "density-lower": 0, "su2-pointwise": 0}
@@ -419,9 +419,7 @@ def elementary_inequality_suite(n_draws, seed, n_workers=1,
         bad["su2-pointwise"] += int(np.sum(act > 2.0 * theta * theta * (1 + 1e-12)))
         bad["su2-pointwise"] += int(np.sum(act > 8.0))
         half = theta <= np.pi / 2.0
-        sinc_sq = np.where(theta > 0, np.sin(theta) / np.where(theta > 0, theta, 1.0),
-                           1.0) ** 2
-        dens = sinc_sq / (2.0 * np.pi**2)
+        dens = su2_haar_density(theta[:, None])
         bad["su2-pointwise"] += int(np.sum(dens > 1.0 / (2.0 * np.pi**2) * (1 + 1e-12)))
         bad["su2-pointwise"] += int(np.sum(
             half & (dens * (1 + 1e-12) < (2.0 / np.pi) ** 2 / (2.0 * np.pi**2))))

@@ -21,12 +21,15 @@ normalization N! (2 pi)^N; for SU(N) the last angle is eliminated through
 the determinant constraint and the normalization drops one factor of 2 pi.
 The squared-Vandermonde form of the same density is kept as a cross-check.
 
-Quadrature here is for bounded smooth class functions: a tensor grid of
-midpoint/trapezoid nodes, which converges spectrally for periodic
-integrands.  Sharply peaked one-bond integrands are handled elsewhere with
-a rescaling; see scaled_grid_integral.
+weyl_integrate is a tensor grid of periodic trapezoid nodes for bounded
+smooth class functions (N <= 3); it serves as the independent reference.
+The one-bond and Gaussian integrals have integrands that are products over
+the angles, so they go through Andreief's identity instead: the N-fold
+integral of prod_j w(x_j) |det[p_a(x_j)]|^2 is N! det[integral of w p_a
+conj(p_b)], an N x N determinant of 1-D integrals (_gram_det) at any N.
 """
 
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -40,9 +43,15 @@ MAX_ANGLE_AXES_N = 3  # eigenvalue quadrature refuses N >= 4 (cost blows up)
 _WEYL_NODES_SMALL = 256  # per axis for N <= 2
 _WEYL_NODES_N3 = 96
 
-# Half-width cap of the rescaled peak box: wherever the action dominates
-# (4/pi^2) peak_scale |lam|^2 the tail beyond it is below e^{-70} relative.
+# Half-width cap in peak widths 1/sqrt(peak_scale): wherever the action
+# dominates (4/pi^2) peak_scale |lam|^2 the tail beyond it is below e^{-70}.
 PEAK_MAX_HALF_WIDTH = 13.5
+
+# Gauss-Legendre nodes of the 1-D Gram integrals; the convergence check of
+# peaked_cue_integral repeats the integral on half as many and demands this
+# relative agreement.
+_GRAM_NODES = 256
+PEAK_QUAD_RTOL = 1e-9
 
 
 def wrap_angle(lam):
@@ -205,64 +214,49 @@ def weyl_integrate(f, n, kind="U", rtol=1e-8, atol=0.0):
     return val
 
 
-def scaled_grid_integral(f, n_axes, half_width, nodes=None):
-    """Tensor Gauss-Legendre integral of f over [-half_width, half_width]^n_axes.
+_legendre = lru_cache(maxsize=None)(leggauss)  # nodes on [-1, 1], once per m
 
-    f maps (m, n_axes) points to (m,) values and must be smooth; used for
-    one-bond integrands after rescaling the peak to unit width.  With two or
-    more axes f is called once per node of the first axis, on the full grid
-    of the others, so one call sees nodes^(n_axes - 1) points.
+
+def _gram_det(points, weights, basis, n):
+    """det of the N x N Gram matrix sum_i w_i p_a(x_i) conj(p_b(x_i)), p_a = basis^a.
+
+    basis maps x to a monic degree-1 polynomial (in x or in e^{ix}), so
+    det[p_a(x_j)] is the Vandermonde determinant; by Andreief's identity the
+    result is 1/N! times the N-fold integral of prod_j w(x_j) times the
+    squared Vandermonde under the 1-D rule (x_i, w_i).  The matrix is
+    Hermitian, so its determinant is real.
     """
-    if n_axes > MAX_ANGLE_AXES_N:
-        raise UsageError(
-            f"grid integral supports up to {MAX_ANGLE_AXES_N} axes, got {n_axes}")
-    if nodes is None:
-        nodes = 192 if n_axes <= 2 else 128
-    x, w = leggauss(nodes)
-    x = x * half_width
-    w = w * half_width
-    if n_axes == 1:
-        return float(np.sum(w * np.asarray(f(x[:, None]), dtype=float)))
-    rest = np.meshgrid(*[x] * (n_axes - 1), indexing="ij")
-    rest_pts = np.stack([g.ravel() for g in rest], axis=-1)
-    rest_w = np.ones(rest_pts.shape[0])
-    for axis, g in enumerate(np.meshgrid(*[w] * (n_axes - 1), indexing="ij")):
-        rest_w = rest_w * g.ravel()
-    total = 0.0
-    for i in range(nodes):
-        pts = np.concatenate(
-            [np.full((rest_pts.shape[0], 1), x[i]), rest_pts], axis=-1)
-        total += w[i] * float(np.sum(rest_w * np.asarray(f(pts), dtype=float)))
-    return total
+    p = basis(points)[None, :] ** np.arange(n)[:, None]
+    return float(np.linalg.det((p * weights) @ p.conj().T).real)
 
 
-def peaked_cue_integral(action_of_angles, n, peak_scale, rtol=1e-9):
+def peaked_cue_integral(action_of_angles, n, peak_scale):
     """(1/cue_norm) integral over (-pi, pi]^N of e^{-action} * cue density.
 
-    For actions concentrated near the origin with curvature ~ peak_scale:
-    substituting lam = y / sqrt(s), s = max(peak_scale, 1), moves the peak to
-    unit width, and Gauss-Legendre on [-Y, Y]^N with
-    Y = min(pi sqrt(s), PEAK_MAX_HALF_WIDTH) resolves it.  The truncation is
-    safe whenever the action dominates (4/pi^2) * peak_scale * |lam|^2.
+    Precondition: the action is a sum of per-angle terms sum_j phi(lam_j);
+    it is called on angles of shape (m, 1) to get the 1-D weight e^{-phi}.
+    The value is the Gram determinant of that weight in the basis
+    (e^{i lam} - 1)^a, which vanishes at the peak, so the matrix stays well
+    conditioned at any peak_scale.  A peak of curvature ~ peak_scale has
+    width 1/sqrt(peak_scale); Gauss-Legendre on |lam| <= min(pi,
+    PEAK_MAX_HALF_WIDTH / sqrt(peak_scale)) resolves it, and the truncation
+    is safe whenever the action dominates (4/pi^2) * peak_scale * |lam|^2.
     Convergence is checked by halving the node count.
     """
-    s = max(float(peak_scale), 1.0)
-    root = np.sqrt(s)
-    half = min(np.pi * root, PEAK_MAX_HALF_WIDTH)
-
-    def integrand(y):
-        lam = y / root
-        return np.exp(-action_of_angles(lam)) * cue_density(lam)
+    if n < 1:
+        raise UsageError(f"matrix size must be >= 1, got {n}")
+    width = min(np.pi, PEAK_MAX_HALF_WIDTH / np.sqrt(peak_scale))
 
     def value(m):
-        raw = scaled_grid_integral(integrand, n_axes=n, half_width=half, nodes=m)
-        return raw * root ** (-n) / cue_norm(n)
+        x, w = _legendre(m)
+        lam = width * x
+        weights = w * (width / (2.0 * np.pi)) * np.exp(-action_of_angles(lam[:, None]))
+        return _gram_det(lam, weights, lambda l: np.expm1(1j * l), n)
 
-    nodes = 192 if n <= 2 else 128
-    fine = value(nodes)
-    coarse = value(nodes // 2)
+    fine = value(_GRAM_NODES)
+    coarse = value(_GRAM_NODES // 2)
     achieved = abs(fine - coarse) / max(abs(fine), 1e-300)
-    if achieved > rtol:
+    if achieved > PEAK_QUAD_RTOL:
         raise QuadratureError("one-bond angle integral did not converge", achieved)
     return fine
 
@@ -270,27 +264,22 @@ def peaked_cue_integral(action_of_angles, n, peak_scale, rtol=1e-9):
 def gue_integral(u, n):
     """integral over [-u, u]^N of e^{-|y|^2} prod_{j<k}(y_j - y_k)^2.
 
-    u = inf uses Gauss-Hermite nodes (exact: the Vandermonde factor is a
-    polynomial of degree 2(N-1) per variable); finite u uses Gauss-Legendre
-    with the Gaussian folded into the integrand.  At u = inf the value is
+    N! times the Gram determinant of the monomials y^a.  u = inf uses
+    Gauss-Hermite nodes (exact: the entries are Gaussian moments of degree
+    at most 2(N-1)); finite u uses Gauss-Legendre with the Gaussian folded
+    into the weights, on a box clipped at PEAK_MAX_HALF_WIDTH, past which
+    the Gaussian mass is below double precision.  At u = inf the value is
     gue_norm(N).
     """
-    if n > MAX_ANGLE_AXES_N:
-        raise UsageError(f"gue_integral supports N <= {MAX_ANGLE_AXES_N}, got {n}")
     if n < 1:
         raise UsageError(f"N must be >= 1, got {n}")
     if np.isinf(u):
-        x, w = hermgauss(64)
-        if n == 1:
-            return float(np.sum(w))
-        grids = np.meshgrid(*[x] * n, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = np.ones(pts.shape[0])
-        for g in np.meshgrid(*[w] * n, indexing="ij"):
-            wts = wts * g.ravel()
-        return float(np.sum(wts * gue_density(pts)))
-    if u <= 0.0:
+        y, w = hermgauss(64)
+    elif u <= 0.0:
         raise UsageError(f"integration half-width must be positive, got {u}")
-    return scaled_grid_integral(
-        lambda y: np.exp(-np.sum(y * y, axis=-1)) * gue_density(y),
-        n_axes=n, half_width=float(u))
+    else:
+        half = min(float(u), PEAK_MAX_HALF_WIDTH)
+        x, w = _legendre(_GRAM_NODES)
+        y = x * half
+        w = w * half * np.exp(-y * y)
+    return factorial(n) * _gram_det(y, w, lambda v: v, n)

@@ -37,12 +37,10 @@ import scipy.linalg
 from . import mc
 from .actions import plaquette_actions
 from .errors import NotPositiveDefiniteError, NumericError, UsageError
+# weyl_integrate is not called here: perfbench/spans.py rebinds it in this
+# module, and its Tracer.rebind fails on a missing name.
 from .haar import haar_sample, peaked_cue_integral, weyl_integrate
 from .su2 import su2_haar, su2_to_matrix
-
-# Couplings up to this value integrate fine on the periodic grid; beyond it
-# the peak needs the rescaled Gauss-Legendre route.
-PERIODIC_GRID_MAX_COUPLING = 4.0
 
 METHODS = ("exact-determinant", "quadrature", "monte-carlo")
 
@@ -239,18 +237,25 @@ def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
 
 # -------------------------------------------------------- one-bond values
 
-def z_single_bond(c, n=1, kind="U", rtol=1e-9):
+def z_single_bond(c, n=1, kind="U"):
     """One-bond gauge partition value at coupling c = a^{d-4} / g^2.
 
-    The Haar average of e^{-c |1 - g|_HS^2} written over eigenvalue angles.
-    U(N) up to N = 3 and SU(2) are supported; mild couplings use the
-    periodic grid, peaked ones the rescaled Gauss-Legendre route (U(N)) or
-    the adaptive SU(2) angle integral.
+    The Haar average of e^{-c |1 - g|_HS^2} written over eigenvalue angles:
+    U(N) for every N through the Gram determinant of peaked_cue_integral,
+    SU(2) through its radial angle integral.
     """
     if c <= 0.0:
         raise UsageError(f"coupling must be positive, got {c}")
-    if kind == "SU" and n != 2:
-        raise UsageError("one-bond values for SU(N) are implemented for N = 2 only")
+    if kind == "SU":
+        if n != 2:
+            raise UsageError("one-bond values for SU(N) are implemented for N = 2 only")
+        # Angles (lam, -lam) with density 4 sin^2(lam).  Imported here so
+        # that a rebinding of su2.su2_z_weyl_coupling is seen.
+        from .su2 import su2_z_weyl_coupling
+        return su2_z_weyl_coupling(c)
+    if kind != "U":
+        raise UsageError(f"unknown group kind {kind!r}")
+
     # The angle action 2c sum(1 - cos lam) is evaluated as 4c sum sin^2(lam/2):
     # same number, but free of the 1 - cos cancellation that otherwise floods
     # the convergence check with round-off noise once c is large and the
@@ -259,16 +264,7 @@ def z_single_bond(c, n=1, kind="U", rtol=1e-9):
         half = np.sin(lam / 2.0)
         return 4.0 * c * np.sum(half * half, axis=-1)
 
-    if c <= PERIODIC_GRID_MAX_COUPLING:
-        return weyl_integrate(
-            lambda lam: np.exp(-action(lam)), n, kind=kind,
-            rtol=max(rtol, 1e-10))
-    if kind == "SU":
-        # Angles (lam, -lam) with density 4 sin^2(lam): a dedicated radial
-        # integral covers the peaked range.
-        from .su2 import su2_z_weyl_coupling
-        return su2_z_weyl_coupling(c)
-    return peaked_cue_integral(action, n, peak_scale=c, rtol=rtol)
+    return peaked_cue_integral(action, n, peak_scale=c)
 
 
 def z_wilson_d2_exact(params):

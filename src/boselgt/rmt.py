@@ -32,34 +32,28 @@ def cue_gue_target(n):
     return float(gue_norm(n) / cue_norm(n))
 
 
-def w_of_beta(beta, n, action="cosine", rtol=1e-9):
+def w_of_beta(beta, n, action="cosine"):
     """One-bond unitary-group integral at inverse coupling beta > 0."""
     if beta <= 0.0:
         raise UsageError(f"beta must be positive, got {beta}")
     if action not in ACTIONS:
         raise UsageError(f"action must be one of {ACTIONS}, got {action!r}")
     if action == "cosine":
-        return z_single_bond(1.0 / beta, n, kind="U", rtol=rtol)
+        return z_single_bond(1.0 / beta, n, kind="U")
 
     def quad_action(lam):
         return np.sum(lam * lam, axis=-1) / beta
 
-    # Unlike the cosine action, e^{-|lam|^2 / beta} is not periodic across
-    # the box edge, so the periodic grid stalls at O(h^2) there; the scaled
-    # Gauss-Legendre route covers the whole box whenever the peak is mild
-    # (half-width pi sqrt(max(1/beta, 1)) clips to the box) and so is valid
-    # for every beta.
-    return float(peaked_cue_integral(quad_action, n, peak_scale=1.0 / beta,
-                                     rtol=rtol))
+    return float(peaked_cue_integral(quad_action, n, peak_scale=1.0 / beta))
 
 
-def w_ratio(beta, n, action="cosine", rtol=1e-9):
+def w_ratio(beta, n, action="cosine"):
     """w(beta) / beta^{n^2/2}, which tends to cue_gue_target(n)."""
-    w = w_of_beta(beta, n, action=action, rtol=rtol)
+    w = w_of_beta(beta, n, action=action)
     return float(w / beta ** (n * n / 2.0))
 
 
-def d2_free_energy(a, n=1, g_sq=1.0, rtol=1e-9):
+def d2_free_energy(a, n=1, g_sq=1.0):
     """Normalized per-bond log value in two dimensions.
 
     f(a) = ln z(c) + (n^2/2) ln c at c = a^{-2}/g^2.  The additive term
@@ -70,7 +64,7 @@ def d2_free_energy(a, n=1, g_sq=1.0, rtol=1e-9):
     if g_sq <= 0.0:
         raise UsageError(f"coupling g^2 must be positive, got {g_sq}")
     c = 1.0 / (a * a * g_sq)
-    z = z_single_bond(c, n, kind="U", rtol=rtol)
+    z = z_single_bond(c, n, kind="U")
     return float(np.log(z) + (n * n / 2.0) * np.log(c))
 
 
@@ -98,15 +92,15 @@ class LimitSweep:
                 for v, r in zip(self.values, self.results)]
 
 
-def sweep_cue_gue(betas, n, action="cosine", rtol=1e-9):
+def sweep_cue_gue(betas, n, action="cosine"):
     vals = [float(b) for b in betas]
-    results = [w_ratio(b, n, action=action, rtol=rtol) for b in vals]
+    results = [w_ratio(b, n, action=action) for b in vals]
     return LimitSweep(parameter="beta", values=tuple(vals),
                       results=tuple(results), target=cue_gue_target(n))
 
 
-def sweep_d2_limit(a_values, n=1, g_sq=1.0, rtol=1e-9):
+def sweep_d2_limit(a_values, n=1, g_sq=1.0):
     vals = [float(a) for a in a_values]
-    results = [d2_free_energy(a, n=n, g_sq=g_sq, rtol=rtol) for a in vals]
+    results = [d2_free_energy(a, n=n, g_sq=g_sq) for a in vals]
     return LimitSweep(parameter="a", values=tuple(vals),
                       results=tuple(results), target=d2_limit_target(n))

@@ -80,6 +80,22 @@ def test_u2_sampler_and_plaquettes_are_counted(spans):
     assert ix.calls("partition.logdet") == 2
 
 
+def test_single_bond_values_are_counted_as_quadrature(spans):
+    # The limits layer metrics count these spans; a route that bypasses the
+    # names the tracer wraps reads as zero quadrature.
+    tracer = spans.Tracer()
+    try:
+        spans.instrument(tracer)
+        with tracer.recording("test"):
+            partition.z_single_bond(10.0, 2)
+            partition.z_single_bond(2.5, 2, kind="SU")
+    finally:
+        tracer.restore()
+    ix = spans.SpanIndex(tracer.spans)
+    assert ix.calls("haar.quad") == 1
+    assert ix.calls("su2.quad") == 1
+
+
 def test_bose_exact_factorises_once_per_record(spans, tmp_path):
     tracer = spans.Tracer()
     try:

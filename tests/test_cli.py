@@ -11,6 +11,7 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from boselgt.actions import ModelParams, ScalingFactors
 from boselgt.bounds import verify_full_model, verify_gauge_bounds
@@ -65,6 +66,16 @@ def test_z_bond_matches_library_value(tmp_path, capsys):
     payload = read_record(out).payload
     assert payload["value"] == z_single_bond(1.0, 1)
     assert payload["log_value"] == np.log(payload["value"])
+
+
+def test_z_bond_u4_matches_the_toeplitz_determinant(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    code, _, _ = run_cli(
+        ["z-bond", "--n", 4, "--coupling", 4, "--output", out], capsys)
+    assert code == 0
+    j = np.arange(4)
+    expected = np.linalg.det(ive(j[:, None] - j[None, :], 8.0))
+    assert read_record(out).payload["value"] == pytest.approx(expected, rel=1e-10)
 
 
 def test_z_bond_derives_coupling_from_model(tmp_path, capsys):
@@ -165,6 +176,18 @@ def test_config_lists_and_bools_parse_like_flags(tmp_path, capsys):
 def test_sweep_rejects_other_dimensions(tmp_path, capsys):
     code, _, stderr = run_cli(
         ["sweep", "--d", 3, "--out-dir", tmp_path], capsys)
+    assert code == 2
+    assert "error:" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["z-bond", "--n", 0, "--coupling", 10],
+    ["cue-gue", "--n", 0],
+    ["d2-limit", "--n", 0],
+])
+def test_empty_matrix_size_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("BOSELGT_OUTPUT_DIR", str(tmp_path))
+    code, _, stderr = run_cli(argv, capsys)
     assert code == 2
     assert "error:" in stderr
 
@@ -343,6 +366,17 @@ def test_cue_gue_writes_csv(tmp_path, capsys):
     assert payload["csv"] == str(csv_path)
     assert payload["betas"] == [0.5, 0.1]
     assert all(np.isfinite(r) for r in payload["results"])
+
+
+def test_cue_gue_u3_reaches_small_beta(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    code, _, _ = run_cli(
+        ["cue-gue", "--n", 3, "--betas", "1,0.1,0.01",
+         "--csv", tmp_path / "u3.csv", "--output", out], capsys)
+    assert code == 0
+    payload = read_record(out).payload
+    errs = [abs(r - payload["target"]) for r in payload["results"]]
+    assert errs[2] < errs[1] < errs[0]
 
 
 def test_d2_limit_sweep_converges_toward_its_target(tmp_path, capsys):

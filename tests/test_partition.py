@@ -313,10 +313,16 @@ def test_single_bond_usage_errors():
         z_single_bond(0.0)
     with pytest.raises(UsageError):
         z_single_bond(1.0, n=3, kind="SU")
+    for c in (2.0, 10.0):
+        with pytest.raises(UsageError):
+            z_single_bond(c, n=2, kind="O")
+        with pytest.raises(UsageError):
+            z_single_bond(c, n=0)
 
 
 def test_single_bond_is_continuous_at_the_method_switch():
-    # The periodic grid hands over to the rescaled route at coupling 4.
+    # No method switch remains: c = 4, where two quadratures used to meet,
+    # must show no jump.
     below = z_single_bond(4.0 - 1e-9, n=2)
     above = z_single_bond(4.0 + 1e-9, n=2)
     assert below == pytest.approx(above, rel=1e-7)

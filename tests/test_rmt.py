@@ -26,6 +26,17 @@ def test_cosine_ratio_approaches_target(n, rel):
     assert w_ratio(1e-4, n) == pytest.approx(cue_gue_target(n), rel=rel)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_cosine_ratio_error_falls_tenfold_per_decade(n):
+    # The approach to the Gaussian target is O(beta), so each decade of the
+    # coupling c = 1/beta from 1e2 to 1e6 cuts the error tenfold.  At c = 1e6
+    # the error is ~2e-7, far above the quadrature's 1e-9 tolerance, so the
+    # ratio of errors measures the limit and not round-off.
+    errs = [w_ratio(beta, n) / cue_gue_target(n) - 1.0
+            for beta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+    assert all(9.0 < a / b < 11.0 for a, b in zip(errs, errs[1:]))
+
+
 def test_quadratic_ratio_approaches_target():
     # n = 1 has no density factor, so only the (negligible) box truncation
     # separates the ratio from the target.  For n = 2 the angle density's
@@ -35,6 +46,9 @@ def test_quadratic_ratio_approaches_target():
         cue_gue_target(1), rel=1e-6)
     assert w_ratio(1e-4, 2, action="quadratic") == pytest.approx(
         cue_gue_target(2), rel=5e-5)
+    # U(3) at beta = 0.01 is a value, 1% from the target, not a failure.
+    assert w_ratio(1e-2, 3, action="quadratic") == pytest.approx(
+        cue_gue_target(3), rel=2e-2)
 
 
 def test_quadratic_action_closed_form_at_unit_beta():
