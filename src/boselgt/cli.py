@@ -60,7 +60,10 @@ class Opt:
 
 def _comma_list(item):
     def parse(text):
-        return tuple(item(t) for t in text.split(",") if t.strip())
+        values = tuple(item(t) for t in text.split(",") if t.strip())
+        if not values:
+            raise UsageError(f"empty list {text!r}")
+        return values
     parse.__name__ = f"{item.__name__} list"  # argparse names it on failure
     return parse
 

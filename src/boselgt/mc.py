@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
+
 DEFAULT_BLOCK_SIZE = 8192
 
 # Counter window per block; a block may consume at most this many 64-bit
@@ -33,10 +35,12 @@ def _block_sizes(n_total, block_size):
 
 def map_blocks(block_fn, n_total, seed, n_workers=1, block_size=DEFAULT_BLOCK_SIZE):
     """Run block_fn(rng, count) per block, returning results in block order."""
-    if n_total <= 0:
-        raise ValueError(f"sample count must be positive, got {n_total}")
+    for what, value in (("sample count", n_total), ("block size", block_size),
+                        ("worker count", n_workers)):
+        if value < 1:
+            raise UsageError(f"{what} must be at least 1, got {value}")
     tasks = _block_sizes(n_total, block_size)
-    if n_workers <= 1:
+    if n_workers == 1:
         return [block_fn(block_rng(seed, i), m) for i, m in tasks]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         futures = [pool.submit(block_fn, block_rng(seed, i), m) for i, m in tasks]

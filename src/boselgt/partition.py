@@ -26,13 +26,15 @@ This module is the only place that lays out or factorises Q.
 Values that can leave the double range are carried as logarithms; Estimate
 keeps both, with log_value authoritative, and carries its error on the log
 scale, where a known scale factor does not touch it.
+
+scipy is imported inside logdet_posdef, the one function that uses it, so
+the commands that never factorise a form start without loading it.
 """
 
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import mc
 from .actions import plaquette_actions
@@ -158,6 +160,8 @@ def logdet_posdef(ab, context="quadratic form"):
     it does (e.g. at the massless edge with round-off), the smallest
     eigenvalue of the stack is named in the error.
     """
+    import scipy.linalg
+
     stacked = ab.reshape(ab.shape[0], -1)
     try:
         chol = scipy.linalg.cholesky_banded(stacked, lower=True)

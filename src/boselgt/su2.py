@@ -11,14 +11,16 @@ The one-bond gluon integrals at the end are the SU(2) counterparts of the
 CUE eigenvalue integrals: the same number computed once over the radial
 Haar density on the algebra ball and once over the eigenvalue-angle (Weyl)
 measure, which is the cross-check the test suite pins down to 1e-9.
+
+scipy is imported inside capital_e and _quad_split, the functions that use
+it, so the commands that sample SU(2) without integrating start without
+loading it.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erf
 
 from .errors import QuadratureError, UsageError
 
@@ -160,6 +162,8 @@ def capital_e(gamma):
     Closed form (sqrt(pi)/4) erf(gamma) - (gamma/2) e^{-gamma^2};
     E(inf) = sqrt(pi)/4.
     """
+    from scipy.special import erf
+
     g = np.asarray(gamma, dtype=float)
     finite = np.isfinite(g)
     gf = np.where(finite, g, 1.0)
@@ -180,6 +184,8 @@ def _coupling(a, g_sq, d):
 
 def _quad_split(f, lo, hi, c, rtol=1e-10):
     """Adaptive quadrature of f on [lo, hi], split near the e^{-4c(...)} peak."""
+    from scipy import integrate
+
     mid = min(10.0 / np.sqrt(4.0 * c + 1.0), (lo + hi) / 2.0)
     mid = max(mid, lo + (hi - lo) * 1e-6)
     # quad warns when it thinks epsrel=1e-12 was missed; the achieved-error

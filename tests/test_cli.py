@@ -149,6 +149,7 @@ def test_unparseable_config_value_is_a_usage_error(tmp_path, capsys):
     ("wilson-mc", "samples = 1.5", "cannot parse"),
     ("cue-gue", "betas = 0.1,x", "cannot parse"),
     ("sweep", "L-values = 2,3.5", "cannot parse"),
+    ("d2-limit", "a-values =", "cannot parse"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, section, line,
                                             message):
@@ -212,12 +213,31 @@ def test_bad_choice_flag_exits_2_via_argparse(capsys):
     ["cue-gue", "--betas", "0.1,x"],
     ["sweep", "--L-values", "2,3.5"],
     ["wilson-mc", "--samples", "many"],
+    ["cue-gue", "--betas", ","],
 ])
 def test_bad_flag_value_exits_2_naming_the_option(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
     assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["wilson-mc", "--samples", 0], "sample count must be at least 1, got 0"),
+    (["verify-bounds", "--which", "bose", "--configs", 0],
+     "sample count must be at least 1, got 0"),
+    (["wilson-mc", "--block-size", 0], "block size must be at least 1, got 0"),
+    (["wilson-mc", "--block-size", -5],
+     "block size must be at least 1, got -5"),
+    (["wilson-mc", "--workers", -1], "worker count must be at least 1, got -1"),
+])
+def test_bad_monte_carlo_counts_exit_2_naming_the_value(tmp_path, capsys,
+                                                        argv, message):
+    code, _, stderr = run_cli(
+        argv + ["--d", 2, "--L", 2, "--output", tmp_path / "rec.json"], capsys)
+    assert code == 2
+    assert message in stderr
+    assert not (tmp_path / "rec.json").exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,0 +1,87 @@
+"""scipy stays off the start-up path: each case runs in a fresh interpreter.
+
+pytest has already imported scipy in this process, so sys.modules is only
+meaningful in a child.  The child prints one JSON line last: the exit code
+of the command and whether scipy was loaded by then.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code, tmp_path):
+    env = dict(os.environ, BOSELGT_OUTPUT_DIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_command(argv, tmp_path):
+    return run_fresh(
+        "import json, sys\n"
+        "from boselgt.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps({'code': code, 'scipy': 'scipy' in sys.modules}))\n",
+        tmp_path)
+
+
+def test_building_the_parser_leaves_scipy_unloaded(tmp_path):
+    out = run_fresh(
+        "import json, sys\n"
+        "import boselgt.cli\n"
+        "boselgt.cli.build_parser()\n"
+        "print(json.dumps({'scipy': 'scipy' in sys.modules}))\n", tmp_path)
+    assert out == {"scipy": False}
+
+
+@pytest.mark.parametrize("argv,loads_scipy", [
+    (["wilson-mc", "--d", "2", "--L", "2", "--samples", "512",
+      "--block-size", "256"], False),
+    (["cue-gue", "--n", "1"], False),
+    (["d2-limit", "--n", "1"], False),
+    (["z-bond", "--kind", "U"], False),
+    (["bose-exact", "--d", "2", "--L", "2"], True),
+])
+def test_only_the_commands_that_need_scipy_load_it(tmp_path, argv,
+                                                   loads_scipy):
+    assert run_command(argv, tmp_path) == {"code": 0, "scipy": loads_scipy}
+
+
+def test_first_scipy_import_in_worker_threads_keeps_results(tmp_path):
+    # The spy records which thread asks for scipy first; U(1) at d = 2 has
+    # no quadrature before the Monte Carlo, so it is a worker's logdet.
+    spy = (
+        "import json, sys, threading\n"
+        "first = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy':\n"
+        "            first.append(threading.current_thread().name)\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "from boselgt.cli import main\n")
+    reports = {}
+    for workers in (1, 2):
+        out = tmp_path / f"full-{workers}.json"
+        argv = ["verify-bounds", "--which", "full", "--d", "2", "--L", "2",
+                "--samples", "256", "--block-size", "64", "--seed", "5",
+                "--workers", str(workers), "--output", str(out)]
+        result = run_fresh(
+            spy + f"code = main({argv!r})\n"
+            "print(json.dumps({'code': code, 'first': first[:1]}))\n",
+            tmp_path)
+        assert result["code"] == 0
+        if workers == 2:
+            assert result["first"] and result["first"][0] != "MainThread"
+        reports[workers] = json.loads(out.read_text())["payload"]["checks"]["full"]
+    for key in ("log_value", "std_error_log"):
+        assert reports[2][key] == reports[1][key]
