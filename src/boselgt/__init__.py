@@ -1,7 +1,7 @@
 """Lattice gauge-matter partition values: exact determinants, quadrature,
 Monte Carlo, and the rate bounds that sandwich them."""
 
-from .actions import GaugeConfig, ModelParams, ScalingFactors
+from .actions import ModelParams, ScalingFactors
 from .bounds import BoundConstants, BoundReport
 from .errors import (NotPositiveDefiniteError, NumericError, QuadratureError,
                      UsageError)
@@ -14,7 +14,6 @@ __all__ = [
     "BoundConstants",
     "BoundReport",
     "Estimate",
-    "GaugeConfig",
     "GaugeFixing",
     "Lattice",
     "ModelParams",

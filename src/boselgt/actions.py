@@ -26,6 +26,10 @@ which is how the action is evaluated: a sum of squares, never negative and
 free of the cancellation in 2(N - Re tr hol) near the identity, where small
 lattice spacing puts every plaquette.  Per plaquette it lies in [0, 4N].
 
+A gauge configuration is a plain complex bond array of shape
+lead + (n_bonds, N, N), one matrix per bond; random ones come from
+haar.haar_sample and the trivial one from identity_bonds.
+
 Fields are arrays of shape (n_sites, N): real dtype for the real model,
 complex for the complex model.  The hopping term is written once as
 -kappa^2 * Re <phi_x, g_b phi_y>, which reduces to phi_x . Re(g_b) phi_y
@@ -38,8 +42,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError
+# haar_sample is not called here: perfbench/spans.py rebinds it in this
+# module, and its Tracer.rebind fails on a missing name.
 from .haar import haar_sample
-from .lattice import GaugeFixing, Lattice
+from .lattice import GaugeFixing, Lattice, coupling
 
 FIELD_KINDS = ("real", "complex")
 
@@ -124,47 +130,23 @@ class ScalingFactors:
             bose_scale=float(np.sqrt(s_b_sq)),
             gauge_scale=float(a ** ((d - 4) / 2.0) / np.sqrt(p.g_sq)),
             kappa_sq=float(kappa_sq),
-            coupling=float(a ** (d - 4) / p.g_sq),
+            coupling=float(coupling(a, p.g_sq, d)),
         )
 
 
 # ------------------------------------------------------------ gauge configs
 
-@dataclass(frozen=True)
-class GaugeConfig:
-    """One bond matrix per lattice bond, shape (n_bonds, N, N) complex."""
-
-    lattice: Lattice
-    kind: str
-    n: int
-    bonds: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.bonds, dtype=complex)
-        expect = (self.lattice.n_bonds, self.n, self.n)
-        if b.shape != expect:
-            raise ValueError(f"bond array must have shape {expect}, got {b.shape}")
-        object.__setattr__(self, "bonds", b)
-
-    @classmethod
-    def identity(cls, lattice, n=1, kind="U"):
-        eye = np.broadcast_to(np.eye(n, dtype=complex),
-                              (lattice.n_bonds, n, n)).copy()
-        return cls(lattice=lattice, kind=kind, n=n, bonds=eye)
-
-    @classmethod
-    def random(cls, lattice, rng, n=1, kind="U"):
-        mats = haar_sample(rng, n, kind=kind, size=lattice.n_bonds)
-        return cls(lattice=lattice, kind=kind, n=n, bonds=mats)
+def identity_bonds(n, size):
+    """Identity bond matrices of shape size + (n, n), complex and writable."""
+    shape = (size,) if np.isscalar(size) else tuple(size)
+    return np.broadcast_to(np.eye(n, dtype=complex), shape + (n, n)).copy()
 
 
-def gauge_transform(config, site_unitaries):
+def gauge_transform(lattice, bonds, site_unitaries):
     """g_b -> r_tail g_b r_head^dag for per-site matrices (n_sites, N, N)."""
     r = np.asarray(site_unitaries, dtype=complex)
-    lat = config.lattice
-    new = r[lat.bond_tail] @ config.bonds @ np.conj(
-        np.swapaxes(r[lat.bond_head], -1, -2))
-    return GaugeConfig(lattice=lat, kind=config.kind, n=config.n, bonds=new)
+    return r[lattice.bond_tail] @ bonds @ np.conj(
+        np.swapaxes(r[lattice.bond_head], -1, -2))
 
 
 def field_transform(field, site_unitaries):
@@ -225,9 +207,8 @@ def plaquette_actions(lattice, bonds):
     return total
 
 
-def wilson_action(params, config_or_bonds):
+def wilson_action(params, bonds):
     """Total gauge action (a^{d-4}/g^2) * sum of plaquette actions."""
-    bonds = getattr(config_or_bonds, "bonds", config_or_bonds)
     lat = params.lattice
     return params.scaling.coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
 
@@ -239,22 +220,22 @@ def _hopping_sum(lattice, bonds, field):
     return float(np.sum(np.real(np.conj(phi[lattice.bond_tail]) * moved)))
 
 
-def bose_action(params, config, field):
+def bose_action(params, bonds, field):
     """Scaled Bose action sum_x |phi_x|^2 / 2 - kappa^2 sum_b Re<phi, g phi>."""
     _check_field(params, field)
     lat = params.lattice
     site = 0.5 * float(np.sum(np.abs(field) ** 2))
-    return site - params.scaling.kappa_sq * _hopping_sum(lat, config.bonds, field)
+    return site - params.scaling.kappa_sq * _hopping_sum(lat, bonds, field)
 
 
-def bose_action_unscaled(params, config, field):
-    """Unscaled Bose action; equals bose_action(params, config, s_B * field)."""
+def bose_action_unscaled(params, bonds, field):
+    """Unscaled Bose action; equals bose_action(params, bonds, s_B * field)."""
     _check_field(params, field)
     lat = params.lattice
     s = params.scaling
     site = 0.5 * s.bose_scale**2 * float(np.sum(np.abs(field) ** 2))
     hop = params.kappa_u_sq * params.a ** (params.d - 2)
-    return site - hop * _hopping_sum(lat, config.bonds, field)
+    return site - hop * _hopping_sum(lat, bonds, field)
 
 
 def _check_field(params, field):

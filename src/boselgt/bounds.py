@@ -34,14 +34,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mc
-from .actions import GaugeConfig, plaquette_actions
+from .actions import identity_bonds, plaquette_actions
 from .errors import UsageError
 from .haar import (cue_density, cue_density_vandermonde, cue_norm, gue_density,
                    gue_integral, gue_norm, haar_sample)
-from .lattice import GaugeFixing, Lattice
+from .lattice import Lattice, n_retained_bonds
 from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
-                        sample_bonds, z_single_bond, z_wilson_d2_exact,
-                        z_wilson_mc)
+                        z_single_bond, z_wilson_d2_exact, z_wilson_mc)
 from .su2 import (su2_angle, su2_angle_norm_sq, su2_bound_constants,
                   su2_haar, su2_haar_density, su2_inverse, su2_mul,
                   su2_plaquette_action)
@@ -129,8 +128,7 @@ class BoundConstants:
         (lower, upper) with upper = bose_upper + gauge_upper * Lr/Ls and the
         same shape for lower (whose Bose part is 0).
         """
-        n_ret = GaugeFixing.enhanced_temporal(lattice).n_retained
-        ratio = n_ret / lattice.n_sites
+        ratio = n_retained_bonds(lattice.d, lattice.L) / lattice.n_sites
         return (self.bose_lower + self.gauge_lower * ratio,
                 self.bose_upper + self.gauge_upper * ratio)
 
@@ -224,8 +222,8 @@ def verify_bose_bounds(params, n_configs, seed, n_workers=1, block_size=32):
         bad = 0
         worst = np.inf
         for _ in range(count):
-            cfg = GaugeConfig.random(lat, rng, n=params.n, kind=params.kind)
-            q = bose_quadratic_form(params, cfg)
+            bonds = haar_sample(rng, params.n, kind=params.kind, size=lat.n_bonds)
+            q = bose_quadratic_form(params, bonds)
             logdet = logdet_posdef(q)
             log_z = -0.5 * params.n_flavors * logdet
             # log_z >= 0 is both "Z_B >= 1" and "det Q <= 1" (flavors > 0).
@@ -304,7 +302,8 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     coupling = params.scaling.coupling
 
     def block(rng, count):
-        bonds = sample_bonds(rng, params.n, params.kind, (count, lat.n_bonds))
+        bonds = haar_sample(rng, params.n, kind=params.kind,
+                            size=(count, lat.n_bonds))
         actions = coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
         log_z_b = -0.5 * logdet_posdef(bose_quadratic_form(params, bonds),
                                        context="full-model Bose form")
@@ -358,8 +357,7 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
 
         def block(rng, count):
             mats = haar_sample(rng, n, kind=kind, size=(count, k))
-            bonds = np.broadcast_to(
-                np.eye(n, dtype=complex), (count, lat.n_bonds, n, n)).copy()
+            bonds = identity_bonds(n, (count, lat.n_bonds))
             bonds[:, haar_bonds] = mats
             action = plaquette_actions(lat, bonds)[:, 0]
             ang = np.angle(np.linalg.eigvals(mats))

@@ -29,11 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from . import mc
-from .actions import GaugeConfig, ModelParams
+from .actions import ModelParams, identity_bonds
 from .bounds import (BoundConstants, verify_bose_bounds, verify_full_model,
                      verify_gauge_bounds)
 from .errors import NumericError, UsageError
-from .lattice import GaugeFixing, Lattice
+from .haar import haar_sample
+from .lattice import GaugeFixing, Lattice, coupling
 from .partition import (z_bose_exact, z_bose_exact_unscaled, z_single_bond,
                         z_wilson_d2_exact, z_wilson_mc)
 from .records import (ResultRecord, default_output_dir, estimate_payload,
@@ -141,7 +142,7 @@ def run_z_bond(cfg):
     if cfg["coupling"] is not None:
         c = cfg["coupling"]
     else:
-        c = cfg["a"] ** (cfg["d"] - 4) / cfg["g_sq"]
+        c = coupling(cfg["a"], cfg["g_sq"], cfg["d"])
     z = z_single_bond(c, cfg["n"], kind=cfg["kind"])
     payload = {"coupling": float(c), "n": cfg["n"], "kind": cfg["kind"],
                "value": float(z), "log_value": float(np.log(z))}
@@ -151,13 +152,13 @@ def run_z_bond(cfg):
 
 def run_bose_exact(cfg):
     params = _params_from_cfg(cfg)
+    n_bonds = params.lattice.n_bonds
     if cfg["gauge"] == "identity":
-        config = GaugeConfig.identity(params.lattice, n=params.n, kind=params.kind)
+        bonds = identity_bonds(params.n, n_bonds)
     else:
-        rng = mc.block_rng(cfg["seed"], 0)
-        config = GaugeConfig.random(params.lattice, rng, n=params.n,
-                                    kind=params.kind)
-    scaled = z_bose_exact(params, config)
+        bonds = haar_sample(mc.block_rng(cfg["seed"], 0), params.n,
+                            kind=params.kind, size=n_bonds)
+    scaled = z_bose_exact(params, bonds)
     unscaled = z_bose_exact_unscaled(params, scaled)
     payload = {"gauge": cfg["gauge"], "seed": cfg["seed"],
                "scaled": estimate_payload(scaled),
@@ -286,8 +287,7 @@ def run_sweep(cfg):
         params = ModelParams(d=2, L=L, n=n, kind=cfg["kind"], a=a, g_sq=g_sq,
                              g0_sq=max(cfg["g0_sq"], g_sq))
         gauge = z_wilson_d2_exact(params)
-        bose = z_bose_exact(
-            params, GaugeConfig.identity(params.lattice, n=n, kind=cfg["kind"]))
+        bose = z_bose_exact(params, identity_bonds(n, params.lattice.n_bonds))
         point_payload = {
             "gauge": estimate_payload(gauge),
             "bose_identity": estimate_payload(bose),

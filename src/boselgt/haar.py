@@ -11,9 +11,12 @@ Gram-Schmidt gives a positive diagonal by construction.  Each column is
 projected twice against the earlier ones, which keeps Q unitary to round-off
 (classical Gram-Schmidt with one re-orthogonalisation pass).  The loops run
 over the N^2 matrix entries, each vectorised over all samples, so no
-per-matrix LAPACK call is made.  SU(N) samples divide the determinant out of
-one row, which pushes Haar on U(N) forward to Haar on SU(N) because right
-translation by special unitaries commutes with the map.
+per-matrix LAPACK call is made.  SU(2) samples are uniform points on the
+unit 3-sphere (su2.su2_haar) turned into matrices, with no determinant.
+SU(N >= 3) samples divide the determinant, one LU per matrix, out of one
+row, which pushes Haar on U(N) forward to Haar on SU(N) because right
+translation by special unitaries commutes with the map.  haar_sample is the
+one sampler of bond matrices for every group.
 
 Class-function integrals reduce to the eigenvalue angles.  For U(N) the
 joint angle density is prod_{j<k} 2(1 - cos(l_j - l_k)) on (-pi, pi]^N with
@@ -37,6 +40,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError, UsageError
+from .su2 import su2_haar, su2_to_matrix
 
 MAX_ANGLE_AXES_N = 3  # eigenvalue quadrature refuses N >= 4 (cost blows up)
 
@@ -65,15 +69,18 @@ def wrap_angle(lam):
 def haar_sample(rng, n, kind="U", size=()):
     """Haar-distributed matrices of shape size + (n, n).
 
-    kind "U" or "SU".  The Gaussian columns are orthonormalised by
-    Gram-Schmidt with one re-orthogonalisation pass, entry by entry over the
-    whole batch; for n = 1 that is normalizing one complex Gaussian (SU(1)
-    is the trivial group).
+    kind "U" or "SU".  SU(2) comes from quaternions.  Otherwise the
+    Gaussian columns are orthonormalised by Gram-Schmidt with one
+    re-orthogonalisation pass, entry by entry over the whole batch; for
+    n = 1 that is normalizing one complex Gaussian (SU(1) is the trivial
+    group).
     """
     if kind not in ("U", "SU"):
         raise UsageError(f"unknown group kind {kind!r}")
     if n < 1:
         raise UsageError(f"matrix size must be >= 1, got {n}")
+    if kind == "SU" and n == 2:
+        return su2_to_matrix(su2_haar(rng, size))
     shape = (size,) if np.isscalar(size) else tuple(size)
     if n == 1:
         if kind == "SU":

@@ -27,6 +27,25 @@ import numpy as np
 from .errors import UsageError
 
 
+def _check_dimension(d):
+    if d not in (2, 3, 4):
+        raise UsageError(f"dimension must be 2, 3 or 4, got {d}")
+
+
+def _check_spacing(a):
+    if not 0.0 < a <= 1.0:
+        raise UsageError(f"lattice spacing must be in (0, 1], got {a}")
+
+
+def coupling(a, g_sq, d):
+    """One-bond action strength c = a^{d-4} / g^2 of the Wilson action."""
+    _check_spacing(a)
+    if g_sq <= 0.0:
+        raise UsageError(f"coupling g^2 must be positive, got {g_sq}")
+    _check_dimension(d)
+    return a ** (d - 4) / g_sq
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Hypercubic lattice with d in {2,3,4}, L >= 2 sites per side, spacing a."""
@@ -36,12 +55,10 @@ class Lattice:
     a: float = 1.0
 
     def __post_init__(self):
-        if self.d not in (2, 3, 4):
-            raise UsageError(f"dimension must be 2, 3 or 4, got {self.d}")
+        _check_dimension(self.d)
         if not isinstance(self.L, (int, np.integer)) or self.L < 2:
             raise UsageError(f"side length must be an integer >= 2, got {self.L}")
-        if not 0.0 < self.a <= 1.0:
-            raise UsageError(f"lattice spacing must be in (0, 1], got {self.a}")
+        _check_spacing(self.a)
 
     # ---- counts (closed forms; the enumerations below must agree) ----
 

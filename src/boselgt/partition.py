@@ -37,11 +37,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mc
-from .actions import plaquette_actions
+from .actions import identity_bonds, plaquette_actions
 from .errors import NotPositiveDefiniteError, NumericError, UsageError
-# weyl_integrate is not called here: perfbench/spans.py rebinds it in this
-# module, and its Tracer.rebind fails on a missing name.
-from .haar import haar_sample, peaked_cue_integral, weyl_integrate
+from .haar import haar_sample, peaked_cue_integral
+# weyl_integrate, su2_haar and su2_to_matrix are not called here:
+# perfbench/spans.py rebinds them in this module, and its Tracer.rebind
+# fails on a missing name.
+from .haar import weyl_integrate
 from .su2 import su2_haar, su2_to_matrix
 
 METHODS = ("exact-determinant", "quadrature", "monte-carlo")
@@ -128,22 +130,21 @@ def _banded_form(n_nodes, width, tails, heads, hops):
     return ab
 
 
-def bose_quadratic_form(params, config):
+def bose_quadratic_form(params, bonds):
     """Real symmetric Q with S_Bose = phi^T Q phi / 2, in lower band storage.
 
-    config is a GaugeConfig or a bond array of shape lead + (n_bonds, N, N);
-    ab has shape (kd + 1,) + lead + (M,).  Fields are site-major blocks of
-    width N for real fields and 2 N for complex ones (the R^{2N} embedding
-    of each bond), so M = n_sites * width.  Diagonal blocks are the
+    bonds has shape lead + (n_bonds, N, N) and ab has shape
+    (kd + 1,) + lead + (M,).  Fields are site-major blocks of width N for
+    real fields and 2 N for complex ones (the R^{2N} embedding of each
+    bond), so M = n_sites * width.  Diagonal blocks are the
     identity; each bond contributes -kappa^2 times its coupling block and
     the transpose on the mirrored position.
     """
     lat = params.lattice
-    g = getattr(config, "bonds", config)
     if params.field_kind == "real":
-        blocks = np.real(g)
+        blocks = np.real(bonds)
     else:
-        re, im = np.real(g), np.imag(g)
+        re, im = np.real(bonds), np.imag(bonds)
         blocks = np.block([[re, -im], [im, re]])
     return _banded_form(lat.n_sites, blocks.shape[-1], lat.bond_tail,
                         lat.bond_head, params.scaling.kappa_sq * blocks)
@@ -174,13 +175,13 @@ def logdet_posdef(ab, context="quadratic form"):
     return float(logdet) if ab.ndim == 2 else logdet
 
 
-def z_bose_exact(params, config):
+def z_bose_exact(params, bonds):
     """Exact scaled Bose partition value det(Q)^{-n_flavors/2} as an Estimate.
 
     For complex fields Q is the real embedding, giving det^{-n_flavors}
     of the Hermitian form automatically.
     """
-    ab = bose_quadratic_form(params, config)
+    ab = bose_quadratic_form(params, bonds)
     logdet = logdet_posdef(ab, context="Bose quadratic form")
     return Estimate.exact(-0.5 * params.n_flavors * logdet)
 
@@ -196,13 +197,6 @@ def z_bose_exact_unscaled(params, scaled):
 
 
 # ---------------------------------------------------------- gauge sector
-
-def sample_bonds(rng, n, kind, size):
-    """Haar bond matrices of shape size + (n, n); SU(2) goes via quaternions."""
-    if kind == "SU" and n == 2:
-        return su2_to_matrix(su2_haar(rng, size))
-    return haar_sample(rng, n, kind=kind, size=size)
-
 
 def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
                 block_size=mc.DEFAULT_BLOCK_SIZE):
@@ -223,9 +217,9 @@ def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
     n = params.n
 
     def block(rng, count):
-        bonds = np.broadcast_to(
-            np.eye(n, dtype=complex), (count, lat.n_bonds, n, n)).copy()
-        bonds[:, active] = sample_bonds(rng, n, params.kind, (count, len(active)))
+        bonds = identity_bonds(n, (count, lat.n_bonds))
+        bonds[:, active] = haar_sample(rng, n, kind=params.kind,
+                                       size=(count, len(active)))
         action = coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
         return np.exp(-action)
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .haar import cue_norm, gue_norm, peaked_cue_integral
+from .lattice import coupling
 from .partition import z_single_bond
 
 ACTIONS = ("cosine", "quadratic")
@@ -59,11 +60,7 @@ def d2_free_energy(a, n=1, g_sq=1.0):
     f(a) = ln z(c) + (n^2/2) ln c at c = a^{-2}/g^2.  The additive term
     removes the leading power so the a -> 0 limit is finite.
     """
-    if not 0.0 < a <= 1.0:
-        raise UsageError(f"lattice spacing must be in (0, 1], got {a}")
-    if g_sq <= 0.0:
-        raise UsageError(f"coupling g^2 must be positive, got {g_sq}")
-    c = 1.0 / (a * a * g_sq)
+    c = coupling(a, g_sq, 2)
     z = z_single_bond(c, n, kind="U")
     return float(np.log(z) + (n * n / 2.0) * np.log(c))
 

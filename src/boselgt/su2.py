@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, UsageError
+from .lattice import coupling
 
 # Series switch for sin(r)/r: below this radius the direct
 # quotient loses digits, the 3-term even series is exact to < 1e-32 there.
@@ -172,16 +173,6 @@ def capital_e(gamma):
     return float(out) if np.isscalar(gamma) or np.ndim(gamma) == 0 else out
 
 
-def _coupling(a, g_sq, d):
-    if not 0.0 < a <= 1.0:
-        raise UsageError(f"lattice spacing must be in (0, 1], got {a}")
-    if g_sq <= 0.0:
-        raise UsageError(f"coupling g^2 must be positive, got {g_sq}")
-    if d not in (2, 3, 4):
-        raise UsageError(f"dimension must be 2, 3 or 4, got {d}")
-    return a ** (d - 4) / g_sq
-
-
 def _quad_split(f, lo, hi, c, rtol=1e-10):
     """Adaptive quadrature of f on [lo, hi], split near the e^{-4c(...)} peak."""
     from scipy import integrate
@@ -207,7 +198,7 @@ def su2_z_gluon(a, g_sq, d):
     z = (2/pi) * integral over r in [0, pi] of e^{-4c(1-cos r)} sin^2 r,
     with c = a^{d-4}/g^2.
     """
-    c = _coupling(a, g_sq, d)
+    c = coupling(a, g_sq, d)
 
     def f(r):
         # 4c(1 - cos r) written as 8c sin^2(r/2): stable for peaked c.
@@ -237,7 +228,7 @@ def su2_z_weyl_coupling(c):
 
 def su2_z_weyl(a, g_sq, d):
     """su2_z_weyl_coupling at c = a^{d-4} / g^2."""
-    return su2_z_weyl_coupling(_coupling(a, g_sq, d))
+    return su2_z_weyl_coupling(coupling(a, g_sq, d))
 
 
 @dataclass(frozen=True)
@@ -278,7 +269,7 @@ def su2_bounds_check(a, g_sq, d, g0_sq=4.0):
     """Check the a- and g-independent sandwich for the scaled one-bond value."""
     if g_sq > g0_sq:
         raise UsageError(f"g^2 must be <= g0^2 = {g0_sq}, got {g_sq}")
-    c = _coupling(a, g_sq, d)
+    c = coupling(a, g_sq, d)
     z = su2_z_gluon(a, g_sq, d)
     lower, upper = su2_bound_constants(d, g0_sq)
     return Su2BoundCheck(scaled_value=float(c**1.5 * z), lower=lower, upper=upper)

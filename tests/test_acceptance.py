@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 
 from boselgt import mc
-from boselgt.actions import GaugeConfig, ModelParams, bose_action_unscaled
+from boselgt.actions import ModelParams, bose_action_unscaled, identity_bonds
 from boselgt.bounds import (BoundConstants, check_plaquette_quadratic,
                             elementary_inequality_suite, verify_bose_bounds,
                             verify_gauge_bounds)
@@ -153,7 +153,7 @@ def test_criterion_05_bose_sandwich_and_determinant_cap():
 
 # ----------------------------------------------------- 6: scaling identities
 
-def _polarised_unscaled_form(params, config):
+def _polarised_unscaled_form(params, bonds):
     """Q_u with S_u = phi^T Q_u phi / 2, read off the unscaled action alone.
 
     Q_ii = 2 S_u(e_i) and Q_ij = S_u(e_i + e_j) - S_u(e_i) - S_u(e_j) over
@@ -164,10 +164,10 @@ def _polarised_unscaled_form(params, config):
     units = list(np.eye(shape[0] * shape[1]).reshape(-1, *shape))
     if params.field_kind == "complex":
         units = [u + 0j for u in units] + [1j * u for u in units]
-    diag = [bose_action_unscaled(params, config, u) for u in units]
+    diag = [bose_action_unscaled(params, bonds, u) for u in units]
     q = np.diag(2.0 * np.array(diag))
     for i, j in zip(*np.triu_indices(len(units), 1)):
-        q[i, j] = q[j, i] = (bose_action_unscaled(params, config, units[i] + units[j])
+        q[i, j] = q[j, i] = (bose_action_unscaled(params, bonds, units[i] + units[j])
                              - diag[i] - diag[j])
     return q
 
@@ -181,12 +181,12 @@ def test_criterion_06_scaling_identities():
             params = base.with_(field_kind=field_kind)
             lat = params.lattice
             rng = mc.block_rng(61, 0)
-            for config in (GaugeConfig.identity(lat, n=params.n, kind=params.kind),
-                           GaugeConfig.random(lat, rng, n=params.n,
-                                              kind=params.kind)):
-                unscaled = z_bose_exact_unscaled(params, z_bose_exact(params, config))
+            for bonds in (identity_bonds(params.n, lat.n_bonds),
+                          haar_sample(rng, params.n, kind=params.kind,
+                                      size=lat.n_bonds)):
+                unscaled = z_bose_exact_unscaled(params, z_bose_exact(params, bonds))
                 sign, logdet_u = np.linalg.slogdet(
-                    _polarised_unscaled_form(params, config))
+                    _polarised_unscaled_form(params, bonds))
                 target = -0.5 * params.n_flavors * logdet_u
                 err = abs(unscaled.log_value - target) / max(1.0, abs(target))
                 worst = max(worst, err if sign == 1.0 else np.inf)

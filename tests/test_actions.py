@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from boselgt.actions import (FIELD_KINDS, GaugeConfig, ModelParams,
-                             ScalingFactors, bose_action,
-                             bose_action_unscaled, field_transform,
-                             gauge_transform, plaquette_actions,
+from boselgt.actions import (FIELD_KINDS, ModelParams, ScalingFactors,
+                             bose_action, bose_action_unscaled,
+                             field_transform, gauge_transform,
+                             identity_bonds, plaquette_actions,
                              plaquette_holonomies, wilson_action)
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample
@@ -66,7 +66,7 @@ def test_kappa_sq_stays_below_free_boundary():
 def test_two_pictures_give_the_same_action(field_kind):
     p = small_params(field_kind=field_kind, n=2, a=0.3, m_u=1.2, kappa_u_sq=0.8)
     rng = np.random.default_rng(10)
-    cfg = GaugeConfig.random(p.lattice, rng, n=2)
+    cfg = haar_sample(rng, 2, size=p.lattice.n_bonds)
     phi_u = random_field(p, rng)
     s_b = p.scaling.bose_scale
     assert bose_action_unscaled(p, cfg, phi_u) == pytest.approx(
@@ -77,15 +77,16 @@ def test_two_pictures_give_the_same_action(field_kind):
 
 def test_identity_config_has_zero_action():
     p = small_params(n=2)
-    cfg = GaugeConfig.identity(p.lattice, n=2)
+    cfg = identity_bonds(2, p.lattice.n_bonds)
     assert wilson_action(p, cfg) == 0.0
-    assert np.all(plaquette_actions(p.lattice, cfg.bonds) == 0.0)
+    assert np.all(plaquette_actions(p.lattice, cfg) == 0.0)
 
 
 def test_plaquette_action_range():
     p = ModelParams(d=3, L=3, n=2, kind="SU")
-    cfg = GaugeConfig.random(p.lattice, np.random.default_rng(4), n=2, kind="SU")
-    acts = plaquette_actions(p.lattice, cfg.bonds)
+    cfg = haar_sample(np.random.default_rng(4), 2, kind="SU",
+                      size=p.lattice.n_bonds)
+    acts = plaquette_actions(p.lattice, cfg)
     assert acts.shape == (p.lattice.n_plaquettes,)
     assert np.all(acts >= 0.0)
     assert np.all(acts <= 4.0 * p.n)
@@ -154,27 +155,28 @@ def test_plaquette_action_keeps_precision_near_identity(eps):
 
 def test_wilson_action_coupling_prefactor():
     p = small_params(a=0.5, g_sq=2.0)  # c = a^{-2}/g^2 = 2
-    cfg = GaugeConfig.random(p.lattice, np.random.default_rng(8))
-    raw = float(np.sum(plaquette_actions(p.lattice, cfg.bonds)))
+    cfg = haar_sample(np.random.default_rng(8), 1, size=p.lattice.n_bonds)
+    raw = float(np.sum(plaquette_actions(p.lattice, cfg)))
     assert wilson_action(p, cfg) == pytest.approx(2.0 * raw, rel=1e-13)
 
 
 def test_wilson_action_is_gauge_invariant():
     p = ModelParams(d=3, L=2, n=2)
     rng = np.random.default_rng(12)
-    cfg = GaugeConfig.random(p.lattice, rng, n=2)
+    cfg = haar_sample(rng, 2, size=p.lattice.n_bonds)
     rots = haar_sample(rng, 2, size=(p.lattice.n_sites,))
-    moved = gauge_transform(cfg, rots)
+    moved = gauge_transform(p.lattice, cfg, rots)
     assert wilson_action(p, moved) == pytest.approx(wilson_action(p, cfg), rel=1e-10)
 
 
 def test_bose_action_gauge_covariance_complex():
     p = ModelParams(d=2, L=3, n=2, field_kind="complex", m_u=0.4, kappa_u_sq=1.1)
     rng = np.random.default_rng(13)
-    cfg = GaugeConfig.random(p.lattice, rng, n=2)
+    cfg = haar_sample(rng, 2, size=p.lattice.n_bonds)
     phi = random_field(p, rng)
     rots = haar_sample(rng, 2, size=(p.lattice.n_sites,))
-    val = bose_action(p, gauge_transform(cfg, rots), field_transform(phi, rots))
+    val = bose_action(p, gauge_transform(p.lattice, cfg, rots),
+                      field_transform(phi, rots))
     assert val == pytest.approx(bose_action(p, cfg, phi), rel=1e-12)
 
 
@@ -182,17 +184,18 @@ def test_bose_action_gauge_covariance_real():
     # Real model: rotate with real orthogonal matrices so the field stays real.
     p = ModelParams(d=2, L=3, n=2, field_kind="real", m_u=0.4, kappa_u_sq=1.1)
     rng = np.random.default_rng(14)
-    cfg = GaugeConfig.random(p.lattice, rng, n=2)
+    cfg = haar_sample(rng, 2, size=p.lattice.n_bonds)
     phi = random_field(p, rng)
     q, r = np.linalg.qr(rng.standard_normal((p.lattice.n_sites, 2, 2)))
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-    val = bose_action(p, gauge_transform(cfg, q), field_transform(phi, q))
+    val = bose_action(p, gauge_transform(p.lattice, cfg, q),
+                      field_transform(phi, q))
     assert val == pytest.approx(bose_action(p, cfg, phi), rel=1e-12)
 
 
 def test_decoupled_action_is_pure_gaussian():
     p = small_params(m_u=1.0, kappa_u_sq=0.0)
-    cfg = GaugeConfig.random(p.lattice, np.random.default_rng(3))
+    cfg = haar_sample(np.random.default_rng(3), 1, size=p.lattice.n_bonds)
     phi = random_field(p, np.random.default_rng(4))
     assert bose_action(p, cfg, phi) == pytest.approx(
         0.5 * float(np.sum(phi * phi)), rel=1e-14)
@@ -234,18 +237,21 @@ def test_with_replaces_and_revalidates():
         p.with_(g_sq=100.0)
 
 
-def test_gauge_config_shape_check():
+def test_identity_bonds_shape():
     lat = ModelParams(d=2, L=2).lattice
-    with pytest.raises(ValueError):
-        GaugeConfig(lattice=lat, kind="U", n=1, bonds=np.ones((3, 1, 1)))
-    cfg = GaugeConfig.identity(lat, n=2)
-    assert cfg.bonds.shape == (lat.n_bonds, 2, 2)
-    assert np.all(cfg.bonds == np.eye(2))
+    bonds = identity_bonds(2, lat.n_bonds)
+    assert bonds.shape == (lat.n_bonds, 2, 2)
+    assert bonds.dtype == complex
+    assert np.all(bonds == np.eye(2))
+    stacked = identity_bonds(2, (3, lat.n_bonds))
+    assert stacked.shape == (3, lat.n_bonds, 2, 2)
+    stacked[0, 0] = 0.0  # writable, and no two bonds share memory
+    assert np.all(stacked[1:, 0] == np.eye(2))
 
 
 def test_field_checks():
     p = small_params(field_kind="real")
-    cfg = GaugeConfig.identity(p.lattice)
+    cfg = identity_bonds(1, p.lattice.n_bonds)
     with pytest.raises(ValueError):
         bose_action(p, cfg, np.zeros((3, 1)))
     with pytest.raises(ValueError):

@@ -47,9 +47,12 @@ def test_instrument_rebinds_and_restores(spans):
     ix = spans.SpanIndex(tracer.spans)
     # Two blocks per call; the full-model blocks evaluate 1 plaquette each.
     assert ix.calls("mc.block") == 4
-    # d = 2, L = 2: one retained bond of four.
-    assert ix.counted("su2.haar") == 64 * 1 + 64 * 4
-    assert ix.calls("su2.to_matrix") == 4
+    # d = 2, L = 2: one retained bond of four.  SU(2) bonds come from
+    # haar_sample like every group's; its quaternion draw runs inside haar,
+    # out of reach of the su2 names the tracer wraps.
+    assert ix.counted("haar.sample") == 64 * 1 + 64 * 4
+    assert ix.counted("su2.haar") == 0
+    assert ix.calls("su2.to_matrix") == 0
     assert ix.counted("actions.plaquette") == 64
     # The full-model verifier factorises each block's forms in one call.
     assert ix.calls("partition.logdet") == 2
@@ -78,6 +81,23 @@ def test_u2_sampler_and_plaquettes_are_counted(spans):
     # the full-model blocks are counted.
     assert ix.counted("actions.plaquette") == 64 * lat.n_plaquettes
     assert ix.calls("partition.logdet") == 2
+
+
+@pytest.mark.parametrize("n,kind", [(2, "U"), (2, "SU")])
+def test_bose_verifier_draws_are_counted_as_haar_samples(spans, n, kind):
+    p = ModelParams(d=2, L=3, n=n, kind=kind)
+    tracer = spans.Tracer()
+    try:
+        spans.instrument(tracer)
+        with tracer.recording("test"):
+            bounds.verify_bose_bounds(p, 5, seed=0)
+    finally:
+        tracer.restore()
+    ix = spans.SpanIndex(tracer.spans)
+    # One haar_sample call and one factorisation per configuration.
+    assert ix.calls("haar.sample") == 5
+    assert ix.counted("haar.sample") == 5 * p.lattice.n_bonds
+    assert ix.calls("partition.logdet") == 5
 
 
 def test_single_bond_values_are_counted_as_quadrature(spans):

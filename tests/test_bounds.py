@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from boselgt import mc
-from boselgt.actions import GaugeConfig, ModelParams, wilson_action
+from boselgt.actions import ModelParams, wilson_action
 from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
                             check_plaquette_quadratic, d2_bond_upper_checks,
                             elementary_inequality_suite, gauge_rate_bounds,
                             group_dim, verify_bose_bounds, verify_full_model,
                             verify_gauge_bounds)
 from boselgt.errors import UsageError
-from boselgt.partition import (bose_quadratic_form, logdet_posdef, sample_bonds,
-                               z_wilson_mc)
+from boselgt.haar import haar_sample
+from boselgt.partition import bose_quadratic_form, logdet_posdef, z_wilson_mc
 
 
 # --------------------------------------------------------------- constants
@@ -171,10 +171,10 @@ def test_full_model_verifier_matches_matter_sector_api(n, kind):
     rep = verify_full_model(p, n_samples=count, seed=seed, block_size=count)
     # The one block draws from block_rng(seed, 0); redraw the same bonds and
     # weight them through the per-configuration matter-sector API.
-    bonds = sample_bonds(mc.block_rng(seed, 0), n, kind, (count, p.lattice.n_bonds))
-    log_w = [-wilson_action(p, b) - 0.5 * logdet_posdef(bose_quadratic_form(
-        p, GaugeConfig(lattice=p.lattice, kind=kind, n=n, bonds=b)))
-        for b in bonds]
+    bonds = haar_sample(mc.block_rng(seed, 0), n, kind=kind,
+                        size=(count, p.lattice.n_bonds))
+    log_w = [-wilson_action(p, b) - 0.5 * logdet_posdef(bose_quadratic_form(p, b))
+             for b in bonds]
     log_scale = (group_dim(kind, n) * p.gauge_fixing.n_retained
                  * np.log(p.scaling.gauge_scale))
     assert log_scale != 0.0

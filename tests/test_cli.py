@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 from scipy.special import ive
 
+from boselgt import cli
 from boselgt.actions import ModelParams, ScalingFactors
 from boselgt.bounds import verify_full_model, verify_gauge_bounds
 from boselgt.cli import main
-from boselgt.partition import z_single_bond
+from boselgt.mc import block_rng
+from boselgt.partition import z_bose_exact, z_single_bond
 from boselgt.records import ResultRecord, load_schema
-from boselgt.su2 import su2_bound_constants
+from boselgt.su2 import su2_bound_constants, su2_haar, su2_to_matrix
 
 
 def run_cli(argv, capsys):
@@ -222,19 +224,29 @@ def test_bad_flag_value_exits_2_naming_the_option(capsys, argv):
     assert f"argument {argv[1]}" in capsys.readouterr().err
 
 
+SMALL = ["--d", 2, "--L", 2]
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["wilson-mc", "--samples", 0], "sample count must be at least 1, got 0"),
-    (["verify-bounds", "--which", "bose", "--configs", 0],
+    (["wilson-mc", "--samples", 0, *SMALL],
      "sample count must be at least 1, got 0"),
-    (["wilson-mc", "--block-size", 0], "block size must be at least 1, got 0"),
-    (["wilson-mc", "--block-size", -5],
+    (["verify-bounds", "--which", "bose", "--configs", 0, *SMALL],
+     "sample count must be at least 1, got 0"),
+    (["wilson-mc", "--block-size", 0, *SMALL],
+     "block size must be at least 1, got 0"),
+    (["wilson-mc", "--block-size", -5, *SMALL],
      "block size must be at least 1, got -5"),
-    (["wilson-mc", "--workers", -1], "worker count must be at least 1, got -1"),
+    (["wilson-mc", "--workers", -1, *SMALL],
+     "worker count must be at least 1, got -1"),
+    # z-bond derives c = a^{d-4} / g^2 and refuses inputs outside the model.
+    (["z-bond", "--a", 0], "lattice spacing must be in (0, 1], got 0.0"),
+    (["z-bond", "--a", 2], "lattice spacing must be in (0, 1], got 2.0"),
+    (["z-bond", "--g-sq", 0], "coupling g^2 must be positive, got 0.0"),
+    (["z-bond", "--d", 7], "dimension must be 2, 3 or 4, got 7"),
 ])
 def test_bad_monte_carlo_counts_exit_2_naming_the_value(tmp_path, capsys,
                                                         argv, message):
-    code, _, stderr = run_cli(
-        argv + ["--d", 2, "--L", 2, "--output", tmp_path / "rec.json"], capsys)
+    code, _, stderr = run_cli(argv + ["--output", tmp_path / "rec.json"], capsys)
     assert code == 2
     assert message in stderr
     assert not (tmp_path / "rec.json").exists()
@@ -260,6 +272,27 @@ def test_wilson_mc_worker_count_leaves_the_record_unchanged(tmp_path, capsys):
     assert payloads[0]["value"] == payloads[1]["value"]
     assert payloads[0]["std_error"] == payloads[1]["std_error"]
     assert payloads[0]["n_samples"] == 4096
+
+
+def test_bose_exact_random_su2_bonds_have_det_one(tmp_path, capsys,
+                                                  monkeypatch):
+    # The bonds never reach the record, so catch them on their way in.
+    seen = []
+    monkeypatch.setattr(cli, "z_bose_exact",
+                        lambda params, bonds: seen.append(bonds)
+                        or z_bose_exact(params, bonds))
+    code, _, _ = run_cli(
+        ["bose-exact", "--d", 3, "--L", 2, "--n", 2, "--kind", "SU",
+         "--gauge", "random", "--seed", 7, "--output", tmp_path / "rec.json"],
+        capsys)
+    assert code == 0
+    (bonds,) = seen
+    n_bonds = ModelParams(d=3, L=2).lattice.n_bonds
+    assert bonds.shape == (n_bonds, 2, 2)
+    assert np.max(np.abs(np.linalg.det(bonds) - 1.0)) < 1e-14
+    # SU(2) bonds are the quaternion draw of the record's seed.
+    expect = su2_to_matrix(su2_haar(block_rng(7, 0), n_bonds))
+    assert np.array_equal(bonds, expect)
 
 
 def test_bose_exact_reports_both_scalings(tmp_path, capsys):

@@ -9,6 +9,7 @@ from boselgt.errors import UsageError
 from boselgt.haar import (cue_density, cue_density_vandermonde, cue_norm,
                           gue_density, gue_integral, gue_norm, haar_sample,
                           peaked_cue_integral, weyl_integrate, wrap_angle)
+from boselgt.su2 import su2_haar, su2_to_matrix
 
 RNG = np.random.default_rng(515)
 
@@ -45,13 +46,24 @@ def _phase_fixed_qr(seed, n, kind, size):
     return q
 
 
-@pytest.mark.parametrize("n,kind", [(2, "U"), (3, "U"), (2, "SU"), (3, "SU")])
+@pytest.mark.parametrize("n,kind", [(2, "U"), (3, "U"), (3, "SU")])
 @pytest.mark.parametrize("size", [(), (9,), (4, 6)])
 def test_haar_sample_is_phase_fixed_qr_of_the_same_gaussians(n, kind, size):
     seed = 31 * n + len(size)
     u = haar_sample(np.random.default_rng(seed), n, kind=kind, size=size)
     assert u.shape == size + (n, n)
     assert np.max(np.abs(u - _phase_fixed_qr(seed, n, kind, size))) < 1e-12
+
+
+@pytest.mark.parametrize("size", [(), (9,), (4, 6)])
+def test_su2_haar_sample_is_the_quaternion_route(size):
+    # SU(2) bonds are uniform points on the 3-sphere, bit for bit the same
+    # stream as su2_haar, with no Gram-Schmidt and no determinant.
+    seed = 62 + len(size)
+    u = haar_sample(np.random.default_rng(seed), 2, kind="SU", size=size)
+    assert u.shape == size + (2, 2)
+    expect = su2_to_matrix(su2_haar(np.random.default_rng(seed), size))
+    assert np.array_equal(u, expect)
 
 
 @pytest.mark.parametrize("n,kind", [(2, "U"), (3, "U"), (2, "SU"), (3, "SU")])

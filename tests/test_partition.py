@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boselgt.actions import GaugeConfig, ModelParams
+from boselgt.actions import ModelParams, gauge_transform, identity_bonds
 from boselgt.errors import NotPositiveDefiniteError, NumericError, UsageError
 from boselgt.haar import haar_sample
 from boselgt.mc import Moments
@@ -58,13 +58,13 @@ def dense_to_band(q):
     return ab
 
 
-def dense_bose_form(params, config):
+def dense_bose_form(params, bonds):
     """Per-bond dense build of Q, independent of the band scatter."""
     lat = params.lattice
     width = params.n if params.field_kind == "real" else 2 * params.n
     q = np.eye(lat.n_sites * width)
     for b in range(lat.n_bonds):
-        g = config.bonds[b]
+        g = bonds[b]
         if params.field_kind == "real":
             blk = np.real(g)
         else:
@@ -126,7 +126,7 @@ def test_underflowed_mean_is_named_as_underflow():
 
 def test_real_model_matches_brute_force_quadrature_identity_gauge():
     p = ModelParams(d=2, L=2, m_u=2.0, kappa_u_sq=1.0)  # kappa^2 = 1/8
-    cfg = GaugeConfig.identity(p.lattice)
+    cfg = identity_bonds(1, p.lattice.n_bonds)
     q = band_to_dense(bose_quadratic_form(p, cfg))
     assert np.array_equal(q, q.T)
     assert np.all(np.diag(q) == 1.0)
@@ -136,7 +136,7 @@ def test_real_model_matches_brute_force_quadrature_identity_gauge():
 
 def test_real_model_matches_brute_force_quadrature_random_gauge():
     p = ModelParams(d=2, L=2, m_u=1.0, kappa_u_sq=0.9)
-    cfg = GaugeConfig.random(p.lattice, np.random.default_rng(21))
+    cfg = haar_sample(np.random.default_rng(21), 1, size=p.lattice.n_bonds)
     q = band_to_dense(bose_quadratic_form(p, cfg))
     direct = quad_z_4d(q)
     assert z_bose_exact(p, cfg).value == pytest.approx(direct, rel=1e-8)
@@ -147,13 +147,13 @@ def test_complex_model_matches_hermitian_determinant():
     # Hermitian form H; the real 2N-embedding the code integrates must agree.
     p = ModelParams(d=2, L=3, n=2, field_kind="complex", n_flavors=3,
                     m_u=0.7, kappa_u_sq=1.3)
-    cfg = GaugeConfig.random(p.lattice, np.random.default_rng(31), n=2)
+    cfg = haar_sample(np.random.default_rng(31), 2, size=p.lattice.n_bonds)
     lat, n, k2 = p.lattice, p.n, p.scaling.kappa_sq
     h = np.eye(lat.n_sites * n, dtype=complex)
     for b in range(lat.n_bonds):
         i, j = lat.bond_tail[b] * n, lat.bond_head[b] * n
-        h[i:i + n, j:j + n] -= k2 * cfg.bonds[b]
-        h[j:j + n, i:i + n] -= k2 * cfg.bonds[b].conj().T
+        h[i:i + n, j:j + n] -= k2 * cfg[b]
+        h[j:j + n, i:i + n] -= k2 * cfg[b].conj().T
     sign, logdet = np.linalg.slogdet(h)
     assert sign == pytest.approx(1.0)
     assert z_bose_exact(p, cfg).log_value == pytest.approx(
@@ -163,18 +163,17 @@ def test_complex_model_matches_hermitian_determinant():
 def test_bose_value_gauge_invariance():
     p = ModelParams(d=2, L=3, n=2, field_kind="complex", m_u=0.3, kappa_u_sq=1.0)
     rng = np.random.default_rng(41)
-    cfg = GaugeConfig.random(p.lattice, rng, n=2)
-    from boselgt.actions import gauge_transform
+    cfg = haar_sample(rng, 2, size=p.lattice.n_bonds)
     rots = haar_sample(rng, 2, size=(p.lattice.n_sites,))
     a = z_bose_exact(p, cfg).log_value
-    b = z_bose_exact(p, gauge_transform(cfg, rots)).log_value
+    b = z_bose_exact(p, gauge_transform(p.lattice, cfg, rots)).log_value
     assert b == pytest.approx(a, rel=1e-10)
 
 
 def test_decoupled_bose_value_is_one():
     for field_kind in ("real", "complex"):
         p = ModelParams(d=3, L=2, m_u=1.0, kappa_u_sq=0.0, field_kind=field_kind)
-        cfg = GaugeConfig.identity(p.lattice)
+        cfg = identity_bonds(1, p.lattice.n_bonds)
         assert z_bose_exact(p, cfg).log_value == 0.0
 
 
@@ -182,7 +181,7 @@ def test_scaled_unscaled_shift_is_the_volume_log():
     for field_kind, width in (("real", 1), ("complex", 2)):
         p = ModelParams(d=2, L=3, a=0.2, m_u=1.1, kappa_u_sq=0.6,
                         field_kind=field_kind, n_flavors=2)
-        cfg = GaugeConfig.random(p.lattice, np.random.default_rng(51))
+        cfg = haar_sample(np.random.default_rng(51), 1, size=p.lattice.n_bonds)
         scaled = z_bose_exact(p, cfg)
         shift = scaled.log_value - z_bose_exact_unscaled(p, scaled).log_value
         m = p.lattice.n_sites * width
@@ -208,7 +207,7 @@ def test_logdet_posdef_routes_and_failure():
 def test_band_form_matches_dense_per_bond_build(d, L, field_kind, n):
     p = ModelParams(d=d, L=L, n=n, field_kind=field_kind,
                     m_u=0.5, kappa_u_sq=1.0)
-    cfg = GaugeConfig.random(p.lattice, np.random.default_rng(10 * d + n), n=n)
+    cfg = haar_sample(np.random.default_rng(10 * d + n), n, size=p.lattice.n_bonds)
     dense = dense_bose_form(p, cfg)
     ab = bose_quadratic_form(p, cfg)
     assert np.array_equal(band_to_dense(ab), dense)
@@ -221,7 +220,7 @@ def test_band_form_matches_dense_per_bond_build(d, L, field_kind, n):
 @pytest.mark.parametrize("d,L", [(2, 4), (3, 3), (4, 3)])
 def test_band_holds_every_nonzero(d, L, field_kind, width):
     p = ModelParams(d=d, L=L, n=2, field_kind=field_kind, m_u=0.5)
-    cfg = GaugeConfig.random(p.lattice, np.random.default_rng(d), n=2)
+    cfg = haar_sample(np.random.default_rng(d), 2, size=p.lattice.n_bonds)
     rows, cols = np.nonzero(dense_bose_form(p, cfg))
     kd = bose_quadratic_form(p, cfg).shape[0] - 1
     assert kd == np.max(np.abs(rows - cols))
@@ -235,9 +234,9 @@ def test_stacked_bands_factorise_as_one(d, L, field_kind, n):
     p = ModelParams(d=d, L=L, n=n, field_kind=field_kind,
                     m_u=0.5, kappa_u_sq=1.0)
     rng = np.random.default_rng(100 * d + 10 * n)
-    configs = [GaugeConfig.random(p.lattice, rng, n=n) for _ in range(5)]
+    configs = [haar_sample(rng, n, size=p.lattice.n_bonds) for _ in range(5)]
     bands = [bose_quadratic_form(p, cfg) for cfg in configs]
-    ab = bose_quadratic_form(p, np.stack([cfg.bonds for cfg in configs]))
+    ab = bose_quadratic_form(p, np.stack(configs))
     assert np.array_equal(ab, np.stack(bands, axis=1))
     logdets = logdet_posdef(ab)
     assert logdets.shape == (5,)
@@ -254,7 +253,7 @@ def test_stacked_bands_factorise_as_one(d, L, field_kind, n):
 def test_stacked_band_failure_names_a_negative_eigenvalue():
     p = ModelParams(d=2, L=3, n=2, m_u=0.5, kappa_u_sq=1.0)
     rng = np.random.default_rng(7)
-    bonds = np.stack([GaugeConfig.random(p.lattice, rng, n=2).bonds
+    bonds = np.stack([haar_sample(rng, 2, size=p.lattice.n_bonds)
                       for _ in range(5)])
     ab = bose_quadratic_form(p, bonds)
     # Flip the sign of the third form's diagonal: Q -> -I - H is indefinite
