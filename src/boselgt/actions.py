@@ -45,7 +45,7 @@ from .errors import UsageError
 # haar_sample is not called here: perfbench/spans.py rebinds it in this
 # module, and its Tracer.rebind fails on a missing name.
 from .haar import haar_sample
-from .lattice import GaugeFixing, Lattice, coupling
+from .lattice import GaugeFixing, Lattice, coupling, require_positive
 
 FIELD_KINDS = ("real", "complex")
 
@@ -75,6 +75,7 @@ class ModelParams:
             raise UsageError(f"matrix size must be >= 1, got {self.n}")
         if self.field_kind not in FIELD_KINDS:
             raise UsageError(f"field kind must be one of {FIELD_KINDS}, got {self.field_kind!r}")
+        require_positive(self.g0_sq, "g0^2")
         if not 0.0 < self.g_sq <= self.g0_sq:
             raise UsageError(
                 f"g^2 must lie in (0, g0^2] = (0, {self.g0_sq}], got {self.g_sq}")

@@ -16,10 +16,10 @@ and in g^2 <= g0^2:
            upper = ln[ (pi/(2 sqrt 2))^{N^2} * I(inf) ]
     SU(2): from the radial construction, exponent 3 = dim SU(2)
 
-with I the truncated Gaussian Vandermonde integral (gue_integral).  The
-upper constants are not the sharpest available, but they are valid and are
-the ones asserted; the d = 2 direct check below also verifies the sharper
-(pi/2)^{N^2} I(inf)/cue_norm form per bond.
+with I the truncated Gaussian Vandermonde integral (gue_integral) and
+I(inf) = gue_norm(N).  The upper constants are not the sharpest available,
+but they are valid and are the ones asserted; the d = 2 direct check below
+also verifies the sharper (pi/2)^{N^2} I(inf)/cue_norm form per bond.
 
 Monte Carlo verdicts use a three-sigma window: pass when the window lies
 inside the bounds, fail when it lies strictly outside, inconclusive when it
@@ -38,7 +38,7 @@ from .actions import identity_bonds, plaquette_actions
 from .errors import UsageError
 from .haar import (cue_density, cue_density_vandermonde, cue_norm, gue_density,
                    gue_integral, gue_norm, haar_sample)
-from .lattice import Lattice, n_retained_bonds
+from .lattice import Lattice, check_dimension, n_retained_bonds, require_positive
 from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
                         z_single_bond, z_wilson_d2_exact, z_wilson_mc)
 from .su2 import (su2_angle, su2_angle_norm_sq, su2_bound_constants,
@@ -78,8 +78,8 @@ def gauge_rate_bounds(kind, n, d, g0_sq=4.0):
     Uniform over a in (0, 1] and 0 < g^2 <= g0^2.  U(N) holds for every N;
     SU is available for N = 2 only.
     """
-    if d not in (2, 3, 4):
-        raise UsageError(f"dimension must be 2, 3 or 4, got {d}")
+    check_dimension(d)
+    require_positive(g0_sq, "g0^2")
     if kind == "SU":
         if n != 2:
             raise UsageError("gauge bound constants for SU(N) exist only for N = 2")
@@ -87,7 +87,7 @@ def gauge_rate_bounds(kind, n, d, g0_sq=4.0):
         return float(np.log(lo)), float(np.log(up))
     if kind != "U":
         raise UsageError(f"unknown group kind {kind!r}")
-    upper = n * n * np.log(np.pi / (2.0 * np.sqrt(2.0))) + np.log(gue_integral(np.inf, n))
+    upper = n * n * np.log(np.pi / (2.0 * np.sqrt(2.0))) + np.log(gue_norm(n))
     alpha0 = 8.0 * n * (d - 1) / g0_sq  # smallest admissible peak scale
     trunc = gue_integral(np.sqrt(alpha0) * np.pi / 2.0, n)
     lower = (-np.log(cue_norm(n))

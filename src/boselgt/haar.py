@@ -30,16 +30,19 @@ The one-bond and Gaussian integrals have integrands that are products over
 the angles, so they go through Andreief's identity instead: the N-fold
 integral of prod_j w(x_j) |det[p_a(x_j)]|^2 is N! det[integral of w p_a
 conj(p_b)], an N x N determinant of 1-D integrals (_gram_det) at any N.
+
+legendre_integral, Gauss-Legendre on a symmetric window checked against half
+as many nodes, is the one 1-D rule: U(N) Gram entries, the Gaussian box and
+the SU(2) radial and angle integrals (su2 imports it inside functions).
 """
 
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureError, UsageError
+from .errors import NumericError, QuadratureError, UsageError
 from .su2 import su2_haar, su2_to_matrix
 
 MAX_ANGLE_AXES_N = 3  # eigenvalue quadrature refuses N >= 4 (cost blows up)
@@ -51,8 +54,8 @@ _WEYL_NODES_N3 = 96
 # dominates (4/pi^2) peak_scale |lam|^2 the tail beyond it is below e^{-70}.
 PEAK_MAX_HALF_WIDTH = 13.5
 
-# Gauss-Legendre nodes of the 1-D Gram integrals; the convergence check of
-# peaked_cue_integral repeats the integral on half as many and demands this
+# Gauss-Legendre nodes of every 1-D integral; the convergence check of
+# legendre_integral repeats the integral on half as many and demands this
 # relative agreement.
 _GRAM_NODES = 256
 PEAK_QUAD_RTOL = 1e-9
@@ -233,8 +236,32 @@ def _gram_det(points, weights, basis, n):
     squared Vandermonde under the 1-D rule (x_i, w_i).  The matrix is
     Hermitian, so its determinant is real.
     """
+    if n < 1:
+        raise UsageError(f"matrix size must be >= 1, got {n}")
     p = basis(points)[None, :] ** np.arange(n)[:, None]
     return float(np.linalg.det((p * weights) @ p.conj().T).real)
+
+
+def legendre_integral(node_value, half_width, what):
+    """node_value(x, w) for the Gauss-Legendre rule (x, w) on [-half_width, half_width].
+
+    Run at _GRAM_NODES and at half as many nodes: a relative gap above
+    PEAK_QUAD_RTOL is a QuadratureError, and a value not > 0 (every integrand
+    here is positive, so underflow) a NumericError; both name `what`.
+    """
+    fine, coarse = (node_value(half_width * x, half_width * w) for x, w in
+                    (_legendre(_GRAM_NODES), _legendre(_GRAM_NODES // 2)))
+    achieved = abs(fine - coarse) / max(abs(fine), 1e-300)
+    if achieved > PEAK_QUAD_RTOL:
+        raise QuadratureError(f"{what} did not converge", achieved)
+    if not fine > 0.0:
+        raise NumericError(f"{what} underflows to {fine}")
+    return fine
+
+
+def peak_half_width(peak_scale):
+    """Integration half-width min(pi, PEAK_MAX_HALF_WIDTH / sqrt(peak_scale))."""
+    return min(np.pi, PEAK_MAX_HALF_WIDTH / np.sqrt(peak_scale))
 
 
 def peaked_cue_integral(action_of_angles, n, peak_scale):
@@ -245,48 +272,28 @@ def peaked_cue_integral(action_of_angles, n, peak_scale):
     The value is the Gram determinant of that weight in the basis
     (e^{i lam} - 1)^a, which vanishes at the peak, so the matrix stays well
     conditioned at any peak_scale.  A peak of curvature ~ peak_scale has
-    width 1/sqrt(peak_scale); Gauss-Legendre on |lam| <= min(pi,
-    PEAK_MAX_HALF_WIDTH / sqrt(peak_scale)) resolves it, and the truncation
-    is safe whenever the action dominates (4/pi^2) * peak_scale * |lam|^2.
-    Convergence is checked by halving the node count.
+    width 1/sqrt(peak_scale); Gauss-Legendre on |lam| <= peak_half_width
+    resolves it, and the truncation is safe whenever the action dominates
+    (4/pi^2) * peak_scale * |lam|^2.
     """
-    if n < 1:
-        raise UsageError(f"matrix size must be >= 1, got {n}")
-    width = min(np.pi, PEAK_MAX_HALF_WIDTH / np.sqrt(peak_scale))
-
-    def value(m):
-        x, w = _legendre(m)
-        lam = width * x
-        weights = w * (width / (2.0 * np.pi)) * np.exp(-action_of_angles(lam[:, None]))
+    def gram(lam, w):
+        weights = (w / (2.0 * np.pi)) * np.exp(-action_of_angles(lam[:, None]))
         return _gram_det(lam, weights, lambda l: np.expm1(1j * l), n)
 
-    fine = value(_GRAM_NODES)
-    coarse = value(_GRAM_NODES // 2)
-    achieved = abs(fine - coarse) / max(abs(fine), 1e-300)
-    if achieved > PEAK_QUAD_RTOL:
-        raise QuadratureError("one-bond angle integral did not converge", achieved)
-    return fine
+    return legendre_integral(gram, peak_half_width(peak_scale),
+                             f"one-bond angle integral at peak scale {peak_scale:g}")
 
 
 def gue_integral(u, n):
     """integral over [-u, u]^N of e^{-|y|^2} prod_{j<k}(y_j - y_k)^2.
 
-    N! times the Gram determinant of the monomials y^a.  u = inf uses
-    Gauss-Hermite nodes (exact: the entries are Gaussian moments of degree
-    at most 2(N-1)); finite u uses Gauss-Legendre with the Gaussian folded
-    into the weights, on a box clipped at PEAK_MAX_HALF_WIDTH, past which
-    the Gaussian mass is below double precision.  At u = inf the value is
-    gue_norm(N).
+    N! times the Gram determinant of the monomials y^a, with the Gaussian
+    folded into the Gauss-Legendre weights.  The box is clipped at
+    PEAK_MAX_HALF_WIDTH, past which the Gaussian mass is below double
+    precision, so u = inf is that box and gives gue_norm(N).
     """
-    if n < 1:
-        raise UsageError(f"N must be >= 1, got {n}")
-    if np.isinf(u):
-        y, w = hermgauss(64)
-    elif u <= 0.0:
+    if not u > 0.0:
         raise UsageError(f"integration half-width must be positive, got {u}")
-    else:
-        half = min(float(u), PEAK_MAX_HALF_WIDTH)
-        x, w = _legendre(_GRAM_NODES)
-        y = x * half
-        w = w * half * np.exp(-y * y)
-    return factorial(n) * _gram_det(y, w, lambda v: v, n)
+    return legendre_integral(
+        lambda y, w: factorial(n) * _gram_det(y, w * np.exp(-y * y), lambda v: v, n),
+        min(float(u), PEAK_MAX_HALF_WIDTH), f"Gaussian box integral at u = {u:g}")

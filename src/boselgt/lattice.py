@@ -20,14 +20,14 @@ the rest are retained.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericError, UsageError
 
 
-def _check_dimension(d):
+def check_dimension(d):
     if d not in (2, 3, 4):
         raise UsageError(f"dimension must be 2, 3 or 4, got {d}")
 
@@ -37,13 +37,24 @@ def _check_spacing(a):
         raise UsageError(f"lattice spacing must be in (0, 1], got {a}")
 
 
+def require_positive(value, what):
+    """UsageError naming the value unless 0 < value < inf (NaN fails too)."""
+    if not 0.0 < value < inf:
+        raise UsageError(f"{what} must be positive, got {value}; allowed range (0, inf)")
+
+
 def coupling(a, g_sq, d):
-    """One-bond action strength c = a^{d-4} / g^2 of the Wilson action."""
+    """One-bond strength c = a^{d-4} / g^2; NumericError if c overflows."""
     _check_spacing(a)
-    if g_sq <= 0.0:
-        raise UsageError(f"coupling g^2 must be positive, got {g_sq}")
-    _check_dimension(d)
-    return a ** (d - 4) / g_sq
+    require_positive(g_sq, "coupling g^2")
+    check_dimension(d)
+    try:
+        c = a ** (d - 4) / g_sq
+    except OverflowError:
+        c = inf
+    if c == inf:  # c >= 1/g^2 > 0, so overflow is the only way out of range
+        raise NumericError(f"coupling c = a^{d - 4}/g^2 overflows at a = {a}, g^2 = {g_sq}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -55,7 +66,7 @@ class Lattice:
     a: float = 1.0
 
     def __post_init__(self):
-        _check_dimension(self.d)
+        check_dimension(self.d)
         if not isinstance(self.L, (int, np.integer)) or self.L < 2:
             raise UsageError(f"side length must be an integer >= 2, got {self.L}")
         _check_spacing(self.a)

@@ -40,6 +40,7 @@ from . import mc
 from .actions import identity_bonds, plaquette_actions
 from .errors import NotPositiveDefiniteError, NumericError, UsageError
 from .haar import haar_sample, peaked_cue_integral
+from .lattice import require_positive
 # weyl_integrate, su2_haar and su2_to_matrix are not called here:
 # perfbench/spans.py rebinds them in this module, and its Tracer.rebind
 # fails on a missing name.
@@ -242,8 +243,7 @@ def z_single_bond(c, n=1, kind="U"):
     U(N) for every N through the Gram determinant of peaked_cue_integral,
     SU(2) through its radial angle integral.
     """
-    if c <= 0.0:
-        raise UsageError(f"coupling must be positive, got {c}")
+    require_positive(c, "coupling")
     if kind == "SU":
         if n != 2:
             raise UsageError("one-bond values for SU(N) are implemented for N = 2 only")

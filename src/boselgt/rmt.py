@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .haar import cue_norm, gue_norm, peaked_cue_integral
-from .lattice import coupling
+from .lattice import coupling, require_positive
 from .partition import z_single_bond
 
 ACTIONS = ("cosine", "quadratic")
@@ -35,17 +35,13 @@ def cue_gue_target(n):
 
 def w_of_beta(beta, n, action="cosine"):
     """One-bond unitary-group integral at inverse coupling beta > 0."""
-    if beta <= 0.0:
-        raise UsageError(f"beta must be positive, got {beta}")
+    require_positive(beta, "beta")
     if action not in ACTIONS:
         raise UsageError(f"action must be one of {ACTIONS}, got {action!r}")
     if action == "cosine":
         return z_single_bond(1.0 / beta, n, kind="U")
-
-    def quad_action(lam):
-        return np.sum(lam * lam, axis=-1) / beta
-
-    return float(peaked_cue_integral(quad_action, n, peak_scale=1.0 / beta))
+    return peaked_cue_integral(lambda lam: np.sum(lam * lam, axis=-1) / beta, n,
+                               peak_scale=1.0 / beta)
 
 
 def w_ratio(beta, n, action="cosine"):

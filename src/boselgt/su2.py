@@ -10,26 +10,24 @@ All functions broadcast over leading axes; points live in arrays of shape
 The one-bond gluon integrals at the end are the SU(2) counterparts of the
 CUE eigenvalue integrals: the same number computed once over the radial
 Haar density on the algebra ball and once over the eigenvalue-angle (Weyl)
-measure, which is the cross-check the test suite pins down to 1e-9.
-
-scipy is imported inside capital_e and _quad_split, the functions that use
-it, so the commands that sample SU(2) without integrating start without
-loading it.
+measure, which is the cross-check the test suite pins down to 1e-9.  Both
+use haar.legendre_integral on the U(N) one-bond window, and the bound
+constants use math.erf: numpy is the only library this module loads.
 """
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError, UsageError
-from .lattice import coupling
+from .errors import NumericError, UsageError
+from .lattice import check_dimension, coupling, require_positive
 
 # Series switch for sin(r)/r: below this radius the direct
 # quotient loses digits, the 3-term even series is exact to < 1e-32 there.
 SERIES_RADIUS = 1e-4
 
-E_INF = np.sqrt(np.pi) / 4.0  # integral of y^2 e^{-y^2} over [0, inf)
+E_INF = math.sqrt(math.pi) / 4.0  # integral of y^2 e^{-y^2} over [0, inf)
 
 # Quadratic-bound constant for the plaquette action, C^2 = 8.
 QUAD_BOUND_C = 2.0 * np.sqrt(2.0)
@@ -158,53 +156,40 @@ def su2_plaquette_action(p):
 
 
 def capital_e(gamma):
-    """E(gamma) = integral of y^2 e^{-y^2} over [0, gamma].
+    """E(gamma) = integral of y^2 e^{-y^2} over [0, gamma], gamma a scalar.
 
     Closed form (sqrt(pi)/4) erf(gamma) - (gamma/2) e^{-gamma^2};
     E(inf) = sqrt(pi)/4.
     """
-    from scipy.special import erf
-
-    g = np.asarray(gamma, dtype=float)
-    finite = np.isfinite(g)
-    gf = np.where(finite, g, 1.0)
-    val = (np.sqrt(np.pi) / 4.0) * erf(gf) - (gf / 2.0) * np.exp(-gf * gf)
-    out = np.where(finite, val, E_INF)
-    return float(out) if np.isscalar(gamma) or np.ndim(gamma) == 0 else out
+    if gamma == math.inf:
+        return E_INF
+    return E_INF * math.erf(gamma) - (gamma / 2.0) * math.exp(-gamma * gamma)
 
 
-def _quad_split(f, lo, hi, c, rtol=1e-10):
-    """Adaptive quadrature of f on [lo, hi], split near the e^{-4c(...)} peak."""
-    from scipy import integrate
+def _bond_integral(density, c):
+    """Integral of e^{-4c(1 - cos x)} density(x) over (-pi, pi], by haar's rule.
 
-    mid = min(10.0 / np.sqrt(4.0 * c + 1.0), (lo + hi) / 2.0)
-    mid = max(mid, lo + (hi - lo) * 1e-6)
-    # quad warns when it thinks epsrel=1e-12 was missed; the achieved-error
-    # check below turns that into a hard failure, so the warning is noise.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        v1, e1 = integrate.quad(f, lo, mid, epsabs=0.0, epsrel=1e-12, limit=200)
-        v2, e2 = integrate.quad(f, mid, hi, epsabs=0.0, epsrel=1e-12, limit=200)
-    val = v1 + v2
-    achieved = (e1 + e2) / abs(val) if val != 0.0 else np.inf
-    if achieved > rtol:
-        raise QuadratureError("one-bond SU(2) integral did not converge", achieved)
-    return val
+    The action is written as 8c sin^2(x/2), stable for peaked c, and the
+    window is that of the U(N) one-bond values.
+    """
+    from .haar import legendre_integral, peak_half_width  # haar imports su2
+
+    def node_value(x, w):
+        return float(np.dot(w, np.exp(-8.0 * c * np.sin(x / 2.0) ** 2) * density(x)))
+
+    return legendre_integral(node_value, peak_half_width(c),
+                             f"one-bond SU(2) integral at c = {c:g}")
 
 
 def su2_z_gluon(a, g_sq, d):
     """One-bond gluon partition value over the radial Haar density.
 
     z = (2/pi) * integral over r in [0, pi] of e^{-4c(1-cos r)} sin^2 r,
-    with c = a^{d-4}/g^2.
+    with c = a^{d-4}/g^2; the integrand is even, so this is (1/pi) times
+    the integral over (-pi, pi].
     """
     c = coupling(a, g_sq, d)
-
-    def f(r):
-        # 4c(1 - cos r) written as 8c sin^2(r/2): stable for peaked c.
-        return np.exp(-8.0 * c * np.sin(r / 2.0) ** 2) * np.sin(r) ** 2
-
-    return (2.0 / np.pi) * _quad_split(f, 0.0, np.pi, c)
+    return _bond_integral(lambda r: np.sin(r) ** 2, c) / np.pi
 
 
 def su2_z_weyl_coupling(c):
@@ -215,15 +200,8 @@ def su2_z_weyl_coupling(c):
     the 4 sin^2 factor being the squared eigenvalue-difference density of
     the angle pair (lam, -lam).
     """
-    if c <= 0.0:
-        raise UsageError(f"coupling must be positive, got {c}")
-
-    def f(lam):
-        # 4c(1 - cos lam) written as 8c sin^2(lam/2): stable for peaked c.
-        return np.exp(-8.0 * c * np.sin(lam / 2.0) ** 2) * 4.0 * np.sin(lam) ** 2
-
-    # Even integrand: integrate the half line and double.
-    return (1.0 / (4.0 * np.pi)) * 2.0 * _quad_split(f, 0.0, np.pi, c)
+    require_positive(c, "coupling")
+    return _bond_integral(lambda lam: 4.0 * np.sin(lam) ** 2, c) / (4.0 * np.pi)
 
 
 def su2_z_weyl(a, g_sq, d):
@@ -254,10 +232,8 @@ def su2_bound_constants(d, g0_sq=4.0):
     c = 1/g0_sq since E is increasing.  The upper constant (pi^2/4) E(inf)
     dominates the Gaussian tail bound for every c.
     """
-    if d not in (2, 3, 4):
-        raise UsageError(f"dimension must be 2, 3 or 4, got {d}")
-    if g0_sq <= 0.0:
-        raise UsageError(f"g0^2 must be positive, got {g0_sq}")
+    check_dimension(d)
+    require_positive(g0_sq, "g0^2")
     upper = (np.pi**2 / 4.0) * E_INF
     gamma0 = np.pi * QUAD_BOUND_C * np.sqrt(2.0 * (d - 1)) / (2.0 * np.sqrt(g0_sq))
     pref = (2.0 / (np.pi * QUAD_BOUND_C * np.sqrt(2.0 * (d - 1)))) ** 3
@@ -267,9 +243,11 @@ def su2_bound_constants(d, g0_sq=4.0):
 
 def su2_bounds_check(a, g_sq, d, g0_sq=4.0):
     """Check the a- and g-independent sandwich for the scaled one-bond value."""
+    lower, upper = su2_bound_constants(d, g0_sq)
     if g_sq > g0_sq:
         raise UsageError(f"g^2 must be <= g0^2 = {g0_sq}, got {g_sq}")
     c = coupling(a, g_sq, d)
-    z = su2_z_gluon(a, g_sq, d)
-    lower, upper = su2_bound_constants(d, g0_sq)
-    return Su2BoundCheck(scaled_value=float(c**1.5 * z), lower=lower, upper=upper)
+    scaled = c * math.sqrt(c) * su2_z_gluon(a, g_sq, d)
+    if not scaled < math.inf:
+        raise NumericError(f"c^(3/2) z overflows at c = {c:g}")
+    return Su2BoundCheck(scaled_value=float(scaled), lower=lower, upper=upper)

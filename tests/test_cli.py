@@ -243,13 +243,60 @@ SMALL = ["--d", 2, "--L", 2]
     (["z-bond", "--a", 2], "lattice spacing must be in (0, 1], got 2.0"),
     (["z-bond", "--g-sq", 0], "coupling g^2 must be positive, got 0.0"),
     (["z-bond", "--d", 7], "dimension must be 2, 3 or 4, got 7"),
+    # NaN fails every range check; so do infinite couplings and g0^2.
+    (["z-bond", "--coupling", "nan"], "coupling must be positive, got nan"),
+    (["z-bond", "--coupling", "inf"], "coupling must be positive, got inf"),
+    (["z-bond", "--g-sq", "nan"], "coupling g^2 must be positive, got nan"),
+    (["z-bond", "--kind", "SU", "--n", 2, "--coupling", "nan"],
+     "coupling must be positive, got nan"),
+    (["z-bond", "--kind", "SU", "--n", 2, "--coupling", "inf"],
+     "coupling must be positive, got inf"),
+    (["cue-gue", "--n", 1, "--betas", "nan"], "beta must be positive, got nan"),
+    (["d2-limit", "--n", 1, "--g-sq", "nan"],
+     "coupling g^2 must be positive, got nan"),
+    (["su2-check", "--g-sq", "nan"], "coupling g^2 must be positive, got nan"),
+    (["su2-check", "--g0-sq", "inf"], "g0^2 must be positive, got inf"),
+    (["su2-check", "--g0-sq", "nan"], "g0^2 must be positive, got nan"),
+    (["verify-bounds", "--which", "gauge", "--g0-sq", "inf", *SMALL],
+     "g0^2 must be positive, got inf"),
 ])
 def test_bad_monte_carlo_counts_exit_2_naming_the_value(tmp_path, capsys,
-                                                        argv, message):
+                                                        monkeypatch, argv,
+                                                        message):
+    monkeypatch.setenv("BOSELGT_OUTPUT_DIR", str(tmp_path))
     code, _, stderr = run_cli(argv + ["--output", tmp_path / "rec.json"], capsys)
     assert code == 2
     assert message in stderr
     assert not (tmp_path / "rec.json").exists()
+    assert_no_bare_non_finite(tmp_path)
+
+
+def assert_no_bare_non_finite(directory):
+    for path in directory.rglob("*.json"):
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text, path
+
+
+@pytest.mark.parametrize("argv,message", [
+    # c = a^{d-4}/g^2 overflows; the one-bond values underflow to 0.
+    (["z-bond", "--a", 1e-160], "at a = 1e-160, g^2 = 1.0"),
+    (["d2-limit", "--n", 1, "--a-values", 1e-160], "at a = 1e-160, g^2 = 1.0"),
+    (["sweep", "--a-values", 1e-160, "--L-values", 2, "--force"],
+     "at a = 1e-160, g^2 = 1.0"),
+    (["z-bond", "--n", 2, "--coupling", 1e300],
+     "at peak scale 1e+300 underflows to 0.0"),
+    (["su2-check", "--d", 3, "--a", 1e-210], "overflows at c = 1e+210"),
+])
+def test_out_of_range_numbers_exit_3_naming_the_value(tmp_path, capsys,
+                                                      monkeypatch, argv,
+                                                      message):
+    monkeypatch.setenv("BOSELGT_OUTPUT_DIR", str(tmp_path))
+    code, _, stderr = run_cli(argv + ["--output", tmp_path / "rec.json"], capsys)
+    assert code == 3
+    assert "numeric error" in stderr and message in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "rec.json").exists()
+    assert_no_bare_non_finite(tmp_path)
 
 
 def test_unknown_subcommand_exits_2(capsys):

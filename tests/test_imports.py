@@ -5,6 +5,7 @@ meaningful in a child.  The child prints one JSON line last: the exit code
 of the command and whether scipy was loaded by then.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -51,10 +52,36 @@ def test_building_the_parser_leaves_scipy_unloaded(tmp_path):
     (["d2-limit", "--n", "1"], False),
     (["z-bond", "--kind", "U"], False),
     (["bose-exact", "--d", "2", "--L", "2"], True),
+    (["z-bond", "--kind", "SU", "--n", "2", "--coupling", "2.5"], False),
+    (["su2-check", "--d", "3"], False),
 ])
 def test_only_the_commands_that_need_scipy_load_it(tmp_path, argv,
                                                    loads_scipy):
     assert run_command(argv, tmp_path) == {"code": 0, "scipy": loads_scipy}
+
+
+def scipy_import_sites(node, where):
+    """Dotted names of the scopes in `node` that import scipy."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""]
+        else:
+            modules = []
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            yield inner
+        yield from scipy_import_sites(child, inner)
+
+
+def test_only_the_bose_log_determinant_imports_scipy():
+    sites = [site for path in sorted((SRC / "boselgt").glob("*.py"))
+             for site in scipy_import_sites(ast.parse(path.read_text()),
+                                            path.stem)]
+    assert sites == ["partition.logdet_posdef"]
 
 
 def test_first_scipy_import_in_worker_threads_keeps_results(tmp_path):

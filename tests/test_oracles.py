@@ -19,7 +19,8 @@ from boselgt.haar import cue_norm, gue_integral, gue_norm
 from boselgt.partition import (chain_partition, transfer_kernel_norm,
                                transfer_kernel_norm_complex, z_single_bond)
 from boselgt.rmt import cue_gue_target, d2_limit_target
-from boselgt.su2 import capital_e, su2_bound_constants, su2_z_weyl_coupling
+from boselgt.su2 import (capital_e, su2_bound_constants, su2_z_gluon,
+                         su2_z_weyl_coupling)
 
 # (coupling, value) pairs frozen from the scaled-Bessel route.
 Z_U1 = [
@@ -79,6 +80,30 @@ def test_z_single_bond_su2_bessel(c, expected):
     assert su2_z_weyl_coupling(c) == pytest.approx(expected, rel=1e-9)
 
 
+def su2_bessel(c):
+    return ive(1, 4.0 * c) / (2.0 * c)
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.1, 0.5, 1.0, 2.5, 4.0, 50.0, 1e3, 1e5,
+                               1e8])
+def test_su2_one_bond_matches_bessel_closed_form(c):
+    # Computed live; the Legendre rule reaches round-off at every c.
+    expected = su2_bessel(c)
+    assert z_single_bond(c, 2, kind="SU") == pytest.approx(expected, rel=1e-13)
+    assert su2_z_weyl_coupling(c) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("a,g_sq,d", [
+    (1.0, 1e3, 4), (1.0, 10.0, 4), (1.0, 2.0, 3), (1.0, 1.0, 2),
+    (0.5, 0.8, 3), (0.5, 1.0, 2), (0.02, 1.0, 3), (0.1, 0.1, 2),
+    (1e-3, 0.01, 3), (1e-4, 1.0, 2),
+])
+def test_su2_gluon_matches_bessel_closed_form(a, g_sq, d):
+    # c = a^{d-4}/g^2 runs from 1e-3 to 1e8.
+    expected = su2_bessel(a ** (d - 4) / g_sq)
+    assert su2_z_gluon(a, g_sq, d) == pytest.approx(expected, rel=1e-13)
+
+
 def test_ensemble_norms():
     assert gue_norm(1) == pytest.approx(1.7724538509055159, rel=1e-14)
     assert gue_norm(2) == pytest.approx(3.141592653589793, rel=1e-14)
@@ -89,8 +114,8 @@ def test_ensemble_norms():
 
 
 def test_gue_integral_saturates_to_norm():
-    for n in (1, 2, 3):
-        assert gue_integral(np.inf, n) == pytest.approx(gue_norm(n), rel=1e-12)
+    for n in range(1, 9):
+        assert gue_integral(np.inf, n) == pytest.approx(gue_norm(n), rel=1e-13)
         # Generous truncation already carries the full mass.
         assert gue_integral(9.0, n) == pytest.approx(gue_norm(n), rel=1e-10)
 
