@@ -87,8 +87,7 @@ class ModelParams:
             raise UsageError("kappa_u^2 and m_u cannot both vanish")
         if self.n_flavors < 1:
             raise UsageError(f"flavor count must be >= 1, got {self.n_flavors}")
-        # Lattice validates d, L, a.
-        Lattice(d=self.d, L=self.L, a=self.a)
+        self.lattice  # Lattice validates d, L, a.
 
     @cached_property
     def lattice(self):

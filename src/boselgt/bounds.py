@@ -36,13 +36,12 @@ import numpy as np
 from . import mc
 from .actions import identity_bonds, plaquette_actions
 from .errors import UsageError
-from .haar import (cue_density, cue_density_vandermonde, cue_norm, gue_density,
-                   gue_integral, gue_norm, haar_sample)
+from .haar import (angle_norm_sq, cue_density, cue_density_vandermonde, cue_norm,
+                   gue_density, gue_integral, gue_norm, haar_sample)
 from .lattice import Lattice, check_dimension, n_retained_bonds, require_positive
 from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
                         z_single_bond, z_wilson_d2_exact, z_wilson_mc)
-from .su2 import (su2_angle, su2_angle_norm_sq, su2_bound_constants,
-                  su2_haar, su2_haar_density, su2_inverse, su2_mul,
+from .su2 import (su2_angle, su2_bound_constants, su2_haar, su2_haar_density,
                   su2_plaquette_action)
 
 DETERMINISTIC_LOG_RTOL = 1e-8
@@ -101,12 +100,7 @@ def gauge_rate_bounds(kind, n, d, g0_sq=4.0):
 class BoundConstants:
     """All rates for one parameter set, plus the combined full-model rates."""
 
-    n: int
-    kind: str
-    field_kind: str
     d: int
-    L: int
-    g0_sq: float
     bose_lower: float
     bose_upper: float
     gauge_lower: float
@@ -116,9 +110,7 @@ class BoundConstants:
     def for_params(cls, params):
         g_lo, g_up = gauge_rate_bounds(params.kind, params.n, params.d, params.g0_sq)
         return cls(
-            n=params.n, kind=params.kind, field_kind=params.field_kind,
-            d=params.d, L=params.L, g0_sq=params.g0_sq,
-            bose_lower=0.0,
+            d=params.d, bose_lower=0.0,
             bose_upper=bose_upper_rate(params.n, params.L, params.field_kind),
             gauge_lower=g_lo, gauge_upper=g_up)
 
@@ -269,10 +261,15 @@ def d2_bond_upper_checks(params):
     Returns (scaled_value, literal_constant, sharp_constant); the scaled
     value must not exceed either.  The sharp constant is
     (pi/2)^{N^2} gue_norm/cue_norm, the literal one replaces pi/2 by
-    pi^2/2 and is therefore much looser.
+    pi^2/2 and is therefore much looser.  Both are U(N) constants, so SU
+    raises UsageError; SU(2) has su2.su2_bounds_check.
     """
     if params.d != 2:
         raise UsageError(f"d = 2 only, got d = {params.d}")
+    if params.kind != "U":
+        raise UsageError(
+            f"the d = 2 one-bond constants are for U(N), got {params.kind}({params.n}); "
+            "su2_bounds_check covers SU(2)")
     n = params.n
     c = params.scaling.coupling
     z = z_single_bond(c, n, kind=params.kind)
@@ -324,47 +321,25 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
     """Count violations of the plaquette-action quadratic bound.
 
     A plaquette with k Haar bonds (the other 4 - k at the identity) must
-    satisfy A_p <= k N sum_b |lam_b|^2 and A_p <= 4N.  Fast angle-space
-    paths exist for U(1) and SU(2); other groups go through the matrix
-    spectrum and are much slower.
+    satisfy A_p <= k N sum_b |lam_b|^2 and A_p <= 4N, compared without slack.
+    Every group goes through the same path: haar_sample draws the bonds,
+    plaquette_actions evaluates the action the Monte Carlo integrates, and
+    haar.angle_norm_sq reads the angles back.
     """
     if k not in (1, 2, 3, 4):
         raise UsageError(f"k must be in 1..4, got {k}")
-    signs = np.array([1.0, 1.0, -1.0, -1.0])[:k]
+    # The one plaquette of the d = 2, L = 2 lattice; its first k bonds are
+    # Haar, the rest 1.
+    lat = Lattice(d=2, L=2)
+    haar_bonds = lat.plaq_bonds[0][:k]
 
-    if kind == "U" and n == 1:
-        def block(rng, count):
-            theta = rng.uniform(-np.pi, np.pi, size=(count, k))
-            s = theta @ signs
-            action = 4.0 * np.sin(s / 2.0) ** 2  # 2(1 - cos s), stable form
-            bound = k * np.sum(theta * theta, axis=-1)
-            return int(np.sum(action > bound) + np.sum(action > 4.0))
-    elif kind == "SU" and n == 2:
-        def block(rng, count):
-            pts = su2_haar(rng, (count, k))
-            hol = pts[:, 0]
-            for j in range(1, k):
-                nxt = pts[:, j] if signs[j] > 0 else su2_inverse(pts[:, j])
-                hol = su2_mul(hol, nxt)
-            action = su2_plaquette_action(hol)
-            bound = k * n * np.sum(su2_angle_norm_sq(pts), axis=-1)
-            return int(np.sum(action > bound) + np.sum(action > 4.0 * n))
-    else:
-        # The one plaquette of the d = 2, L = 2 lattice, walked g1 g2 g3^dag
-        # g4^dag as the signs say; its first k bonds are Haar, the rest 1.
-        lat = Lattice(d=2, L=2)
-        haar_bonds = lat.plaq_bonds[0][:k]
-
-        def block(rng, count):
-            mats = haar_sample(rng, n, kind=kind, size=(count, k))
-            bonds = identity_bonds(n, (count, lat.n_bonds))
-            bonds[:, haar_bonds] = mats
-            action = plaquette_actions(lat, bonds)[:, 0]
-            ang = np.angle(np.linalg.eigvals(mats))
-            ang = np.where(ang <= -np.pi, np.pi, ang)
-            bound = k * n * np.sum(ang * ang, axis=(-1, -2))
-            return int(np.sum(action > bound * (1 + 1e-12))
-                       + np.sum(action > 4.0 * n))
+    def block(rng, count):
+        mats = haar_sample(rng, n, kind=kind, size=(count, k))
+        bonds = identity_bonds(n, (count, lat.n_bonds))
+        bonds[:, haar_bonds] = mats
+        action = plaquette_actions(lat, bonds)[:, 0]
+        bound = k * n * np.sum(angle_norm_sq(mats, kind), axis=-1)
+        return int(np.sum(action > bound) + np.sum(action > 4.0 * n))
 
     total = mc.sample_violations(block, n_samples, seed,
                                  n_workers=n_workers, block_size=block_size)

@@ -16,7 +16,8 @@ unit 3-sphere (su2.su2_haar) turned into matrices, with no determinant.
 SU(N >= 3) samples divide the determinant, one LU per matrix, out of one
 row, which pushes Haar on U(N) forward to Haar on SU(N) because right
 translation by special unitaries commutes with the map.  haar_sample is the
-one sampler of bond matrices for every group.
+one sampler of bond matrices for every group, and angle_norm_sq reads the
+eigenvalue angles of its matrices back (the plaquette-bound checks use it).
 
 Class-function integrals reduce to the eigenvalue angles.  For U(N) the
 joint angle density is prod_{j<k} 2(1 - cos(l_j - l_k)) on (-pi, pi]^N with
@@ -43,7 +44,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericError, QuadratureError, UsageError
-from .su2 import su2_haar, su2_to_matrix
+from .su2 import su2_angle_norm_sq, su2_haar, su2_to_matrix
 
 MAX_ANGLE_AXES_N = 3  # eigenvalue quadrature refuses N >= 4 (cost blows up)
 
@@ -111,6 +112,26 @@ def haar_sample(rng, n, kind="U", size=()):
         det = np.linalg.det(q)
         q[..., 0, :] = q[..., 0, :] * np.conj(det)[..., None]
     return q
+
+
+def angle_norm_sq(mats, kind):
+    """Squared eigenvalue-angle norm sum_j lam_j^2 of unitaries (..., N, N) -> (...).
+
+    U(1) reads the angle of the one entry; SU(2) reads the quaternion back
+    from the entries su2_to_matrix lays out and takes su2_angle_norm_sq, which
+    keeps full relative precision at small angles; other groups take the
+    angles of np.linalg.eigvals.
+    """
+    n = mats.shape[-1]
+    if n == 1:
+        lam = np.angle(mats[..., 0, 0])
+        return lam * lam
+    if kind == "SU" and n == 2:
+        top, right = mats[..., 0, 0], mats[..., 0, 1]
+        return su2_angle_norm_sq(
+            np.stack([top.real, right.imag, right.real, top.imag], axis=-1))
+    lam = np.angle(np.linalg.eigvals(mats))
+    return np.sum(lam * lam, axis=-1)
 
 
 # ------------------------------------------------------- ensemble densities

@@ -16,11 +16,12 @@ Both limits are checked against the Gaussian target computed independently
 from the ensemble normalizations, never against each other.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericError, UsageError
 from .haar import cue_norm, gue_norm, peaked_cue_integral
 from .lattice import coupling, require_positive
 from .partition import z_single_bond
@@ -34,14 +35,20 @@ def cue_gue_target(n):
 
 
 def w_of_beta(beta, n, action="cosine"):
-    """One-bond unitary-group integral at inverse coupling beta > 0."""
+    """One-bond unitary-group integral at inverse coupling beta > 0.
+
+    NumericError naming beta when the coupling 1/beta overflows.
+    """
     require_positive(beta, "beta")
     if action not in ACTIONS:
         raise UsageError(f"action must be one of {ACTIONS}, got {action!r}")
+    c = 1.0 / beta
+    if c == inf:
+        raise NumericError(f"coupling 1/beta overflows at beta = {beta}")
     if action == "cosine":
-        return z_single_bond(1.0 / beta, n, kind="U")
+        return z_single_bond(c, n, kind="U")
     return peaked_cue_integral(lambda lam: np.sum(lam * lam, axis=-1) / beta, n,
-                               peak_scale=1.0 / beta)
+                               peak_scale=c)
 
 
 def w_ratio(beta, n, action="cosine"):

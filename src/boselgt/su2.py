@@ -7,12 +7,11 @@ the exponential e^{iA.s} has w0 = cos|A| and vector part sin(|A|)/|A| * A.
 All functions broadcast over leading axes; points live in arrays of shape
 (..., 4) and algebra vectors in (..., 3).
 
-The one-bond gluon integrals at the end are the SU(2) counterparts of the
-CUE eigenvalue integrals: the same number computed once over the radial
-Haar density on the algebra ball and once over the eigenvalue-angle (Weyl)
-measure, which is the cross-check the test suite pins down to 1e-9.  Both
-use haar.legendre_integral on the U(N) one-bond window, and the bound
-constants use math.erf: numpy is the only library this module loads.
+The one-bond gluon integral at the end is the SU(2) counterpart of the
+CUE eigenvalue integrals, one integral over the eigenvalue angle with
+haar.legendre_integral on the U(N) one-bond window; the test suite checks
+it against the closed form ive(1, 4c)/(2c).  The bound constants use
+math.erf: numpy is the only library this module loads.
 """
 
 import math
@@ -166,46 +165,35 @@ def capital_e(gamma):
     return E_INF * math.erf(gamma) - (gamma / 2.0) * math.exp(-gamma * gamma)
 
 
-def _bond_integral(density, c):
-    """Integral of e^{-4c(1 - cos x)} density(x) over (-pi, pi], by haar's rule.
-
-    The action is written as 8c sin^2(x/2), stable for peaked c, and the
-    window is that of the U(N) one-bond values.
-    """
-    from .haar import legendre_integral, peak_half_width  # haar imports su2
-
-    def node_value(x, w):
-        return float(np.dot(w, np.exp(-8.0 * c * np.sin(x / 2.0) ** 2) * density(x)))
-
-    return legendre_integral(node_value, peak_half_width(c),
-                             f"one-bond SU(2) integral at c = {c:g}")
-
-
-def su2_z_gluon(a, g_sq, d):
-    """One-bond gluon partition value over the radial Haar density.
-
-    z = (2/pi) * integral over r in [0, pi] of e^{-4c(1-cos r)} sin^2 r,
-    with c = a^{d-4}/g^2; the integrand is even, so this is (1/pi) times
-    the integral over (-pi, pi].
-    """
-    c = coupling(a, g_sq, d)
-    return _bond_integral(lambda r: np.sin(r) ** 2, c) / np.pi
-
-
 def su2_z_weyl_coupling(c):
     """One-bond value over the eigenvalue-angle measure at coupling c.
 
     z = (1/(4 pi)) * integral over lam in (-pi, pi] of
         e^{-4c(1-cos lam)} * 4 sin^2(lam),
     the 4 sin^2 factor being the squared eigenvalue-difference density of
-    the angle pair (lam, -lam).
+    the angle pair (lam, -lam).  The action is written as 8c sin^2(lam/2),
+    stable for peaked c, and haar's rule runs on the window of the U(N)
+    one-bond values.
     """
     require_positive(c, "coupling")
-    return _bond_integral(lambda lam: 4.0 * np.sin(lam) ** 2, c) / (4.0 * np.pi)
+    from .haar import legendre_integral, peak_half_width  # haar imports su2
+
+    def node_value(x, w):
+        density = 4.0 * np.sin(x) ** 2
+        return float(np.dot(w, np.exp(-8.0 * c * np.sin(x / 2.0) ** 2) * density))
+
+    return legendre_integral(node_value, peak_half_width(c),
+                             f"one-bond SU(2) integral at c = {c:g}") / (4.0 * np.pi)
 
 
-def su2_z_weyl(a, g_sq, d):
-    """su2_z_weyl_coupling at c = a^{d-4} / g^2."""
+def su2_z_gluon(a, g_sq, d):
+    """One-bond gluon partition value at c = a^{d-4}/g^2.
+
+    The radial form (2/pi) * integral over r in [0, pi] of
+    e^{-4c(1-cos r)} sin^2 r is the eigenvalue-angle integral of
+    su2_z_weyl_coupling (r is the rotation angle theta), so it is computed
+    there.
+    """
     return su2_z_weyl_coupling(coupling(a, g_sq, d))
 
 

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import ive
 
 from boselgt import mc
 from boselgt.actions import ModelParams, bose_action_unscaled, identity_bonds
@@ -27,8 +28,7 @@ from boselgt.partition import (transfer_kernel_norm, z_bose_exact,
                                z_bose_exact_unscaled, z_wilson_d2_exact,
                                z_wilson_mc)
 from boselgt.rmt import cue_gue_target, d2_free_energy, d2_limit_target, w_ratio
-from boselgt.su2 import (su2_exp, su2_log, su2_to_matrix, su2_z_gluon,
-                         su2_z_weyl)
+from boselgt.su2 import su2_exp, su2_log, su2_to_matrix, su2_z_gluon
 
 # ------------------------------------------------------------------ plumbing
 
@@ -272,17 +272,20 @@ def test_criterion_09_su2_parametrization():
     inner = directions * rng.uniform(0.0, 3.1, size=(10_000, 1))
     worst_log = float(np.max(np.abs(su2_log(su2_exp(inner)) - inner)))
 
+    # the one-bond value against its Bessel closed form ive(1, 4c)/(2c),
+    # c = a^{d-4}/g^2 at d = 3
     worst_z = 0.0
     for a in (1.0, 0.5, 0.1):
         for g_sq in (4.0, 1.0, 0.25):
+            c = 1.0 / (a * g_sq)
+            closed = ive(1, 4.0 * c) / (2.0 * c)
             zg = su2_z_gluon(a, g_sq, 3)
-            zw = su2_z_weyl(a, g_sq, 3)
-            worst_z = max(worst_z, abs(zg - zw) / zw)
+            worst_z = max(worst_z, abs(zg - closed) / closed)
 
     ok = worst_exp < 1e-12 and worst_log < 1e-10 and worst_z < 1e-9
     _verdict(9, "su2-parametrization", ok,
              f"exp {worst_exp:.1e}, log-of-exp {worst_log:.1e}, "
-             f"radial-vs-angle z {worst_z:.1e}")
+             f"z against ive(1, 4c)/(2c) {worst_z:.1e}")
 
 
 # -------------------------------------- 10: class functions, two dual routes

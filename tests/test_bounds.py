@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from boselgt import mc
-from boselgt.actions import ModelParams, wilson_action
+from boselgt import bounds, mc
+from boselgt.actions import ModelParams, plaquette_actions, wilson_action
 from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
                             check_plaquette_quadratic, d2_bond_upper_checks,
                             elementary_inequality_suite, gauge_rate_bounds,
@@ -211,17 +211,32 @@ def test_d2_bond_upper_checks():
         d2_bond_upper_checks(ModelParams(d=3, L=2))
 
 
-@pytest.mark.parametrize("kind,n", [("U", 1), ("SU", 2)])
-def test_plaquette_quadratic_fast_paths(kind, n):
+def test_d2_bond_upper_checks_rejects_su():
+    # The constants are U(N) ones; SU(2) has its own sandwich.
+    with pytest.raises(UsageError, match="su2_bounds_check"):
+        d2_bond_upper_checks(ModelParams(d=2, L=2, n=2, kind="SU", a=0.01))
+
+
+@pytest.mark.parametrize("kind,n", [("U", 1), ("SU", 2), ("U", 2), ("U", 3),
+                                    ("SU", 3)])
+def test_plaquette_quadratic_runs_the_action_kernel(monkeypatch, kind, n):
+    # Every group checks the bound on the action the Monte Carlo integrates:
+    # each draw is one plaquette evaluated by bounds.plaquette_actions.
+    evaluated = []
+
+    def counted(lattice, bonds):
+        out = plaquette_actions(lattice, bonds)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(bounds, "plaquette_actions", counted)
     for k in (1, 2, 3, 4):
         chk = check_plaquette_quadratic(kind, n, k, n_samples=20_000, seed=k)
         assert chk.passed, chk
-
-
-def test_plaquette_quadratic_generic_path():
-    chk = check_plaquette_quadratic("U", 2, 2, n_samples=4000, seed=0,
+    chk = check_plaquette_quadratic(kind, n, 2, n_samples=4000, seed=0,
                                     block_size=2000)
-    assert chk.passed
+    assert chk.passed, chk
+    assert sum(evaluated) == 4 * 20_000 + 4000
 
 
 def test_plaquette_quadratic_rejects_bad_k():

@@ -286,6 +286,8 @@ def assert_no_bare_non_finite(directory):
     (["z-bond", "--n", 2, "--coupling", 1e300],
      "at peak scale 1e+300 underflows to 0.0"),
     (["su2-check", "--d", 3, "--a", 1e-210], "overflows at c = 1e+210"),
+    # 1/beta overflows: the message names beta, not the derived coupling.
+    (["cue-gue", "--n", 1, "--betas", 5e-324], "overflows at beta = 5e-324"),
 ])
 def test_out_of_range_numbers_exit_3_naming_the_value(tmp_path, capsys,
                                                       monkeypatch, argv,

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boselgt.errors import UsageError
-from boselgt.haar import (cue_density, cue_density_vandermonde, cue_norm,
-                          gue_density, gue_integral, gue_norm, haar_sample,
-                          peaked_cue_integral, weyl_integrate, wrap_angle)
-from boselgt.su2 import su2_haar, su2_to_matrix
+from boselgt.haar import (angle_norm_sq, cue_density, cue_density_vandermonde,
+                          cue_norm, gue_density, gue_integral, gue_norm,
+                          haar_sample, peaked_cue_integral, weyl_integrate,
+                          wrap_angle)
+from boselgt.su2 import su2_exp, su2_haar, su2_to_matrix
 
 RNG = np.random.default_rng(515)
 
@@ -73,6 +74,30 @@ def test_haar_unitarity_over_many_draws(n, kind):
     assert np.max(dev) <= 1e-14
     if kind == "SU":
         assert np.max(np.abs(np.linalg.det(u) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,kind", [(1, "U"), (2, "SU")])
+def test_angle_norm_sq_matches_eigvals(n, kind):
+    u = haar_sample(np.random.default_rng(9), n, kind=kind, size=(5, 40))
+    ref = np.sum(np.angle(np.linalg.eigvals(u)) ** 2, axis=-1)
+    got = angle_norm_sq(u, kind)
+    assert got.shape == (5, 40)
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("theta", [1e-7, 3e-7, 1e-3, 1.0, 3.0])
+def test_angle_norm_sq_keeps_small_angles(theta):
+    # U(1) e^{i theta} has |lam|^2 = theta^2; an SU(2) rotation by theta has
+    # angles +-theta, so 2 theta^2.  The read-out keeps full relative
+    # precision; eigvals agrees to its own, about 1e-16 / theta.
+    axis = np.array([0.48, -0.6, 0.64])
+    for mats, kind, exact in ((np.exp(1j * np.full((1, 1), theta)), "U", theta**2),
+                              (su2_to_matrix(su2_exp(theta * axis)), "SU",
+                               2.0 * theta**2)):
+        got = angle_norm_sq(mats, kind)
+        assert got == pytest.approx(exact, rel=1e-13)
+        eig = np.sum(np.angle(np.linalg.eigvals(mats)) ** 2)
+        assert got == pytest.approx(eig, rel=1e-13 + 1e-14 / theta)
 
 
 def test_haar_first_moment_vanishes():

@@ -11,7 +11,7 @@ from boselgt.su2 import (capital_e, su2_angle, su2_angle_norm_sq,
                          su2_bound_constants, su2_bounds_check, su2_exp,
                          su2_haar, su2_haar_density, su2_inverse, su2_log,
                          su2_mul, su2_plaquette_action, su2_to_matrix,
-                         su2_z_gluon, su2_z_weyl)
+                         su2_z_gluon)
 
 RNG = np.random.default_rng(77)
 
@@ -126,9 +126,13 @@ def test_capital_e_matches_quadrature():
     assert capital_e(np.inf) == pytest.approx(np.sqrt(np.pi) / 4.0, rel=1e-15)
 
 
-def test_gluon_and_weyl_routes_agree():
-    for a, g_sq in ((1.0, 1.0), (0.5, 2.0), (0.1, 4.0)):
-        assert su2_z_gluon(a, g_sq, 3) == pytest.approx(su2_z_weyl(a, g_sq, 3), rel=1e-9)
+def test_gluon_value_matches_bessel_closed_form():
+    from scipy.special import ive
+    for a in (1.0, 0.5, 0.1):
+        for g_sq in (4.0, 1.0, 0.25):
+            c = 1.0 / (a * g_sq)  # a^{d-4}/g^2 at d = 3
+            closed = ive(1, 4.0 * c) / (2.0 * c)
+            assert su2_z_gluon(a, g_sq, 3) == pytest.approx(closed, rel=1e-9)
 
 
 def test_bounds_check_passes_across_admissible_couplings():
