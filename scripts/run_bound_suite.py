@@ -62,19 +62,14 @@ def main(argv=None):
         failures += not rep.passed
 
     print("\n== group-level inequalities ==")
-    for kind, n in (("U", 1), ("SU", 2)):
-        for k in (1, 2, 3, 4):
-            chk = check_plaquette_quadratic(kind, n, k, args.draws, args.seed,
-                                            n_workers=args.workers)
-            failures += not chk.passed
-            if not chk.passed:
-                print(f"  FAIL {chk.name}: {chk.violations} violations")
-    print("  plaquette quadratic bounds: checked k=1..4 for U(1), SU(2)")
-
+    checks = [check_plaquette_quadratic(kind, n, k, args.draws, args.seed,
+                                        n_workers=args.workers)
+              for kind, n in (("U", 1), ("SU", 2)) for k in (1, 2, 3, 4)]
     suite = elementary_inequality_suite(args.draws, args.seed,
                                         n_workers=args.workers)
-    for name, chk in sorted(suite.items()):
-        print(f"  {name}: {chk.violations} violations in {chk.n_samples} draws")
+    for chk in checks + [suite[name] for name in sorted(suite)]:
+        print(f"  {chk.name}: {chk.violations} violations in {chk.n_samples} "
+              f"draws, worst margin {chk.worst_margin:.3g}")
         failures += not chk.passed
 
     print(f"\n{'all checks passed' if not failures else f'{failures} checks FAILED'}")

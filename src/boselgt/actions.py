@@ -36,7 +36,7 @@ complex for the complex model.  The hopping term is written once as
 for real fields.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import UsageError
 # haar_sample is not called here: perfbench/spans.py rebinds it in this
 # module, and its Tracer.rebind fails on a missing name.
-from .haar import haar_sample
+from .haar import check_group, haar_sample
 from .lattice import GaugeFixing, Lattice, coupling, require_positive
 
 FIELD_KINDS = ("real", "complex")
@@ -67,12 +67,7 @@ class ModelParams:
     n_flavors: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("U", "SU"):
-            raise UsageError(f"unknown group kind {self.kind!r}")
-        if self.kind == "SU" and self.n < 2:
-            raise UsageError("SU(N) needs N >= 2")
-        if self.n < 1:
-            raise UsageError(f"matrix size must be >= 1, got {self.n}")
+        check_group(self.kind, self.n)
         if self.field_kind not in FIELD_KINDS:
             raise UsageError(f"field kind must be one of {FIELD_KINDS}, got {self.field_kind!r}")
         require_positive(self.g0_sq, "g0^2")
@@ -100,9 +95,6 @@ class ModelParams:
     @property
     def scaling(self):
         return ScalingFactors.from_params(self)
-
-    def with_(self, **kw):
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ straddles a boundary.  The window's sigma_log is the relative standard
 error of the unscaled Monte Carlo mean; it does not change under the gauge
 scale s_Y^{d(N) Lr}, which only shifts the log value.  Deterministic
 verdicts use a relative tolerance of 1e-8 on the log scale.
+
+Pointwise inequalities are checked on random draws by sampled_checks: a
+comparison's slack is its bound minus the checked quantity, a slack below 0
+is a violation, and the worst margin is the smallest slack.
 """
 
 from dataclasses import dataclass, replace
@@ -36,8 +40,8 @@ import numpy as np
 from . import mc
 from .actions import identity_bonds, plaquette_actions
 from .errors import UsageError
-from .haar import (angle_norm_sq, cue_density, cue_density_vandermonde, cue_norm,
-                   gue_density, gue_integral, gue_norm, haar_sample)
+from .haar import (angle_norm_sq, check_group, cue_density, cue_density_vandermonde,
+                   cue_norm, gue_density, gue_integral, gue_norm, haar_sample)
 from .lattice import Lattice, check_dimension, n_retained_bonds, require_positive
 from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
                         z_single_bond, z_wilson_d2_exact, z_wilson_mc)
@@ -45,6 +49,7 @@ from .su2 import (su2_angle, su2_bound_constants, su2_haar, su2_haar_density,
                   su2_plaquette_action)
 
 DETERMINISTIC_LOG_RTOL = 1e-8
+BOSE_BLOCK_SIZE = 32  # configurations per draw window of the Bose check
 
 
 # --------------------------------------------------------------- constants
@@ -54,11 +59,8 @@ def group_dim(kind, n):
 
     It is the exponent of the gauge scale per retained bond, s_Y^{d(N) Lr}.
     """
-    if kind == "U":
-        return n * n
-    if kind == "SU":
-        return n * n - 1
-    raise UsageError(f"unknown group kind {kind!r}")
+    check_group(kind, n)
+    return n * n if kind == "U" else n * n - 1
 
 
 def bose_upper_rate(n, L, field_kind="real"):
@@ -77,6 +79,7 @@ def gauge_rate_bounds(kind, n, d, g0_sq=4.0):
     Uniform over a in (0, 1] and 0 < g^2 <= g0^2.  U(N) holds for every N;
     SU is available for N = 2 only.
     """
+    check_group(kind, n)
     check_dimension(d)
     require_positive(g0_sq, "g0^2")
     if kind == "SU":
@@ -84,8 +87,6 @@ def gauge_rate_bounds(kind, n, d, g0_sq=4.0):
             raise UsageError("gauge bound constants for SU(N) exist only for N = 2")
         lo, up = su2_bound_constants(d, g0_sq)
         return float(np.log(lo)), float(np.log(up))
-    if kind != "U":
-        raise UsageError(f"unknown group kind {kind!r}")
     upper = n * n * np.log(np.pi / (2.0 * np.sqrt(2.0))) + np.log(gue_norm(n))
     alpha0 = 8.0 * n * (d - 1) / g0_sq  # smallest admissible peak scale
     trunc = gue_integral(np.sqrt(alpha0) * np.pi / 2.0, n)
@@ -181,56 +182,76 @@ def _gauge_scaled(params, est):
     return replace(est, log_value=est.log_value + log_scale)
 
 
-# --------------------------------------------------- Bose sector verifier
+# ------------------------------------------------------- sampled checks
 
 @dataclass(frozen=True)
 class SampledBoundCheck:
-    """Zero-violation check of deterministic inequalities over random draws."""
+    """Zero-violation check of inequalities over random draws.
+
+    violations counts the slacks (bound minus checked quantity) below 0;
+    worst_margin is the smallest slack, in the units of the compared
+    quantity (log Z_B for the Bose check).
+    """
 
     name: str
     n_samples: int
     violations: int
-    worst_margin: float  # most negative slack seen (>= 0 means all safe)
+    worst_margin: float
 
     @property
     def passed(self):
         return self.violations == 0
 
 
-def verify_bose_bounds(params, n_configs, seed, n_workers=1, block_size=32):
+def sampled_checks(slack_block, n_samples, seed, n_workers=1,
+                   block_size=mc.DEFAULT_BLOCK_SIZE):
+    """{name: SampledBoundCheck} from slack_block(rng, count) -> {name: slacks}.
+
+    slacks lists one array per comparison.  Each block reduces to its count
+    and smallest slack (nan if any slack is nan) before blocks merge.
+    """
+    def reduced(rng, count):
+        return {name: (sum(int(np.count_nonzero(s < 0.0)) for s in slacks),
+                       np.min([np.min(s, initial=np.inf) for s in slacks]))
+                for name, slacks in slack_block(rng, count).items()}
+
+    parts = mc.map_blocks(reduced, n_samples, seed,
+                          n_workers=n_workers, block_size=block_size)
+    return {name: SampledBoundCheck(
+                name=name, n_samples=n_samples,
+                violations=sum(p[name][0] for p in parts),
+                worst_margin=float(np.min([p[name][1] for p in parts])))
+            for name in parts[0]}
+
+
+# --------------------------------------------------- Bose sector verifier
+
+def verify_bose_bounds(params, n_configs, seed, n_workers=1):
     """Check 1 <= Z_B(g) <= e^{n_f rate n_sites} and det Q <= 1 on random gauges.
 
     Z_B for n_f flavors is the n_f-th power of the one-flavor value, so the
-    one-flavor cap rate * n_sites is multiplied by n_f.  Returns a
-    SampledBoundCheck with the count of configurations violating any of the
-    three inequalities.  Forms are factorised one configuration at a time:
-    a stacked block of large forms costs far more memory than it saves time.
+    one-flavor cap rate * n_sites is multiplied by n_f.  The slack of a
+    configuration is min(log Z_B, log cap - log Z_B), so a configuration
+    violating any of the three inequalities counts once.  Forms are
+    factorised one configuration at a time: a stacked block of large forms
+    costs far more memory than it saves time.
     """
     lat = params.lattice
     log_cap = (params.n_flavors * lat.n_sites
                * bose_upper_rate(params.n, params.L, params.field_kind))
+    name = "bose-sector bounds"
 
     def block(rng, count):
-        bad = 0
-        worst = np.inf
-        for _ in range(count):
+        log_z = np.empty(count)
+        for i in range(count):
             bonds = haar_sample(rng, params.n, kind=params.kind, size=lat.n_bonds)
             q = bose_quadratic_form(params, bonds)
-            logdet = logdet_posdef(q)
-            log_z = -0.5 * params.n_flavors * logdet
-            # log_z >= 0 is both "Z_B >= 1" and "det Q <= 1" (flavors > 0).
-            margin = min(log_z - 0.0, log_cap - log_z)
-            worst = min(worst, margin)
-            if log_z < 0.0 or log_z > log_cap:
-                bad += 1
-        return bad, worst
+            log_z[i] = -0.5 * params.n_flavors * logdet_posdef(q)
+        # log_z >= 0 is both "Z_B >= 1" and "det Q <= 1" (flavors > 0).
+        return {name: [np.minimum(log_z, log_cap - log_z)]}
 
-    parts = mc.map_blocks(block, n_configs, seed,
-                          n_workers=n_workers, block_size=block_size)
-    total = sum(p[0] for p in parts)
-    worst = min(p[1] for p in parts)
-    return SampledBoundCheck(name="bose-sector bounds", n_samples=n_configs,
-                             violations=int(total), worst_margin=float(worst))
+    return sampled_checks(block, n_configs, seed, n_workers=n_workers,
+                          block_size=BOSE_BLOCK_SIZE)[name]
 
 
 # -------------------------------------------------- gauge sector verifier
@@ -318,10 +339,11 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
 
 def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
                               block_size=mc.DEFAULT_BLOCK_SIZE):
-    """Count violations of the plaquette-action quadratic bound.
+    """Check the plaquette-action quadratic bound on random plaquettes.
 
     A plaquette with k Haar bonds (the other 4 - k at the identity) must
-    satisfy A_p <= k N sum_b |lam_b|^2 and A_p <= 4N, compared without slack.
+    satisfy A_p <= k N sum_b |lam_b|^2 and A_p <= 4N, compared without slack;
+    each draw gives one slack per inequality, in units of the action.
     Every group goes through the same path: haar_sample draws the bonds,
     plaquette_actions evaluates the action the Monte Carlo integrates, and
     haar.angle_norm_sq reads the angles back.
@@ -332,6 +354,7 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
     # Haar, the rest 1.
     lat = Lattice(d=2, L=2)
     haar_bonds = lat.plaq_bonds[0][:k]
+    name = f"plaquette quadratic bound {kind}({n}) k={k}"
 
     def block(rng, count):
         mats = haar_sample(rng, n, kind=kind, size=(count, k))
@@ -339,13 +362,10 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
         bonds[:, haar_bonds] = mats
         action = plaquette_actions(lat, bonds)[:, 0]
         bound = k * n * np.sum(angle_norm_sq(mats, kind), axis=-1)
-        return int(np.sum(action > bound) + np.sum(action > 4.0 * n))
+        return {name: [bound - action, 4.0 * n - action]}
 
-    total = mc.sample_violations(block, n_samples, seed,
-                                 n_workers=n_workers, block_size=block_size)
-    return SampledBoundCheck(name=f"plaquette quadratic bound {kind}({n}) k={k}",
-                             n_samples=n_samples, violations=total,
-                             worst_margin=np.nan)
+    return sampled_checks(block, n_samples, seed, n_workers=n_workers,
+                          block_size=block_size)[name]
 
 
 def elementary_inequality_suite(n_draws, seed, n_workers=1,
@@ -360,50 +380,44 @@ def elementary_inequality_suite(n_draws, seed, n_workers=1,
          squared Vandermonde on max|l| <= pi/2     (box lower bound)
       e) SU(2): 4 (1 - w0) <= 2 theta^2 <= 8 theta^2 and Haar radial
          density between (2/pi)^2/(2 pi^2) and 1/(2 pi^2) on theta <= pi/2.
-    Returns a dict name -> SampledBoundCheck.
+    Each comparison contributes its own slack array under its key, in the
+    units of the compared quantity.  Returns a dict name -> SampledBoundCheck.
     """
     def block(rng, count):
-        bad = {"upper-quadratic": 0, "lower-quadratic": 0,
-               "density-upper": 0, "density-lower": 0, "su2-pointwise": 0}
+        slack = {"upper-quadratic": [], "lower-quadratic": [],
+                 "density-upper": [], "density-lower": [], "su2-pointwise": []}
         for n in (1, 2, 3):
             lam = rng.uniform(-np.pi, np.pi, size=(count, n))
             halfsin = np.sin(lam / 2.0)
             left = 4.0 * np.sum(halfsin * halfsin, axis=-1)
-            bad["upper-quadratic"] += int(np.sum(left > np.sum(lam * lam, axis=-1)))
+            slack["upper-quadratic"].append(np.sum(lam * lam, axis=-1) - left)
             per = 4.0 * halfsin * halfsin
-            bad["lower-quadratic"] += int(np.sum(per < (4.0 / np.pi**2) * lam * lam))
+            slack["lower-quadratic"].append(per - (4.0 / np.pi**2) * lam * lam)
             if n >= 2:
                 rho = cue_density(lam)
                 rho_v = cue_density_vandermonde(lam)
                 hat = gue_density(lam)
-                bad["density-upper"] += int(np.sum(rho > hat * (1 + 1e-12)))
+                slack["density-upper"].append(hat * (1 + 1e-12) - rho)
                 # Vandermonde route must agree with the product route.
-                bad["density-upper"] += int(np.sum(
-                    np.abs(rho - rho_v) > 1e-10 * np.maximum(rho, 1.0)))
+                slack["density-upper"].append(
+                    1e-10 * np.maximum(rho, 1.0) - np.abs(rho - rho_v))
                 box = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=(count, n))
                 rho_box = cue_density(box)
                 hat_box = gue_density(box)
                 factor = (4.0 / np.pi**2) ** (n * (n - 1) / 2.0)
-                bad["density-lower"] += int(np.sum(
-                    rho_box * (1 + 1e-12) < factor * hat_box))
+                slack["density-lower"].append(
+                    rho_box * (1 + 1e-12) - factor * hat_box)
         pts = su2_haar(rng, count)
         theta = su2_angle(pts)
         act = su2_plaquette_action(pts)
-        bad["su2-pointwise"] += int(np.sum(act > 2.0 * theta * theta * (1 + 1e-12)))
-        bad["su2-pointwise"] += int(np.sum(act > 8.0))
         half = theta <= np.pi / 2.0
         dens = su2_haar_density(theta[:, None])
-        bad["su2-pointwise"] += int(np.sum(dens > 1.0 / (2.0 * np.pi**2) * (1 + 1e-12)))
-        bad["su2-pointwise"] += int(np.sum(
-            half & (dens * (1 + 1e-12) < (2.0 / np.pi) ** 2 / (2.0 * np.pi**2))))
-        return bad
+        slack["su2-pointwise"] += [
+            2.0 * theta * theta * (1 + 1e-12) - act,
+            8.0 - act,
+            1.0 / (2.0 * np.pi**2) * (1 + 1e-12) - dens,
+            dens[half] * (1 + 1e-12) - (2.0 / np.pi) ** 2 / (2.0 * np.pi**2)]
+        return slack
 
-    parts = mc.map_blocks(block, n_draws, seed,
+    return sampled_checks(block, n_draws, seed,
                           n_workers=n_workers, block_size=block_size)
-    out = {}
-    keys = parts[0].keys()
-    for key in keys:
-        total = sum(p[key] for p in parts)
-        out[key] = SampledBoundCheck(name=key, n_samples=n_draws,
-                                     violations=int(total), worst_margin=np.nan)
-    return out

@@ -23,7 +23,7 @@ import configparser
 import itertools
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +109,13 @@ MC_OPTS = (
         "reproducible); the verify-bounds Bose check always draws 32 "
         "configurations per block"),
 )
+
+_MODEL_OPT = {o.dest: o for o in MODEL_OPTS}
+
+
+def _model_opts(*dests):
+    """The MODEL_OPTS entries with these dests, in the order given."""
+    return tuple(_MODEL_OPT[dest] for dest in dests)
 
 
 def _params_from_cfg(cfg):
@@ -319,19 +326,13 @@ class Command:
 COMMANDS = {
     "lattice-info": Command(
         "site, bond, plaquette and gauge-tree counts",
-        (Opt("--d", "int", 2, "lattice dimension"),
-         Opt("--L", "int", 3, "sites per side"),
-         Opt("--a", "float", 1.0, "lattice spacing")),
+        _model_opts("d", "L", "a"),
         run_lattice_info),
     "z-bond": Command(
         "one-bond gauge partition value by quadrature",
         (Opt("--coupling", "float", None,
-             "coupling c directly (overrides --a/--g-sq/--d)"),
-         Opt("--n", "int", 1, "matrix size N"),
-         Opt("--kind", "choice", "U", "group family", ("U", "SU")),
-         Opt("--a", "float", 1.0, "lattice spacing"),
-         Opt("--g-sq", "float", 1.0, "gauge coupling g^2"),
-         Opt("--d", "int", 2, "dimension (sets c = a^{d-4}/g^2)")),
+             "coupling c directly (overrides --a/--g-sq/--d)"),)
+        + _model_opts("n", "kind", "a", "g_sq", "d"),
         run_z_bond),
     "bose-exact": Command(
         "exact matter-sector determinant on a fixed gauge configuration",
@@ -373,23 +374,19 @@ COMMANDS = {
         run_d2_limit),
     "su2-check": Command(
         "SU(2) scaled one-bond value against its uniform bounds",
-        (Opt("--d", "int", 3, "lattice dimension"),
-         Opt("--a", "float", 1.0, "lattice spacing"),
-         Opt("--g-sq", "float", 1.0, "gauge coupling g^2"),
-         Opt("--g0-sq", "float", 4.0, "reference coupling bound")),
+        (replace(_MODEL_OPT["d"], default=3),)
+        + _model_opts("a", "g_sq", "g0_sq"),
         run_su2_check),
     "sweep": Command(
         "grid of exact d = 2 values over (a, g^2, L, N), resumable",
         (Opt("--a-values", "floats", (1.0, 0.5), "lattice spacings"),
          Opt("--g-sq-values", "floats", (1.0,), "gauge couplings"),
          Opt("--L-values", "ints", (2, 3), "side lengths"),
-         Opt("--n-values", "ints", (1,), "matrix sizes"),
-         Opt("--kind", "choice", "U", "group family", ("U", "SU")),
-         Opt("--g0-sq", "float", 4.0, "reference coupling bound"),
-         Opt("--d", "int", 2, "dimension (must be 2)"),
-         Opt("--out-dir", "str", None,
-             "directory for per-point records (resume unit)"),
-         Opt("--force", "bool", False, "recompute existing records")),
+         Opt("--n-values", "ints", (1,), "matrix sizes"))
+        + _model_opts("kind", "g0_sq", "d")
+        + (Opt("--out-dir", "str", None,
+               "directory for per-point records (resume unit)"),
+           Opt("--force", "bool", False, "recompute existing records")),
         run_sweep),
 }
 

@@ -68,6 +68,16 @@ def wrap_angle(lam):
     return np.where(w == -np.pi, np.pi, w)
 
 
+def check_group(kind, n):
+    """Raise UsageError unless kind(n) is U(N >= 1) or SU(N >= 2)."""
+    if kind not in ("U", "SU"):
+        raise UsageError(f"unknown group kind {kind!r}")
+    if n < 1:
+        raise UsageError(f"matrix size must be >= 1, got {n}")
+    if kind == "SU" and n < 2:
+        raise UsageError("SU(N) needs N >= 2")
+
+
 # ---------------------------------------------------------------- sampling
 
 def haar_sample(rng, n, kind="U", size=()):
@@ -76,19 +86,13 @@ def haar_sample(rng, n, kind="U", size=()):
     kind "U" or "SU".  SU(2) comes from quaternions.  Otherwise the
     Gaussian columns are orthonormalised by Gram-Schmidt with one
     re-orthogonalisation pass, entry by entry over the whole batch; for
-    n = 1 that is normalizing one complex Gaussian (SU(1) is the trivial
-    group).
+    U(1) that is normalizing one complex Gaussian.
     """
-    if kind not in ("U", "SU"):
-        raise UsageError(f"unknown group kind {kind!r}")
-    if n < 1:
-        raise UsageError(f"matrix size must be >= 1, got {n}")
+    check_group(kind, n)
     if kind == "SU" and n == 2:
         return su2_to_matrix(su2_haar(rng, size))
     shape = (size,) if np.isscalar(size) else tuple(size)
     if n == 1:
-        if kind == "SU":
-            return np.ones(shape + (1, 1), dtype=complex)
         z = rng.standard_normal(shape + (1, 1)) + 1j * rng.standard_normal(shape + (1, 1))
         return z / np.abs(z)
     z = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
@@ -228,10 +232,7 @@ def weyl_integrate(f, n, kind="U", rtol=1e-8, atol=0.0):
     integrals that vanish by symmetry, where no relative target is meaningful;
     the default atol=0 keeps the check purely relative.
     """
-    if kind not in ("U", "SU"):
-        raise UsageError(f"unknown group kind {kind!r}")
-    if kind == "SU" and n < 2:
-        raise UsageError("SU(N) needs N >= 2")
+    check_group(kind, n)
     if n > MAX_ANGLE_AXES_N:
         raise UsageError(
             f"eigenvalue-angle quadrature supports N <= {MAX_ANGLE_AXES_N}, got {n}")

@@ -95,10 +95,3 @@ def sample_mean(sample_block, n_total, seed, n_workers=1, block_size=DEFAULT_BLO
         acc = acc.merged(p)
     return acc
 
-
-def sample_violations(count_block, n_total, seed, n_workers=1,
-                      block_size=DEFAULT_BLOCK_SIZE):
-    """Total of count_block(rng, count) -> int over all blocks (e.g. violations)."""
-    parts = map_blocks(count_block, n_total, seed,
-                       n_workers=n_workers, block_size=block_size)
-    return int(sum(int(p) for p in parts))

@@ -39,7 +39,7 @@ import numpy as np
 from . import mc
 from .actions import identity_bonds, plaquette_actions
 from .errors import NotPositiveDefiniteError, NumericError, UsageError
-from .haar import haar_sample, peaked_cue_integral
+from .haar import check_group, haar_sample, peaked_cue_integral
 from .lattice import require_positive
 # weyl_integrate, su2_haar and su2_to_matrix are not called here:
 # perfbench/spans.py rebinds them in this module, and its Tracer.rebind
@@ -244,6 +244,7 @@ def z_single_bond(c, n=1, kind="U"):
     SU(2) through its radial angle integral.
     """
     require_positive(c, "coupling")
+    check_group(kind, n)
     if kind == "SU":
         if n != 2:
             raise UsageError("one-bond values for SU(N) are implemented for N = 2 only")
@@ -251,8 +252,6 @@ def z_single_bond(c, n=1, kind="U"):
         # that a rebinding of su2.su2_z_weyl_coupling is seen.
         from .su2 import su2_z_weyl_coupling
         return su2_z_weyl_coupling(c)
-    if kind != "U":
-        raise UsageError(f"unknown group kind {kind!r}")
 
     # The angle action 2c sum(1 - cos lam) is evaluated as 4c sum sin^2(lam/2):
     # same number, but free of the 1 - cos cancellation that otherwise floods

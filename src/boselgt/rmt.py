@@ -82,10 +82,6 @@ class LimitSweep:
     results: tuple          # computed quantity per value
     target: float           # common limit target
 
-    @property
-    def abs_errors(self):
-        return tuple(abs(r - self.target) for r in self.results)
-
     def rows(self):
         """Rows (parameter, value, target, abs_err) for CSV emission."""
         return [(v, r, self.target, abs(r - self.target))

@@ -11,6 +11,7 @@ results bit for bit.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_criterion_06_scaling_identities():
     worst = 0.0
     for base in _GRID5:
         for field_kind in ("real", "complex"):
-            params = base.with_(field_kind=field_kind)
+            params = replace(base, field_kind=field_kind)
             lat = params.lattice
             rng = mc.block_rng(61, 0)
             for bonds in (identity_bonds(params.n, lat.n_bonds),
@@ -201,18 +202,23 @@ def _run_plaquette_suite(n_workers):
         for k in (1, 2, 3, 4):
             chk = check_plaquette_quadratic(kind, n, k, 1_000_000,
                                             seed=70 + k, n_workers=n_workers)
-            out.append(chk.violations)
+            out.append((chk.violations, chk.worst_margin))
     return tuple(out)
 
 
 RUNNERS["plaquette-quadratic"] = _run_plaquette_suite
 
 
+def _all_held(results):
+    """No violation and a finite, non-negative worst margin everywhere."""
+    return all(v == 0 and 0.0 <= w < np.inf for v, w in results)
+
+
 def test_criterion_07_plaquette_quadratic_bounds():
-    violations = _run("plaquette-quadratic")
-    ok = all(v == 0 for v in violations)
-    _verdict(7, "plaquette-quadratic-bounds", ok,
-             f"violations per (group, k) cell: {violations}")
+    results = _run("plaquette-quadratic")
+    cells = ", ".join(f"{v} (margin {w:.2g})" for v, w in results)
+    _verdict(7, "plaquette-quadratic-bounds", _all_held(results),
+             f"violations per (group, k) cell: {cells}")
 
 
 # --------------------------------------------- 8: gauge-sector rate bounds
@@ -351,7 +357,8 @@ def test_criterion_11_transfer_kernel_norm():
 def _run_elementary(n_workers):
     suite = elementary_inequality_suite(1_000_000, seed=120,
                                         n_workers=n_workers)
-    return tuple(sorted((name, chk.violations) for name, chk in suite.items()))
+    return tuple(sorted((name, (chk.violations, chk.worst_margin))
+                        for name, chk in suite.items()))
 
 
 RUNNERS["elementary-suite"] = _run_elementary
@@ -359,9 +366,9 @@ RUNNERS["elementary-suite"] = _run_elementary
 
 def test_criterion_12_elementary_inequalities():
     results = _run("elementary-suite")
-    ok = all(v == 0 for _, v in results)
-    _verdict(12, "elementary-inequalities", ok,
-             f"violations: {dict(results)}")
+    keys = ", ".join(f"{name}: {v} (margin {w:.2g})" for name, (v, w) in results)
+    _verdict(12, "elementary-inequalities", _all_held(r for _, r in results),
+             f"violations: {keys}")
 
 
 # ------------------------------------------------ 13: worker determinism

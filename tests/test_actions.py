@@ -1,5 +1,7 @@
 """Model parameters, gauge/matter actions, and the two-picture scaling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,13 +230,13 @@ def test_params_validation():
         ModelParams(d=2, L=2, a=1.5)
 
 
-def test_with_replaces_and_revalidates():
+def test_replace_revalidates():
     p = small_params()
-    q = p.with_(a=0.1)
+    q = replace(p, a=0.1)
     assert q.a == 0.1 and p.a == 0.7
     assert q.lattice.a == 0.1
     with pytest.raises(UsageError):
-        p.with_(g_sq=100.0)
+        replace(p, g_sq=100.0)
 
 
 def test_identity_bonds_shape():

@@ -1,5 +1,7 @@
 """Volume-rate bounds, their reports, and the sampled verifiers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from boselgt.actions import ModelParams, plaquette_actions, wilson_action
 from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
                             check_plaquette_quadratic, d2_bond_upper_checks,
                             elementary_inequality_suite, gauge_rate_bounds,
-                            group_dim, verify_bose_bounds, verify_full_model,
-                            verify_gauge_bounds)
+                            group_dim, sampled_checks, verify_bose_bounds,
+                            verify_full_model, verify_gauge_bounds)
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample
 from boselgt.partition import bose_quadratic_form, logdet_posdef, z_wilson_mc
@@ -86,7 +88,7 @@ def test_rates_do_not_depend_on_spacing_or_coupling():
     ref = BoundConstants.for_params(base)
     for a in (1.0, 1e-2, 1e-4):
         for g_sq in (4.0, 0.5):
-            assert BoundConstants.for_params(base.with_(a=a, g_sq=g_sq)) == ref
+            assert BoundConstants.for_params(replace(base, a=a, g_sq=g_sq)) == ref
 
 
 # ----------------------------------------------------------------- reports
@@ -110,6 +112,36 @@ def test_stochastic_verdicts():
     outside = BoundReport(name="x", log_value=2.0, log_lower=0.0, log_upper=1.0,
                           std_error_log=0.1, n_samples=100, method="monte-carlo")
     assert outside.verdict == "fail"
+
+
+# ------------------------------------------------------- sampled checks
+
+def test_sampled_checks_count_violations_and_worst_margin_exactly():
+    # Per block: "ramp" holds count - 3 values from -3 up, so three
+    # negatives and a worst margin of -3; "gauss" holds the block's normal
+    # draws, recounted below from the same streams; "safe" carries an
+    # empty comparison next to a constant one.
+    def block(rng, count):
+        return {"ramp": [np.arange(count - 3) - 3.0, np.full(3, 7.0)],
+                "gauss": [rng.standard_normal(count)],
+                "safe": [np.full(count, 0.5), np.empty(0)]}
+
+    n_samples, block_size, seed = 1000, 128, 11
+    runs = [sampled_checks(block, n_samples, seed, n_workers=w,
+                           block_size=block_size) for w in (1, 4)]
+    assert runs[0] == runs[1]
+    out = runs[0]
+    n_blocks = -(-n_samples // block_size)
+    draws = np.concatenate([
+        mc.block_rng(seed, i).standard_normal(min(block_size, n_samples - i * block_size))
+        for i in range(n_blocks)])
+    assert (out["ramp"].violations, out["ramp"].worst_margin) == (3 * n_blocks, -3.0)
+    assert out["gauss"].violations == int(np.count_nonzero(draws < 0.0)) > 0
+    assert out["gauss"].worst_margin == float(np.min(draws))
+    assert (out["safe"].violations, out["safe"].worst_margin) == (0, 0.5)
+    assert out["safe"].passed and not out["gauss"].passed
+    assert all(chk.name == name and chk.n_samples == n_samples
+               for name, chk in out.items())
 
 
 # ----------------------------------------------------------- the verifiers
@@ -159,9 +191,9 @@ def test_full_model_verifier():
     rep = verify_full_model(p, n_samples=4000, seed=1, block_size=1000)
     assert rep.passed
     with pytest.raises(UsageError):
-        verify_full_model(p.with_(field_kind="complex"), n_samples=10, seed=0)
+        verify_full_model(replace(p, field_kind="complex"), n_samples=10, seed=0)
     with pytest.raises(UsageError):
-        verify_full_model(p.with_(n_flavors=2), n_samples=10, seed=0)
+        verify_full_model(replace(p, n_flavors=2), n_samples=10, seed=0)
 
 
 @pytest.mark.parametrize("n,kind", [(1, "U"), (2, "SU")])
@@ -232,11 +264,30 @@ def test_plaquette_quadratic_runs_the_action_kernel(monkeypatch, kind, n):
     monkeypatch.setattr(bounds, "plaquette_actions", counted)
     for k in (1, 2, 3, 4):
         chk = check_plaquette_quadratic(kind, n, k, n_samples=20_000, seed=k)
-        assert chk.passed, chk
+        assert chk.passed and 0.0 <= chk.worst_margin < np.inf, chk
     chk = check_plaquette_quadratic(kind, n, 2, n_samples=4000, seed=0,
                                     block_size=2000)
     assert chk.passed, chk
     assert sum(evaluated) == 4 * 20_000 + 4000
+
+
+def test_plaquette_quadratic_reports_an_injected_violation(monkeypatch):
+    # An action raised by 5N breaks A_p <= 4N on every draw, by at least N,
+    # and A_p <= k N |lam|^2 wherever |lam|^2 < A_p; for U(1), k = 1 that
+    # second count is redone from the same draws (one block, seed window 0).
+    n_samples, seed = 3000, 5
+    monkeypatch.setattr(bounds, "plaquette_actions",
+                        lambda lat, bonds: plaquette_actions(lat, bonds) + 5.0)
+    chk = check_plaquette_quadratic("U", 1, 1, n_samples, seed)
+    lam = np.angle(haar_sample(mc.block_rng(seed, 0), 1, kind="U",
+                               size=(n_samples, 1))[:, 0, 0, 0])
+    action = 4.0 * np.sin(lam / 2.0) ** 2 + 5.0
+    quadratic_slack = lam * lam - action
+    assert chk.violations == n_samples + int(np.count_nonzero(quadratic_slack < 0.0))
+    assert n_samples < chk.violations < 2 * n_samples
+    assert chk.worst_margin == pytest.approx(
+        min(np.min(quadratic_slack), np.min(4.0 - action)), rel=1e-12)
+    assert chk.worst_margin <= -1.0 and not chk.passed
 
 
 def test_plaquette_quadratic_rejects_bad_k():
@@ -244,6 +295,8 @@ def test_plaquette_quadratic_rejects_bad_k():
         check_plaquette_quadratic("U", 1, 0, n_samples=10, seed=0)
     with pytest.raises(UsageError):
         check_plaquette_quadratic("U", 1, 5, n_samples=10, seed=0)
+    with pytest.raises(UsageError):
+        check_plaquette_quadratic("SU", 1, 1, n_samples=10, seed=0)
 
 
 def test_elementary_suite_small_run():
@@ -252,3 +305,4 @@ def test_elementary_suite_small_run():
                         "density-lower", "su2-pointwise"}
     for name, chk in out.items():
         assert chk.passed, (name, chk.violations)
+        assert 0.0 <= chk.worst_margin < np.inf, (name, chk.worst_margin)

@@ -245,3 +245,5 @@ def test_quadrature_usage_errors():
         haar_sample(RNG, 0)
     with pytest.raises(UsageError):
         haar_sample(RNG, 2, kind="SO")
+    with pytest.raises(UsageError):
+        haar_sample(RNG, 1, kind="SU")

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from boselgt.mc import (Moments, block_moments, block_rng, map_blocks,
-                        sample_mean, sample_violations)
+from boselgt.mc import Moments, block_moments, block_rng, map_blocks, sample_mean
 
 
 def gauss_block(rng, m):
@@ -78,14 +77,3 @@ def test_sample_mean_estimates_the_mean():
                       n_total=200_000, seed=5, n_workers=4)
     assert abs(mom.mean - 2.0) < 4.0 * mom.std_error
     assert mom.std_error == pytest.approx(3.0 / np.sqrt(200_000), rel=0.05)
-
-
-def test_sample_violations_counts_exactly():
-    # Count negatives of a fixed stream twice; identical by determinism.
-    def neg_count(rng, m):
-        return int(np.sum(rng.standard_normal(m) < 0.0))
-
-    a = sample_violations(neg_count, n_total=30_000, seed=11)
-    b = sample_violations(neg_count, n_total=30_000, seed=11, n_workers=4)
-    assert a == b
-    assert 14_000 < a < 16_000

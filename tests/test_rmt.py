@@ -98,8 +98,8 @@ def test_sweep_structure():
     assert sw.parameter == "beta"
     assert sw.values == (0.1, 0.01)
     assert len(sw.results) == 2
-    assert sw.abs_errors[1] < sw.abs_errors[0]
     rows = sw.rows()
+    assert rows[1][3] < rows[0][3]
     assert rows[0][0] == 0.1
     assert rows[0][2] == pytest.approx(cue_gue_target(1))
     assert rows[0][3] == pytest.approx(abs(sw.results[0] - sw.target))
@@ -107,4 +107,5 @@ def test_sweep_structure():
     sd = sweep_d2_limit((1.0, 0.1), n=2)
     assert sd.parameter == "a"
     assert sd.target == pytest.approx(LOG_TARGET_2)
-    assert sd.abs_errors[1] < sd.abs_errors[0]
+    rows = sd.rows()
+    assert rows[1][3] < rows[0][3]

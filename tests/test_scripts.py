@@ -45,3 +45,12 @@ def test_bound_suite_runs_to_its_summary(capsys):
                 if line.lstrip().startswith(("gauge rates", "full model"))]
     assert len(verdicts) == 6
     assert all(", sigma_log " in line for line in verdicts)
+    # Every plaquette cell and suite key prints its count and worst margin.
+    names = [f"plaquette quadratic bound {g} k={k}"
+             for g in ("U(1)", "SU(2)") for k in (1, 2, 3, 4)]
+    names += ["density-lower", "density-upper", "lower-quadratic",
+              "su2-pointwise", "upper-quadratic"]
+    lines = out.split("== group-level inequalities ==")[1].splitlines()
+    for name in names:
+        line, = [l for l in lines if l.lstrip().startswith(f"{name}: ")]
+        assert "0 violations in 2000 draws, worst margin " in line, line
