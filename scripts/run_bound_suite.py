@@ -1,17 +1,17 @@
 """Run the stability-bound verifiers over a small model grid.
 
-Checks, per model point: the matter-sector sandwich on random gauge
-configurations, the gauge-sector rate bounds (exact in d = 2, Monte Carlo
-above), and the full coupled model where it applies.  Ends with the
-group-level inequality suites.  Exits 1 if anything fails.
+Each model point is one `boselgt verify-bounds --which all` run: the
+matter-sector sandwich on random gauge configurations, the gauge-sector
+rate bounds (exact in d = 2, Monte Carlo above) and the full coupled
+model.  Its record lands in $BOSELGT_OUTPUT_DIR (default: the current
+directory) like that of any CLI run.  Ends with the group-level inequality
+suites.  Exits 1 if anything fails.
 """
 
 import argparse
 
-from boselgt.actions import ModelParams
-from boselgt.bounds import (check_plaquette_quadratic,
-                            elementary_inequality_suite, verify_bose_bounds,
-                            verify_full_model, verify_gauge_bounds)
+from boselgt.bounds import check_plaquette_quadratic, elementary_inequality_suite
+from boselgt.cli import main as boselgt, report_sampled_check
 
 POINTS = (
     dict(d=2, L=3, n=1, kind="U"),
@@ -36,30 +36,14 @@ def main(argv=None):
 
     failures = 0
     for point in POINTS:
-        params = ModelParams(a=args.a, g_sq=args.g_sq, m_u=0.0,
-                             kappa_u_sq=1.0, **point)
-        tag = f"d={params.d} L={params.L} {params.kind}({params.n})"
-        print(f"\n== {tag} ==")
-
-        chk = verify_bose_bounds(params, args.configs, args.seed,
-                                 n_workers=args.workers)
-        print(f"  matter sandwich: {chk.violations} violations in "
-              f"{chk.n_samples} configs, worst margin {chk.worst_margin:.3g}")
-        failures += not chk.passed
-
-        rep = verify_gauge_bounds(params, n_samples=args.samples,
-                                  seed=args.seed, n_workers=args.workers)
-        print(f"  gauge rates ({rep.method}): {rep.verdict}, log value "
-              f"{rep.log_value:.6g} in [{rep.log_lower:.6g}, {rep.log_upper:.6g}], "
-              f"sigma_log {rep.std_error_log:.2g}")
-        failures += not rep.passed
-
-        rep = verify_full_model(params, args.samples, args.seed,
-                                n_workers=args.workers)
-        print(f"  full model: {rep.verdict}, log value {rep.log_value:.6g} "
-              f"in [{rep.log_lower:.6g}, {rep.log_upper:.6g}], "
-              f"sigma_log {rep.std_error_log:.2g}")
-        failures += not rep.passed
+        print(f"\n== d={point['d']} L={point['L']} {point['kind']}({point['n']}) ==")
+        argv = ["verify-bounds", "--which", "all", "--a", args.a,
+                "--g-sq", args.g_sq, "--configs", args.configs,
+                "--samples", args.samples, "--seed", args.seed,
+                "--workers", args.workers]
+        for key, value in point.items():
+            argv += [f"--{key}", value]
+        failures += boselgt([str(x) for x in argv]) != 0
 
     print("\n== group-level inequalities ==")
     checks = [check_plaquette_quadratic(kind, n, k, args.draws, args.seed,
@@ -68,11 +52,10 @@ def main(argv=None):
     suite = elementary_inequality_suite(args.draws, args.seed,
                                         n_workers=args.workers)
     for chk in checks + [suite[name] for name in sorted(suite)]:
-        print(f"  {chk.name}: {chk.violations} violations in {chk.n_samples} "
-              f"draws, worst margin {chk.worst_margin:.3g}")
-        failures += not chk.passed
+        failures += report_sampled_check(chk)["verdict"] != "pass"
 
-    print(f"\n{'all checks passed' if not failures else f'{failures} checks FAILED'}")
+    print("\nall checks passed" if not failures else
+          f"\n{failures} FAILED (a model point counts once)")
     return 1 if failures else 0
 
 

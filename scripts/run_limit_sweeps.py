@@ -1,15 +1,17 @@
 """Sweep the two continuum limits and print convergence tables.
 
-Runs the Gaussian limit of the normalized one-bond integral over a decade
-grid of inverse couplings, and the d = 2 free-energy limit over a decade
-grid of lattice spacings, for N = 1 and N = 2.  Writes one CSV per sweep.
+Runs `boselgt cue-gue` (the Gaussian limit of the normalized one-bond
+integral) over a decade grid of inverse couplings and `boselgt d2-limit`
+(the d = 2 free-energy limit) over a decade grid of lattice spacings, for
+N = 1 and N = 2.  Each run writes <out-dir>/cue_gue_n{N}.csv or
+d2_limit_n{N}.csv, and its record beside it under the same name with .json.
+Exits 1 if any run fails.
 """
 
 import argparse
 from pathlib import Path
 
-from boselgt.records import write_csv
-from boselgt.rmt import sweep_cue_gue, sweep_d2_limit
+from boselgt.cli import main as boselgt
 
 
 def decade_grid(start, stop):
@@ -18,42 +20,32 @@ def decade_grid(start, stop):
     while v >= stop * 0.999:
         vals.append(v)
         v /= 10.0
-    return tuple(vals)
-
-
-def show(sweep, label, unit):
-    print(f"\n{label}  (target {sweep.target:.12g})")
-    for v, result, _, err in sweep.rows():
-        print(f"  {unit}={v:<10g} value={result:.12g}  abs_err={err:.3e}")
+    return ",".join(map(str, vals))  # str of a float reads back exactly
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", type=Path, default=Path("sweep-output"),
-                    help="directory for the CSV tables")
+                    help="directory for the CSV tables and records")
     ap.add_argument("--beta-min", type=float, default=1e-4,
                     help="smallest inverse coupling of the Gaussian sweep")
     ap.add_argument("--a-min", type=float, default=1e-3,
                     help="smallest lattice spacing of the d=2 sweep")
     args = ap.parse_args(argv)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    betas = decade_grid(1.0, args.beta_min)
-    spacings = decade_grid(1.0, args.a_min)
-
+    sweeps = (("cue-gue", "--betas", decade_grid(1.0, args.beta_min)),
+              ("d2-limit", "--a-values", decade_grid(1.0, args.a_min)))
+    failures = 0
     for n in (1, 2):
-        sweep = sweep_cue_gue(betas, n)
-        show(sweep, f"one-bond ratio -> Gaussian limit, N={n}", "beta")
-        write_csv(args.out_dir / f"cue_gue_n{n}.csv",
-                  ["beta", "value", "target", "abs_err"], sweep.rows())
+        for command, flag, grid in sweeps:
+            stem = args.out_dir / f"{command.replace('-', '_')}_n{n}"
+            print(f"\n== {command} N={n} ==")
+            failures += boselgt([command, "--n", str(n), flag, grid,
+                                 "--csv", f"{stem}.csv",
+                                 "--output", f"{stem}.json"]) != 0
 
-        sweep = sweep_d2_limit(spacings, n=n)
-        show(sweep, f"d=2 free energy -> continuum limit, N={n}", "a")
-        write_csv(args.out_dir / f"d2_limit_n{n}.csv",
-                  ["a", "value", "target", "abs_err"], sweep.rows())
-
-    print(f"\nCSV tables in {args.out_dir}/")
-    return 0
+    print(f"\nCSV tables and records in {args.out_dir}/")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ _BOOL_STRINGS = {"1": True, "true": True, "yes": True, "on": True,
 @dataclass(frozen=True)
 class Opt:
     flag: str
-    kind: str            # int | float | str | bool | floats | ints | choice
+    kind: str            # int | float | str | bool | floats | ints
     default: object
     help: str
     choices: tuple = None
@@ -75,23 +75,23 @@ def _parse_bool(text):
 
 # One parser per Opt.kind, used as the argparse type= of a flag and on the
 # raw string of a config-file value; each raises ValueError or KeyError.
-_PARSERS = {"int": int, "float": float, "str": str, "choice": str,
-           "bool": _parse_bool, "floats": _comma_list(float),
-           "ints": _comma_list(int)}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "floats": _comma_list(float), "ints": _comma_list(int)}
 
 
 COMMON_OPTS = (
     Opt("--config", "str", None, "INI file with [common] and per-command sections"),
     Opt("--output", "str", None,
-        "result record path (default: $BOSELGT_OUTPUT_DIR/<command>-<utc>.json)"),
+        "result record path, overwritten (default: a new file "
+        "$BOSELGT_OUTPUT_DIR/<command>-<utc>[-2, -3, ...].json)"),
 )
 
 MODEL_OPTS = (
     Opt("--d", "int", 2, "lattice dimension (2, 3 or 4)"),
     Opt("--L", "int", 3, "sites per side (>= 2)"),
     Opt("--n", "int", 1, "matrix size N of the gauge group"),
-    Opt("--kind", "choice", "U", "gauge group family", ("U", "SU")),
-    Opt("--field-kind", "choice", "real", "matter field type", ("real", "complex")),
+    Opt("--kind", "str", "U", "gauge group family", ("U", "SU")),
+    Opt("--field-kind", "str", "real", "matter field type", ("real", "complex")),
     Opt("--a", "float", 1.0, "lattice spacing in (0, 1]"),
     Opt("--g-sq", "float", 1.0, "gauge coupling g^2"),
     Opt("--g0-sq", "float", 4.0, "reference coupling bound g0^2 >= g^2"),
@@ -119,11 +119,7 @@ def _model_opts(*dests):
 
 
 def _params_from_cfg(cfg):
-    return ModelParams(
-        d=cfg["d"], L=cfg["L"], n=cfg["n"], kind=cfg["kind"],
-        field_kind=cfg["field_kind"], a=cfg["a"], g_sq=cfg["g_sq"],
-        g0_sq=cfg["g0_sq"], kappa_u_sq=cfg["kappa_u_sq"], m_u=cfg["m_u"],
-        n_flavors=cfg["n_flavors"])
+    return ModelParams(**{o.dest: cfg[o.dest] for o in MODEL_OPTS})
 
 
 # ------------------------------------------------------------ subcommands
@@ -188,33 +184,21 @@ def run_wilson_mc(cfg):
 
 def run_verify_bounds(cfg):
     params = _params_from_cfg(cfg)
-    checks = {}
-    all_pass = True
-    which = cfg["which"]
-    if which in ("bose", "all"):
-        chk = verify_bose_bounds(params, cfg["configs"], cfg["seed"],
-                                 n_workers=cfg["workers"])
-        checks["bose"] = {"violations": chk.violations,
-                          "n_samples": chk.n_samples,
-                          "worst_margin": chk.worst_margin,
-                          "verdict": "pass" if chk.passed else "fail"}
-        all_pass &= chk.passed
-        print(f"bose-sector bounds: {checks['bose']['verdict']} "
-              f"({chk.violations} violations in {chk.n_samples} configs)")
-    if which in ("gauge", "all"):
-        rep = verify_gauge_bounds(params, n_samples=cfg["samples"],
-                                  seed=cfg["seed"], n_workers=cfg["workers"],
-                                  block_size=cfg["block_size"])
-        checks["gauge"] = _report_payload(rep)
-        all_pass &= rep.passed
-        _print_report(rep)
-    if which in ("full", "all"):
-        rep = verify_full_model(params, cfg["samples"], cfg["seed"],
-                                n_workers=cfg["workers"],
-                                block_size=cfg["block_size"])
-        checks["full"] = _report_payload(rep)
-        all_pass &= rep.passed
-        _print_report(rep)
+    mc_args = {"n_workers": cfg["workers"], "block_size": cfg["block_size"]}
+    # The verifiers are looked up when a check runs, not when this table is
+    # built, so a caller that rebinds a module name sees its calls.
+    runs = {
+        "bose": lambda: report_sampled_check(
+            verify_bose_bounds(params, cfg["configs"], cfg["seed"],
+                               n_workers=cfg["workers"]), unit="configs"),
+        "gauge": lambda: report_bound(verify_gauge_bounds(
+            params, n_samples=cfg["samples"], seed=cfg["seed"], **mc_args)),
+        "full": lambda: report_bound(verify_full_model(
+            params, cfg["samples"], cfg["seed"], **mc_args)),
+    }
+    checks = {name: run() for name, run in runs.items()
+              if cfg["which"] in (name, "all")}
+    all_pass = all(chk["verdict"] == "pass" for chk in checks.values())
     consts = BoundConstants.for_params(params)
     payload = {"checks": checks,
                "rates": {"bose_upper": consts.bose_upper,
@@ -225,43 +209,51 @@ def run_verify_bounds(cfg):
     return payload, 0 if all_pass else 1
 
 
-def _report_payload(rep):
+def report_sampled_check(chk, unit="draws"):
+    """Print a SampledBoundCheck's verdict line and return its payload."""
+    payload = {"violations": chk.violations, "n_samples": chk.n_samples,
+               "worst_margin": chk.worst_margin,
+               "verdict": "pass" if chk.passed else "fail"}
+    print(f"{chk.name}: {payload['verdict']} ({chk.violations} violations "
+          f"in {chk.n_samples} {unit}, worst margin {chk.worst_margin:.3g})")
+    return payload
+
+
+def report_bound(rep):
+    """Print a BoundReport's verdict line and return its payload."""
+    print(f"{rep.name}: {rep.verdict} ({rep.method}, log value "
+          f"{rep.log_value:.6g} in [{rep.log_lower:.6g}, {rep.log_upper:.6g}], "
+          f"sigma_log {rep.std_error_log:.2g})")
     return {"log_value": rep.log_value, "log_lower": rep.log_lower,
             "log_upper": rep.log_upper, "std_error_log": rep.std_error_log,
             "n_samples": rep.n_samples, "method": rep.method,
             "verdict": rep.verdict}
 
 
-def _print_report(rep):
-    print(f"{rep.name}: {rep.verdict} (log value {rep.log_value:.6g} "
-          f"in [{rep.log_lower:.6g}, {rep.log_upper:.6g}], "
-          f"sigma_log {rep.std_error_log:.2g})")
+def _limit_table(sweep, csv_path):
+    """Write and print a LimitSweep's table; the payload's shared entries."""
+    rows = sweep.rows()
+    write_csv(csv_path, [sweep.parameter, "value", "target", "abs_err"], rows)
+    for v, val, target, err in rows:
+        print(f"{sweep.parameter}={v:<10g} value={val:.10g} "
+              f"target={target:.10g} abs_err={err:.3g}")
+    return {"results": list(sweep.results), "target": sweep.target,
+            "csv": str(csv_path)}
 
 
 def run_cue_gue(cfg):
     sweep = sweep_cue_gue(cfg["betas"], cfg["n"], action=cfg["action"])
     csv_path = cfg["csv"] or default_output_dir() / (
         f"cue-gue-n{cfg['n']}-{cfg['action']}.csv")
-    write_csv(csv_path, ["beta", "value", "target", "abs_err"], sweep.rows())
-    for beta, val, target, err in sweep.rows():
-        print(f"beta={beta:<10g} ratio={val:.10g} target={target:.10g} "
-              f"abs_err={err:.3g}")
-    payload = {"n": cfg["n"], "action": cfg["action"],
-               "betas": list(sweep.values), "results": list(sweep.results),
-               "target": sweep.target, "csv": str(csv_path)}
-    return payload, 0
+    return {"n": cfg["n"], "action": cfg["action"], "betas": list(sweep.values),
+            **_limit_table(sweep, csv_path)}, 0
 
 
 def run_d2_limit(cfg):
     sweep = sweep_d2_limit(cfg["a_values"], n=cfg["n"], g_sq=cfg["g_sq"])
     csv_path = cfg["csv"] or default_output_dir() / f"d2-limit-n{cfg['n']}.csv"
-    write_csv(csv_path, ["a", "value", "target", "abs_err"], sweep.rows())
-    for a, val, target, err in sweep.rows():
-        print(f"a={a:<10g} f={val:.10g} target={target:.10g} abs_err={err:.3g}")
-    payload = {"n": cfg["n"], "g_sq": cfg["g_sq"],
-               "a_values": list(sweep.values), "results": list(sweep.results),
-               "target": sweep.target, "csv": str(csv_path)}
-    return payload, 0
+    return {"n": cfg["n"], "g_sq": cfg["g_sq"], "a_values": list(sweep.values),
+            **_limit_table(sweep, csv_path)}, 0
 
 
 def run_su2_check(cfg):
@@ -337,7 +329,7 @@ COMMANDS = {
     "bose-exact": Command(
         "exact matter-sector determinant on a fixed gauge configuration",
         MODEL_OPTS + (
-            Opt("--gauge", "choice", "identity", "gauge configuration",
+            Opt("--gauge", "str", "identity", "gauge configuration",
                 ("identity", "random")),
             Opt("--seed", "int", 0, "seed for --gauge random")),
         run_bose_exact),
@@ -350,27 +342,27 @@ COMMANDS = {
     "verify-bounds": Command(
         "check partition values against their proved rate bounds",
         MODEL_OPTS + MC_OPTS + (
-            Opt("--which", "choice", "all", "which sector to verify",
+            Opt("--which", "str", "all", "which sector to verify",
                 ("bose", "gauge", "full", "all")),
             Opt("--configs", "int", 100,
                 "random gauge configurations for the matter-sector check")),
         run_verify_bounds),
     "cue-gue": Command(
         "sweep of the normalized one-bond value toward its Gaussian limit",
-        (Opt("--n", "int", 1, "matrix size N"),
-         Opt("--betas", "floats", (1e-1, 1e-2, 1e-3, 1e-4),
-             "comma list of inverse couplings"),
-         Opt("--action", "choice", "cosine", "integrand family",
-             ("cosine", "quadratic")),
-         Opt("--csv", "str", None, "CSV output path")),
+        _model_opts("n")
+        + (Opt("--betas", "floats", (1e-1, 1e-2, 1e-3, 1e-4),
+               "comma list of inverse couplings"),
+           Opt("--action", "str", "cosine", "integrand family",
+               ("cosine", "quadratic")),
+           Opt("--csv", "str", None, "CSV output path")),
         run_cue_gue),
     "d2-limit": Command(
         "sweep of the d = 2 normalized free energy toward its limit",
-        (Opt("--n", "int", 1, "matrix size N"),
-         Opt("--a-values", "floats", (1.0, 1e-1, 1e-2, 1e-3),
-             "comma list of lattice spacings"),
-         Opt("--g-sq", "float", 1.0, "gauge coupling g^2"),
-         Opt("--csv", "str", None, "CSV output path")),
+        _model_opts("n")
+        + (Opt("--a-values", "floats", (1.0, 1e-1, 1e-2, 1e-3),
+               "comma list of lattice spacings"),)
+        + _model_opts("g_sq")
+        + (Opt("--csv", "str", None, "CSV output path"),),
         run_d2_limit),
     "su2-check": Command(
         "SU(2) scaled one-bond value against its uniform bounds",
@@ -470,14 +462,16 @@ def main(argv=None):
         start = time.perf_counter()
         payload, code = spec.run(cfg)
         wall = time.perf_counter() - start
-        out = cfg.get("output")
-        stamp = utc_now_iso().replace(":", "").replace("+0000", "Z")
-        path = Path(out) if out else (
-            default_output_dir() / f"{command}-{stamp}.json")
         echo = {k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in cfg.items() if k not in ("config", "output")}
-        ResultRecord(command=command, config=echo, payload=payload,
-                     wall_time_s=wall).write(path)
+        record = ResultRecord(command=command, config=echo, payload=payload,
+                              wall_time_s=wall)
+        if cfg.get("output"):
+            path = record.write(cfg["output"])
+        else:  # the name holds the second: runs within one must not collide
+            stamp = utc_now_iso().replace(":", "").replace("+0000", "Z")
+            path = record.write(default_output_dir() / f"{command}-{stamp}.json",
+                                exclusive=True)
         print(f"record: {path}")
         return code
     except UsageError as exc:

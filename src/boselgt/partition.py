@@ -342,24 +342,32 @@ def complex_embedding_blocks(g):
     return m, np.real(l)
 
 
-def transfer_kernel_norm_complex(d_kappa_sq=0.5, theta=0.3, n_points=96,
-                                 x_max=9.0, rtol=1e-10, max_iter=500):
+# transfer_kernel_norm_complex: midpoint grid per axis, power-iteration stop.
+COMPLEX_KERNEL_POINTS = 96
+COMPLEX_KERNEL_X_MAX = 9.0
+COMPLEX_KERNEL_RTOL = 1e-10
+COMPLEX_KERNEL_MAX_ITER = 500
+
+
+def transfer_kernel_norm_complex(d_kappa_sq=0.5, theta=0.3):
     """Norm of the complex-field kernel for U(1), discretized on R^2.
 
     The field has two real components; the coupling rotates by theta.  The
     exact norm at d kappa^2 = 1/2 is 4 pi (the square of the real case).
 
-    The grid operator is n_points^2 square, far too large to materialize, but
-    the kernel factors into four one-axis coupling matrices
+    The grid operator is n_points^2 square (COMPLEX_KERNEL_POINTS per axis),
+    far too large to materialize, but the kernel factors into four one-axis
+    coupling matrices
 
         K(x, y) = f(x1) f(x2) prod_{ij} exp(t R_ij x_i y_j) f(y1) f(y2),
 
     so one matvec is two tensor contractions of O(n_points^3) memory.  The
     top singular value comes from power iteration on K^T K (K itself is not
-    symmetric for theta != 0), stopped at relative change rtol.
+    symmetric for theta != 0), stopped at relative change COMPLEX_KERNEL_RTOL.
     """
-    step = 2.0 * x_max / n_points
-    x = -x_max + step * (np.arange(n_points) + 0.5)
+    n_points = COMPLEX_KERNEL_POINTS
+    step = 2.0 * COMPLEX_KERNEL_X_MAX / n_points
+    x = -COMPLEX_KERNEL_X_MAX + step * (np.arange(n_points) + 0.5)
     rot = np.array([[np.cos(theta), -np.sin(theta)],
                     [np.sin(theta), np.cos(theta)]])
     t = d_kappa_sq
@@ -381,12 +389,12 @@ def transfer_kernel_norm_complex(d_kappa_sq=0.5, theta=0.3, n_points=96,
     v = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 8.0)
     v /= np.linalg.norm(v)
     sigma_sq_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(COMPLEX_KERNEL_MAX_ITER):
         w = apply_kernel(apply_kernel(v, False), True)
         sigma_sq = float(np.linalg.norm(w))
         v = w / sigma_sq
-        if abs(sigma_sq - sigma_sq_prev) <= rtol * sigma_sq:
+        if abs(sigma_sq - sigma_sq_prev) <= COMPLEX_KERNEL_RTOL * sigma_sq:
             return float(np.sqrt(sigma_sq))
         sigma_sq_prev = sigma_sq
     raise NumericError("power iteration for the complex kernel norm "
-                       f"did not converge in {max_iter} steps")
+                       f"did not converge in {COMPLEX_KERNEL_MAX_ITER} steps")

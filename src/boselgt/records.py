@@ -11,6 +11,7 @@ text recovers the double exactly.
 """
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -57,11 +58,27 @@ class ResultRecord:
     def to_dict(self):
         return asdict(self)
 
-    def write(self, path):
+    def write(self, path, exclusive=False):
+        """Write the record to path and return the path written.
+
+        exclusive never replaces a file: if path exists, the record goes to
+        the first free <stem>-2<suffix>, <stem>-3<suffix>, ..., each created
+        exclusively, so concurrent writers cannot take the same name.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return path
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        if not exclusive:
+            path.write_text(text)
+            return path
+        target = path
+        for i in itertools.count(2):
+            try:
+                with open(target, "x") as fh:
+                    fh.write(text)
+                return target
+            except FileExistsError:
+                target = path.with_name(f"{path.stem}-{i}{path.suffix}")
 
     @classmethod
     def load(cls, path):

@@ -7,6 +7,7 @@ exercised the way a shell user hits them.
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -58,6 +59,29 @@ def test_default_record_path_uses_env_dir(tmp_path, capsys, monkeypatch):
     assert len(written) == 1
     assert stdout.rstrip().endswith(str(written[0]))
     read_record(written[0])
+
+
+def test_default_record_names_never_collide(tmp_path, capsys, monkeypatch):
+    # Default names hold the time to the second; freeze it so two runs clash.
+    monkeypatch.setenv("BOSELGT_OUTPUT_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "utc_now_iso", lambda: "2026-01-02T03:04:05+00:00")
+    stem = tmp_path / "lattice-info-2026-01-02T030405Z"
+    for L, path in ((2, Path(f"{stem}.json")), (3, Path(f"{stem}-2.json"))):
+        code, stdout, _ = run_cli(["lattice-info", "--L", L], capsys)
+        assert code == 0
+        assert stdout.rstrip().endswith(f"record: {path}")
+    assert sorted(tmp_path.iterdir()) == [Path(f"{stem}-2.json"),
+                                          Path(f"{stem}.json")]
+    assert read_record(Path(f"{stem}.json")).payload["n_sites"] == 4
+    assert read_record(Path(f"{stem}-2.json")).payload["n_sites"] == 9
+
+
+def test_explicit_output_is_overwritten(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    for L in (2, 3):
+        assert run_cli(["lattice-info", "--L", L, "--output", out], capsys)[0] == 0
+    assert list(tmp_path.iterdir()) == [out]
+    assert read_record(out).payload["n_sites"] == 9
 
 
 def test_z_bond_matches_library_value(tmp_path, capsys):
@@ -394,6 +418,18 @@ def test_verify_bounds_small_model_passes(tmp_path, capsys):
     assert payload["checks"]["full"]["verdict"] == "pass"
     assert payload["rates"]["gauge_lower"] < payload["rates"]["gauge_upper"]
     assert "overall: pass" in stdout
+
+
+def test_verify_bounds_bose_line_shows_the_worst_margin(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    code, stdout, _ = run_cli(
+        ["verify-bounds", "--which", "bose", "--d", 2, "--L", 3,
+         "--configs", 20, "--output", out], capsys)
+    assert code == 0
+    bose = read_record(out).payload["checks"]["bose"]
+    assert bose["worst_margin"] > 0.0
+    assert (f"bose-sector bounds: pass (0 violations in 20 configs, "
+            f"worst margin {bose['worst_margin']:.3g})") in stdout
 
 
 @pytest.mark.parametrize("which,d,verify", [
