@@ -25,6 +25,10 @@ unitary
 which is how the action is evaluated: a sum of squares, never negative and
 free of the cancellation in 2(N - Re tr hol) near the identity, where small
 lattice spacing puts every plaquette.  Per plaquette it lies in [0, 4N].
+The kernel takes the flattened lead (sample) axes in slices of about
+8192 / n_plaq samples (haar.lead_slices), so each temporary entry plane
+holds about 8192 complex entries (128 KiB) and the memory it needs beyond
+its output stays the same whatever the batch size.
 
 A gauge configuration is a plain complex bond array of shape
 lead + (n_bonds, N, N), one matrix per bond; random ones come from
@@ -44,7 +48,7 @@ import numpy as np
 from .errors import UsageError
 # haar_sample is not called here: perfbench/spans.py rebinds it in this
 # module, and its Tracer.rebind fails on a missing name.
-from .haar import check_group, haar_sample
+from .haar import check_group, haar_sample, lead_slices
 from .lattice import GaugeFixing, Lattice, coupling, require_positive
 
 FIELD_KINDS = ("real", "complex")
@@ -150,53 +154,36 @@ def field_transform(field, site_unitaries):
 
 # ------------------------------------------------------------------ actions
 
-def _half_products(lattice, bonds):
-    """A = g1 g2 and B = g4 g3 per plaquette as entry planes.
-
-    Each is an N x N nested list whose entry [i][k] has shape
-    (..., n_plaq); the products run entry by entry, vectorised over the
-    lead axes and plaquettes, so no per-matrix matmul loop is involved.
-    """
-    # Entry planes first, (N, N, ..., n_bonds), contiguous so that each
-    # gathered plane g[i, j] is too.
-    planes = np.ascontiguousarray(np.moveaxis(bonds, (-2, -1), (0, 1)))
-    g1, g2, g3, g4 = (np.take(planes, lattice.plaq_bonds[:, c], axis=-1)
-                      for c in range(4))
-    n = bonds.shape[-1]
-
-    def product(x, y):
-        out = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                acc = x[i, 0] * y[0, k]
-                for j in range(1, n):
-                    acc += x[i, j] * y[j, k]
-                row.append(acc)
-            out.append(row)
-        return out
-
-    return product(g1, g2), product(g4, g3)
-
-
-def plaquette_holonomies(lattice, bonds):
-    """Holonomy A B^dag per plaquette for bonds of shape (..., n_bonds, N, N)."""
-    a, b = _half_products(lattice, bonds)
-    n = len(a)
-    hol = [[sum(a[i][j] * np.conj(b[k][j]) for j in range(n)) for k in range(n)]
-           for i in range(n)]
-    return np.moveaxis(np.array(hol), (0, 1), (-2, -1))
-
-
 def plaquette_actions(lattice, bonds):
-    """|1 - hol|_HS^2 = |g1 g2 - g4 g3|_F^2 per plaquette, shape (..., n_plaq)."""
-    a, b = _half_products(lattice, bonds)
-    total = 0.0
-    for row_a, row_b in zip(a, b):
-        for x, y in zip(row_a, row_b):
-            x -= y
-            total = total + (x.real * x.real + x.imag * x.imag)
-    return total
+    """|1 - hol|_HS^2 = |g1 g2 - g4 g3|_F^2 per plaquette, shape (..., n_plaq).
+
+    The bonds are moved to entry planes (N, N, samples, n_bonds), the four
+    corners gathered with np.take, and the half-plaquette products
+    A = g1 g2 and B = g4 g3 formed entry by entry, vectorised over samples
+    and plaquettes, so no per-matrix matmul loop is involved.  The lead axes
+    are flattened and taken in slices of about _SLICE_ENTRIES // n_plaq
+    samples (haar.lead_slices), each written into one preallocated output.
+    """
+    pb = lattice.plaq_bonds
+    n = bonds.shape[-1]
+    flat = bonds.reshape((-1,) + bonds.shape[-3:])
+    out = np.empty((len(flat), len(pb)))
+    for s in lead_slices(len(flat), len(pb)):
+        # Contiguous so that each gathered plane g[i, j] is too.
+        planes = np.ascontiguousarray(np.moveaxis(flat[s], (-2, -1), (0, 1)))
+        g1, g2, g3, g4 = (np.take(planes, pb[:, c], axis=-1) for c in range(4))
+        total = 0.0
+        for i in range(n):
+            for k in range(n):
+                x = g1[i, 0] * g2[0, k]
+                y = g4[i, 0] * g3[0, k]
+                for j in range(1, n):
+                    x += g1[i, j] * g2[j, k]
+                    y += g4[i, j] * g3[j, k]
+                x -= y
+                total = total + (x.real * x.real + x.imag * x.imag)
+        out[s] = total
+    return out.reshape(bonds.shape[:-3] + (len(pb),))
 
 
 def wilson_action(params, bonds):

@@ -10,13 +10,19 @@ without that the library's sign convention biases the distribution.
 Gram-Schmidt gives a positive diagonal by construction.  Each column is
 projected twice against the earlier ones, which keeps Q unitary to round-off
 (classical Gram-Schmidt with one re-orthogonalisation pass).  The loops run
-over the N^2 matrix entries, each vectorised over all samples, so no
-per-matrix LAPACK call is made.  SU(2) samples are uniform points on the
-unit 3-sphere (su2.su2_haar) turned into matrices, with no determinant.
-SU(N >= 3) samples divide the determinant, one LU per matrix, out of one
-row, which pushes Haar on U(N) forward to Haar on SU(N) because right
-translation by special unitaries commutes with the map.  haar_sample is the
-one sampler of bond matrices for every group, and angle_norm_sq reads the
+over the N^2 matrix entries, each vectorised over a slice of about 8192 / N
+matrices (lead_slices, shared with actions.plaquette_actions), so no
+per-matrix LAPACK call is made.  The real and imaginary Gaussian draws are
+taken for the whole batch, so the random stream does not depend on slicing,
+and with the output they are the only batch-sized arrays: the memory beyond
+the output is the draws' (as many bytes as the output) plus slice planes of
+about 128 KiB each.  SU(2) samples are uniform points on the unit 3-sphere
+(su2.su2_haar) turned into matrices, with no determinant.  SU(N >= 3)
+samples divide the determinant out of one row, which pushes Haar on U(N)
+forward to Haar on SU(N) because right translation by special unitaries
+commutes with the map; for N = 3 the determinant is the triple product of
+the entry planes, for N >= 4 one LU per matrix.  haar_sample is the one
+sampler of bond matrices for every group, and angle_norm_sq reads the
 eigenvalue angles of its matrices back (the plaquette-bound checks use it).
 
 Class-function integrals reduce to the eigenvalue angles.  For U(N) the
@@ -45,6 +51,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericError, QuadratureError, UsageError
 from .su2 import su2_angle_norm_sq, su2_haar, su2_to_matrix
+
+# Entries per temporary plane of the sliced gauge kernels (128 KiB complex),
+# the largest that stayed fast: 16384 ran U(2)/SU(2) plaquettes ~1.5x slower.
+_SLICE_ENTRIES = 8192
 
 MAX_ANGLE_AXES_N = 3  # eigenvalue quadrature refuses N >= 4 (cost blows up)
 
@@ -80,13 +90,20 @@ def check_group(kind, n):
 
 # ---------------------------------------------------------------- sampling
 
+def lead_slices(m, width):
+    """Slices covering range(m), each of about _SLICE_ENTRIES // width items."""
+    step = max(1, _SLICE_ENTRIES // width)
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
 def haar_sample(rng, n, kind="U", size=()):
     """Haar-distributed matrices of shape size + (n, n).
 
     kind "U" or "SU".  SU(2) comes from quaternions.  Otherwise the
-    Gaussian columns are orthonormalised by Gram-Schmidt with one
-    re-orthogonalisation pass, entry by entry over the whole batch; for
-    U(1) that is normalizing one complex Gaussian.
+    Gaussian columns, drawn for the whole batch, are orthonormalised by
+    Gram-Schmidt with one re-orthogonalisation pass, entry by entry over
+    slices of the batch (lead_slices); for U(1) that is normalizing one
+    complex Gaussian.
     """
     check_group(kind, n)
     if kind == "SU" and n == 2:
@@ -95,27 +112,33 @@ def haar_sample(rng, n, kind="U", size=()):
     if n == 1:
         z = rng.standard_normal(shape + (1, 1)) + 1j * rng.standard_normal(shape + (1, 1))
         return z / np.abs(z)
-    z = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
-    q = np.empty_like(z)
-    done = []   # finished columns and their conjugates, one plane per row
-    for k in range(n):
-        col = [z[..., i, k].copy() for i in range(n)]
-        for _ in range(2):
-            for u, conj_u in done:
-                c = conj_u[0] * col[0]
-                for i in range(1, n):
-                    c += conj_u[i] * col[i]
-                for i in range(n):
-                    col[i] -= c * u[i]
-        norm = np.sqrt(sum(x.real * x.real + x.imag * x.imag for x in col))
-        for i, x in enumerate(col):
-            x /= norm
-            q[..., i, k] = x
-        done.append((col, [np.conj(x) for x in col]))
-    if kind == "SU":
-        det = np.linalg.det(q)
-        q[..., 0, :] = q[..., 0, :] * np.conj(det)[..., None]
-    return q
+    re = rng.standard_normal(shape + (n, n)).reshape(-1, n, n)
+    im = rng.standard_normal(shape + (n, n)).reshape(-1, n, n)
+    q = np.empty(re.shape, dtype=complex)
+    for s in lead_slices(len(q), n):
+        done = []   # finished columns and their conjugates, one plane per row
+        for k in range(n):
+            col = [re[s, i, k] + 1j * im[s, i, k] for i in range(n)]
+            for _ in range(2):
+                for u, conj_u in done:
+                    c = conj_u[0] * col[0]
+                    for i in range(1, n):
+                        c += conj_u[i] * col[i]
+                    for i in range(n):
+                        col[i] -= c * u[i]
+            norm = np.sqrt(sum(x.real * x.real + x.imag * x.imag for x in col))
+            for i, x in enumerate(col):
+                x /= norm
+                q[s, i, k] = x
+            done.append((col, [np.conj(x) for x in col]))
+        if kind == "SU":
+            if n == 3:
+                (a, d, g), (b, e, h), (c, f, i) = (col for col, _ in done)
+                det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+            else:
+                det = np.linalg.det(q[s])
+            q[s, 0, :] = q[s, 0, :] * np.conj(det)[:, None]
+    return q.reshape(shape + (n, n))
 
 
 def angle_norm_sq(mats, kind):

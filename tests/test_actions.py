@@ -2,14 +2,17 @@
 
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from boselgt import haar
 from boselgt.actions import (FIELD_KINDS, ModelParams, ScalingFactors,
                              bose_action, bose_action_unscaled,
                              field_transform, gauge_transform,
                              identity_bonds, plaquette_actions,
-                             plaquette_holonomies, wilson_action)
+                             wilson_action)
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample
 from boselgt.su2 import (su2_exp, su2_inverse, su2_mul, su2_plaquette_action,
@@ -104,8 +107,6 @@ def test_u1_holonomy_signs():
     for b, t in zip((b1, b2, b3, b4), theta):
         bonds[b, 0, 0] = np.exp(1j * t)
     total = theta[0] + theta[1] - theta[2] - theta[3]
-    hol = plaquette_holonomies(lat, bonds)[0, 0, 0]
-    assert hol == pytest.approx(np.exp(1j * total), rel=1e-14)
     act = plaquette_actions(lat, bonds)[0]
     assert act == pytest.approx(2.0 * (1.0 - np.cos(total)), rel=1e-13)
 
@@ -126,13 +127,58 @@ def test_plaquette_kernel_matches_matmul_chain(n, kind, lead):
     bonds = haar_sample(rng, n, kind=kind, size=lead + (lat.n_bonds,))
     hol = _matmul_chain(lat, bonds)
     expect = 2.0 * (n - np.real(np.trace(hol, axis1=-2, axis2=-1)))
-    got_hol = plaquette_holonomies(lat, bonds)
     got = plaquette_actions(lat, bonds)
-    assert got_hol.shape == lead + (lat.n_plaquettes, n, n)
     assert got.shape == lead + (lat.n_plaquettes,)
-    assert np.max(np.abs(got_hol - hol)) < 1e-13
     assert np.max(np.abs(got - expect)) < 1e-13
 
+
+
+@pytest.mark.parametrize("d,L", [(2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("n,kind", [(1, "U"), (2, "U"), (2, "SU"), (3, "U")])
+@pytest.mark.parametrize("lead", [(), (7,), (3, 5), (1000,)])
+def test_plaquette_slices_match_one_slice(monkeypatch, d, L, n, kind, lead):
+    # Slices of 6 samples: several per batch, and a ragged last one for
+    # every lead but ().
+    lat = ModelParams(d=d, L=L).lattice
+    bonds = haar_sample(np.random.default_rng(d + 10 * n), n, kind=kind,
+                        size=lead + (lat.n_bonds,))
+    monkeypatch.setattr(haar, "_SLICE_ENTRIES", 10**12)
+    whole = plaquette_actions(lat, bonds)
+    monkeypatch.setattr(haar, "_SLICE_ENTRIES", 6 * lat.n_plaquettes)
+    assert np.array_equal(plaquette_actions(lat, bonds), whole)
+
+
+def _traced_peak_beyond_output(fn):
+    """Peak memory numpy allocates during fn() minus the bytes it returns."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes, out.nbytes
+
+
+def test_plaquette_kernel_memory_does_not_grow_with_the_batch():
+    lat = ModelParams(d=3, L=3).lattice
+    extra = []
+    for samples in (2048, 16384):
+        bonds = haar_sample(np.random.default_rng(5), 2,
+                            size=(samples, lat.n_bonds))
+        extra.append(_traced_peak_beyond_output(
+            lambda: plaquette_actions(lat, bonds))[0])
+    assert max(extra) <= 2.0 * min(extra), extra
+
+
+@pytest.mark.parametrize("samples", [2048, 16384])
+def test_haar_sample_memory_is_the_draws_alone(samples):
+    # The whole-batch Gaussian draws fix the reproducible stream; beyond
+    # them and the output, only slice-sized planes are allowed.
+    n_bonds = ModelParams(d=3, L=3).lattice.n_bonds
+    extra, out = _traced_peak_beyond_output(
+        lambda: haar_sample(np.random.default_rng(5), 2,
+                            size=(samples, n_bonds)))
+    assert extra <= 1.5 * out, (extra, out)
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
 def test_plaquette_action_keeps_precision_near_identity(eps):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boselgt import haar
 from boselgt.errors import UsageError
 from boselgt.haar import (angle_norm_sq, cue_density, cue_density_vandermonde,
                           cue_norm, gue_density, gue_integral, gue_norm,
@@ -55,6 +56,18 @@ def test_haar_sample_is_phase_fixed_qr_of_the_same_gaussians(n, kind, size):
     assert u.shape == size + (n, n)
     assert np.max(np.abs(u - _phase_fixed_qr(seed, n, kind, size))) < 1e-12
 
+
+@pytest.mark.parametrize("n,kind", [(2, "U"), (3, "U"), (3, "SU")])
+def test_haar_sample_slices_match_one_slice(monkeypatch, n, kind):
+    # 91 matrices in slices of 8 (N = 2) or 5 (N = 3): the last is ragged.
+    def draw(budget):
+        monkeypatch.setattr(haar, "_SLICE_ENTRIES", budget)
+        return haar_sample(np.random.default_rng(43), n, kind=kind, size=(13, 7))
+
+    whole = draw(10**12)
+    sliced = draw(16)
+    assert len(haar.lead_slices(91, n)) > 2 and 91 % (16 // n) != 0
+    assert np.array_equal(sliced, whole)
 
 @pytest.mark.parametrize("size", [(), (9,), (4, 6)])
 def test_su2_haar_sample_is_the_quaternion_route(size):
