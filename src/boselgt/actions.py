@@ -78,10 +78,9 @@ class ModelParams:
         if not 0.0 < self.g_sq <= self.g0_sq:
             raise UsageError(
                 f"g^2 must lie in (0, g0^2] = (0, {self.g0_sq}], got {self.g_sq}")
-        if self.m_u < 0.0:
-            raise UsageError(f"bare mass must be >= 0, got {self.m_u}")
-        if self.kappa_u_sq < 0.0:
-            raise UsageError(f"bare hopping must be >= 0, got {self.kappa_u_sq}")
+        for value, what in ((self.m_u, "bare mass"), (self.kappa_u_sq, "bare hopping")):
+            if not 0.0 <= value < np.inf:  # NaN fails too
+                raise UsageError(f"{what} must be finite and >= 0, got {value}")
         if self.kappa_u_sq == 0.0 and self.m_u == 0.0:
             raise UsageError("kappa_u^2 and m_u cannot both vanish")
         if self.n_flavors < 1:

@@ -18,8 +18,7 @@ and in g^2 <= g0^2:
 
 with I the truncated Gaussian Vandermonde integral (gue_integral) and
 I(inf) = gue_norm(N).  The upper constants are not the sharpest available,
-but they are valid and are the ones asserted; the d = 2 direct check below
-also verifies the sharper (pi/2)^{N^2} I(inf)/cue_norm form per bond.
+but they are valid and are the ones asserted.
 
 Monte Carlo verdicts use a three-sigma window: pass when the window lies
 inside the bounds, fail when it lies strictly outside, inconclusive when it
@@ -44,9 +43,12 @@ from .haar import (angle_norm_sq, check_group, cue_density, cue_density_vandermo
                    cue_norm, gue_density, gue_integral, gue_norm, haar_sample)
 from .lattice import Lattice, check_dimension, n_retained_bonds, require_positive
 from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
-                        z_single_bond, z_wilson_d2_exact, z_wilson_mc)
-from .su2 import (su2_angle, su2_bound_constants, su2_haar, su2_haar_density,
-                  su2_plaquette_action)
+                        z_wilson_d2_exact, z_wilson_mc)
+from .su2 import su2_bound_constants, su2_haar_density
+# su2_haar and z_single_bond are not called here: perfbench/spans.py rebinds
+# them in this module, and its Tracer.rebind fails on a missing name.
+from .partition import z_single_bond
+from .su2 import su2_haar
 
 DETERMINISTIC_LOG_RTOL = 1e-8
 BOSE_BLOCK_SIZE = 32  # configurations per draw window of the Bose check
@@ -101,7 +103,6 @@ def gauge_rate_bounds(kind, n, d, g0_sq=4.0):
 class BoundConstants:
     """All rates for one parameter set, plus the combined full-model rates."""
 
-    d: int
     bose_lower: float
     bose_upper: float
     gauge_lower: float
@@ -111,7 +112,7 @@ class BoundConstants:
     def for_params(cls, params):
         g_lo, g_up = gauge_rate_bounds(params.kind, params.n, params.d, params.g0_sq)
         return cls(
-            d=params.d, bose_lower=0.0,
+            bose_lower=0.0,
             bose_upper=bose_upper_rate(params.n, params.L, params.field_kind),
             gauge_lower=g_lo, gauge_upper=g_up)
 
@@ -124,12 +125,6 @@ class BoundConstants:
         ratio = n_retained_bonds(lattice.d, lattice.L) / lattice.n_sites
         return (self.bose_lower + self.gauge_lower * ratio,
                 self.bose_upper + self.gauge_upper * ratio)
-
-    def combined_rates_uniform(self):
-        """L-independent majorant rates: Lr/Ls < d, so the gauge rate is
-        scaled by d with the sign kept on the safe side."""
-        return (self.bose_lower + self.d * min(self.gauge_lower, 0.0),
-                self.bose_upper + self.d * max(self.gauge_upper, 0.0))
 
 
 # ----------------------------------------------------------------- reports
@@ -276,31 +271,6 @@ def verify_gauge_bounds(params, n_samples=200_000, seed=0, n_workers=1,
         consts.gauge_lower * n_ret, consts.gauge_upper * n_ret)
 
 
-def d2_bond_upper_checks(params):
-    """Direct one-bond inequalities for d = 2: scaled z against two constants.
-
-    Returns (scaled_value, literal_constant, sharp_constant); the scaled
-    value must not exceed either.  The sharp constant is
-    (pi/2)^{N^2} gue_norm/cue_norm, the literal one replaces pi/2 by
-    pi^2/2 and is therefore much looser.  Both are U(N) constants, so SU
-    raises UsageError; SU(2) has su2.su2_bounds_check.
-    """
-    if params.d != 2:
-        raise UsageError(f"d = 2 only, got d = {params.d}")
-    if params.kind != "U":
-        raise UsageError(
-            f"the d = 2 one-bond constants are for U(N), got {params.kind}({params.n}); "
-            "su2_bounds_check covers SU(2)")
-    n = params.n
-    c = params.scaling.coupling
-    z = z_single_bond(c, n, kind=params.kind)
-    scaled = c ** (n * n / 2.0) * z
-    ratio = gue_norm(n) / cue_norm(n)
-    literal = (np.pi**2 / 2.0) ** (n * n) * ratio
-    sharp = (np.pi / 2.0) ** (n * n) * ratio
-    return float(scaled), float(literal), float(sharp)
-
-
 # ---------------------------------------------------- full-model verifier
 
 def verify_full_model(params, n_samples, seed, n_workers=1,
@@ -378,11 +348,17 @@ def elementary_inequality_suite(n_draws, seed, n_workers=1,
       c) angle density <= squared Vandermonde      (everywhere)
       d) angle density >= (4/pi^2)^{N(N-1)/2} *
          squared Vandermonde on max|l| <= pi/2     (box lower bound)
-      e) SU(2): 4 (1 - w0) <= 2 theta^2 <= 8 theta^2 and Haar radial
-         density between (2/pi)^2/(2 pi^2) and 1/(2 pi^2) on theta <= pi/2.
+      e) SU(2), one Haar bond on the plaquette of the d = 2, L = 2 lattice:
+         plaquette action <= |lam|^2 = 2 theta^2 and <= 8, and the Haar
+         radial density between (2/pi)^2/(2 pi^2) and 1/(2 pi^2) on
+         theta <= pi/2.  The action is plaquette_actions and the angle
+         haar.angle_norm_sq, as in check_plaquette_quadratic.
     Each comparison contributes its own slack array under its key, in the
     units of the compared quantity.  Returns a dict name -> SampledBoundCheck.
     """
+    lat = Lattice(d=2, L=2)
+    haar_bond = lat.plaq_bonds[0, 0]
+
     def block(rng, count):
         slack = {"upper-quadratic": [], "lower-quadratic": [],
                  "density-upper": [], "density-lower": [], "su2-pointwise": []}
@@ -407,13 +383,16 @@ def elementary_inequality_suite(n_draws, seed, n_workers=1,
                 factor = (4.0 / np.pi**2) ** (n * (n - 1) / 2.0)
                 slack["density-lower"].append(
                     rho_box * (1 + 1e-12) - factor * hat_box)
-        pts = su2_haar(rng, count)
-        theta = su2_angle(pts)
-        act = su2_plaquette_action(pts)
+        mats = haar_sample(rng, 2, kind="SU", size=count)
+        bonds = identity_bonds(2, (count, lat.n_bonds))
+        bonds[:, haar_bond] = mats
+        act = plaquette_actions(lat, bonds)[:, 0]
+        norm_sq = angle_norm_sq(mats, "SU")
+        theta = np.sqrt(norm_sq / 2.0)
         half = theta <= np.pi / 2.0
         dens = su2_haar_density(theta[:, None])
         slack["su2-pointwise"] += [
-            2.0 * theta * theta * (1 + 1e-12) - act,
+            norm_sq * (1 + 1e-12) - act,
             8.0 - act,
             1.0 / (2.0 * np.pi**2) * (1 + 1e-12) - dens,
             dens[half] * (1 + 1e-12) - (2.0 / np.pi) ** 2 / (2.0 * np.pi**2)]

@@ -85,19 +85,7 @@ class Lattice:
     def n_plaquettes(self):
         return comb(self.d, 2) * self.L ** (self.d - 2) * (self.L - 1) ** 2
 
-    # ---- site indexing ----
-
-    def site_index(self, coords):
-        """Dense index of a 1-based coordinate tuple (lexicographic order)."""
-        coords = np.asarray(coords)
-        if coords.shape[-1] != self.d:
-            raise ValueError(f"expected {self.d} coordinates, got {coords.shape[-1]}")
-        if np.any(coords < 1) or np.any(coords > self.L):
-            raise ValueError(f"coordinates must lie in 1..{self.L}")
-        idx = np.zeros(coords.shape[:-1], dtype=np.int64)
-        for k in range(self.d):
-            idx = idx * self.L + (coords[..., k] - 1)
-        return idx if idx.ndim else int(idx)
+    # ---- sites ----
 
     @cached_property
     def site_coords(self):
@@ -131,14 +119,6 @@ class Lattice:
         """Site index each bond points to, shape (n_bonds,)."""
         return self._bond_arrays[2]
 
-    def bond_index(self, coords, mu):
-        """Bond id for the forward bond at 1-based coords in direction mu."""
-        table = self._bond_arrays[3]
-        b = int(table[self.site_index(coords), mu])
-        if b < 0:
-            raise ValueError(f"no forward bond in direction {mu} at {tuple(coords)}")
-        return b
-
     # ---- plaquettes ----
 
     @cached_property
@@ -155,26 +135,12 @@ class Lattice:
         return site, mu, nu, bonds
 
     @property
-    def plaq_mu(self):
-        return self._plaq_arrays[1]
-
-    @property
     def plaq_bonds(self):
         """Bond ids (b1, b2, b3, b4) per plaquette, shape (n_plaquettes, 4).
 
         The holonomy is g[b1] g[b2] g[b3]^{-1} g[b4]^{-1}.
         """
         return self._plaq_arrays[3]
-
-    def horizontal_plaquettes(self):
-        """Indices of plaquettes not involving direction 0 (empty for d=2)."""
-        return np.nonzero(self.plaq_mu >= 1)[0]
-
-    def bond_plaquette_incidence(self):
-        """Number of plaquettes each bond borders; at most 2(d-1)."""
-        counts = np.zeros(self.n_bonds, dtype=np.int64)
-        np.add.at(counts, self.plaq_bonds.ravel(), 1)
-        return counts
 
 
 def _union_find_spanning(n_sites, tails, heads):

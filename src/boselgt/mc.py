@@ -22,7 +22,12 @@ _BLOCK_STRIDE = 1 << 40
 
 
 def block_rng(seed, block_index):
-    """Generator for one block: Philox keyed by seed, counter offset by block."""
+    """Generator for one block: Philox keyed by seed, counter offset by block.
+
+    The seed is the 128-bit Philox key, so it must lie in [0, 2^128).
+    """
+    if not 0 <= seed < 1 << 128:
+        raise UsageError(f"seed must lie in [0, 2^128), got {seed}")
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(block_index * _BLOCK_STRIDE)
     return np.random.Generator(bitgen)

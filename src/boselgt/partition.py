@@ -1,5 +1,5 @@
-"""Partition values: exact Bose determinants, gauge Monte Carlo, one-bond
-integrals, and the transfer-kernel (chain) constructions.
+"""Partition values: exact Bose determinants, gauge Monte Carlo and one-bond
+integrals.
 
 All Gaussian integrals use the measure with a factor (2 pi)^{-1/2} per real
 field component, so a decoupled site integrates to exactly 1 and the Bose
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mc
-from .actions import identity_bonds, plaquette_actions
+from .actions import identity_bonds, wilson_action
 from .errors import NotPositiveDefiniteError, NumericError, UsageError
 from .haar import check_group, haar_sample, peaked_cue_integral
 from .lattice import require_positive
@@ -214,15 +214,12 @@ def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
         active = params.gauge_fixing.retained_bonds
     else:
         active = np.arange(lat.n_bonds)
-    coupling = params.scaling.coupling
-    n = params.n
 
     def block(rng, count):
-        bonds = identity_bonds(n, (count, lat.n_bonds))
-        bonds[:, active] = haar_sample(rng, n, kind=params.kind,
+        bonds = identity_bonds(params.n, (count, lat.n_bonds))
+        bonds[:, active] = haar_sample(rng, params.n, kind=params.kind,
                                        size=(count, len(active)))
-        action = coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
-        return np.exp(-action)
+        return np.exp(-wilson_action(params, bonds))
 
     moments = mc.sample_mean(block, n_samples, seed,
                              n_workers=n_workers, block_size=block_size)
@@ -276,125 +273,3 @@ def z_wilson_d2_exact(params):
     n_ret = params.gauge_fixing.n_retained
     return Estimate.exact(n_ret * float(np.log(z)), method="quadrature")
 
-
-# ----------------------------------------------------- chain and kernels
-
-def chain_partition(length, n, d, gauge_list=None, kappa_sq=None):
-    """Gaussian chain value det(1 - d kappa^2 A)^{-1/2} on an open line.
-
-    A is the symmetrized adjacency with one orthogonal block per link (the
-    identity when gauge_list is None).  The value does not depend on the
-    gauge blocks at all, which is asserted cheaply via the similarity
-    transform structure in the tests.  kappa_sq defaults to the massless
-    hopping 1/(2d); the closed form for length 2, N = 1 is
-    (1 - d^2 kappa^4)^{-1/2}.
-    """
-    if length < 2:
-        raise UsageError(f"chain length must be >= 2, got {length}")
-    if kappa_sq is None:
-        kappa_sq = 1.0 / (2.0 * d)
-    if gauge_list is None:
-        gauge_list = [np.eye(n)] * (length - 1)
-    if len(gauge_list) != length - 1:
-        raise ValueError(f"need {length - 1} gauge blocks, got {len(gauge_list)}")
-    for g in gauge_list:
-        if np.shape(g) != (n, n):
-            raise ValueError(f"gauge blocks must be {n} x {n}, got {np.shape(g)}")
-    links = np.arange(length - 1)
-    hops = d * kappa_sq * np.asarray(gauge_list, dtype=float)
-    ab = _banded_form(length, n, links, links + 1, hops)
-    logdet = logdet_posdef(ab, context="chain quadratic form")
-    return float(np.exp(-0.5 * logdet))
-
-
-def transfer_kernel_matrix(d_kappa_sq=0.5, g=1.0, n_points=512, x_max=8.0):
-    """Symmetrized discretization of the one-bond transfer kernel (N = 1 real).
-
-    T(x, y) = e^{-x^2/4} e^{d kappa^2 x g y} e^{-y^2/4} on [-x_max, x_max],
-    midpoint grid, scaled by the cell width so singular values approximate
-    the L2(R) operator norm.  At d kappa^2 = 1/2 and g = 1 the kernel is
-    e^{-(x-y)^2/4} whose exact norm is sqrt(4 pi).
-    """
-    step = 2.0 * x_max / n_points
-    x = -x_max + step * (np.arange(n_points) + 0.5)
-    kernel = np.exp(-x[:, None] ** 2 / 4.0
-                    + d_kappa_sq * g * x[:, None] * x[None, :]
-                    - x[None, :] ** 2 / 4.0)
-    return step * kernel
-
-
-def transfer_kernel_norm(d_kappa_sq=0.5, g=1.0, n_points=512, x_max=8.0):
-    """Largest singular value of the discretized one-bond kernel."""
-    k = transfer_kernel_matrix(d_kappa_sq, g, n_points, x_max)
-    return float(np.linalg.norm(k, ord=2))
-
-
-def complex_embedding_blocks(g):
-    """(M, L) for a unitary g: M = [[g, ig], [-ig, g]] and L = M + conj(M).
-
-    L is real and equals twice the real embedding [[Re g, -Im g], [Im g,
-    Re g]], which is orthogonal, so L^T L = 4 * identity; the tests assert
-    this numerically for random unitaries.
-    """
-    g = np.asarray(g, dtype=complex)
-    m = np.block([[g, 1j * g], [-1j * g, g]])
-    l = m + np.conj(m)
-    return m, np.real(l)
-
-
-# transfer_kernel_norm_complex: midpoint grid per axis, power-iteration stop.
-COMPLEX_KERNEL_POINTS = 96
-COMPLEX_KERNEL_X_MAX = 9.0
-COMPLEX_KERNEL_RTOL = 1e-10
-COMPLEX_KERNEL_MAX_ITER = 500
-
-
-def transfer_kernel_norm_complex(d_kappa_sq=0.5, theta=0.3):
-    """Norm of the complex-field kernel for U(1), discretized on R^2.
-
-    The field has two real components; the coupling rotates by theta.  The
-    exact norm at d kappa^2 = 1/2 is 4 pi (the square of the real case).
-
-    The grid operator is n_points^2 square (COMPLEX_KERNEL_POINTS per axis),
-    far too large to materialize, but the kernel factors into four one-axis
-    coupling matrices
-
-        K(x, y) = f(x1) f(x2) prod_{ij} exp(t R_ij x_i y_j) f(y1) f(y2),
-
-    so one matvec is two tensor contractions of O(n_points^3) memory.  The
-    top singular value comes from power iteration on K^T K (K itself is not
-    symmetric for theta != 0), stopped at relative change COMPLEX_KERNEL_RTOL.
-    """
-    n_points = COMPLEX_KERNEL_POINTS
-    step = 2.0 * COMPLEX_KERNEL_X_MAX / n_points
-    x = -COMPLEX_KERNEL_X_MAX + step * (np.arange(n_points) + 0.5)
-    rot = np.array([[np.cos(theta), -np.sin(theta)],
-                    [np.sin(theta), np.cos(theta)]])
-    t = d_kappa_sq
-    e = {(i, j): np.exp(t * rot[i, j] * np.outer(x, x)) for i in (0, 1)
-         for j in (0, 1)}
-    f = np.exp(-x * x / 4.0)
-
-    def apply_kernel(v, transpose):
-        # v indexed (y1, y2); contract y2 first, then y1; transpose swaps
-        # the roles of R and R^T, i.e. mirrors the (i, j) indices.
-        def blk(i, j):
-            return e[(j, i)] if transpose else e[(i, j)]
-        u = (f[:, None] * f[None, :]) * v
-        w = np.einsum("ad,bd,cd->abc", blk(0, 1), blk(1, 1), u, optimize=True)
-        out = np.einsum("ac,bc,abc->ab", blk(0, 0), blk(1, 0), w, optimize=True)
-        return (f[:, None] * f[None, :]) * out * step**2
-
-    # Deterministic positive start; the top eigenfunction has no nodes.
-    v = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 8.0)
-    v /= np.linalg.norm(v)
-    sigma_sq_prev = 0.0
-    for _ in range(COMPLEX_KERNEL_MAX_ITER):
-        w = apply_kernel(apply_kernel(v, False), True)
-        sigma_sq = float(np.linalg.norm(w))
-        v = w / sigma_sq
-        if abs(sigma_sq - sigma_sq_prev) <= COMPLEX_KERNEL_RTOL * sigma_sq:
-            return float(np.sqrt(sigma_sq))
-        sigma_sq_prev = sigma_sq
-    raise NumericError("power iteration for the complex kernel norm "
-                       f"did not converge in {COMPLEX_KERNEL_MAX_ITER} steps")

@@ -2,10 +2,13 @@
 
 A group point is a real 4-vector p = (w0, w1, w2, w3) with |p| = 1,
 representing the matrix w0*1 + i(w1*s1 + w2*s2 + w3*s3) with s_i the Pauli
-matrices.  An algebra point is a real 3-vector A representing A.s, so that
-the exponential e^{iA.s} has w0 = cos|A| and vector part sin(|A|)/|A| * A.
-All functions broadcast over leading axes; points live in arrays of shape
-(..., 4) and algebra vectors in (..., 3).
+matrices.  An algebra point is a real 3-vector A representing A.s, whose
+exponential e^{iA.s} has rotation angle |A|; the Haar density is written on
+that ball.  All functions broadcast over leading axes; points live in
+arrays of shape (..., 4) and algebra vectors in (..., 3).  The package
+samples points, turns them into matrices and reads their angle back; the
+exp, log and product maps are test references (tests/oracles.py), and the
+plaquette action of every group is actions.plaquette_actions.
 
 The one-bond gluon integral at the end is the SU(2) counterpart of the
 CUE eigenvalue integrals, one integral over the eigenvalue angle with
@@ -40,54 +43,6 @@ def _sinc_ball(r):
     r2 = r * r
     series = 1.0 - r2 / 6.0 + r2 * r2 / 120.0
     return np.where(small, series, np.sin(safe) / safe)
-
-
-def su2_exp(a):
-    """Exponential e^{iA.s} of algebra vectors, shape (..., 3) -> (..., 4)."""
-    a = np.asarray(a, dtype=float)
-    r = np.linalg.norm(a, axis=-1)
-    w0 = np.cos(r)
-    vec = _sinc_ball(r)[..., None] * a
-    return np.concatenate([w0[..., None], vec], axis=-1)
-
-
-def su2_log(p):
-    """Principal logarithm, shape (..., 4) -> (..., 3), |result| <= pi.
-
-    The point (-1, 0, 0, 0) has no principal logarithm (every direction at
-    radius pi maps to it) and raises ValueError.  The radius is su2_angle,
-    arctan2(|w|, w0), which stays accurate where arcsin|w| does not: near the
-    equator w0 = 0, where arcsin has unbounded slope, and near -1.
-    """
-    p = np.asarray(p, dtype=float)
-    w0 = p[..., 0]
-    w = p[..., 1:]
-    wn = np.linalg.norm(w, axis=-1)
-    if np.any((wn == 0.0) & (w0 < 0.0)):
-        raise ValueError("logarithm undefined at -1")
-    scale = su2_angle(p) / np.where(wn == 0.0, 1.0, wn)
-    return scale[..., None] * w
-
-
-def su2_mul(p, q):
-    """Group product of points, broadcasting over leading axes.
-
-    (w0 + i w.s)(v0 + i v.s) = w0 v0 - w.v + i(w0 v + v0 w - w x v).s,
-    the cross term sign coming from s_a s_b = delta 1 + i eps_abc s_c.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    w0, w = p[..., 0], p[..., 1:]
-    v0, v = q[..., 0], q[..., 1:]
-    r0 = w0 * v0 - np.sum(w * v, axis=-1)
-    rv = w0[..., None] * v + v0[..., None] * w - np.cross(w, v)
-    return np.concatenate([r0[..., None], rv], axis=-1)
-
-
-def su2_inverse(p):
-    """Inverse (= conjugate transpose): negate the vector part."""
-    p = np.asarray(p, dtype=float)
-    return np.concatenate([p[..., :1], -p[..., 1:]], axis=-1)
 
 
 def su2_to_matrix(p):
@@ -139,19 +94,6 @@ def su2_angle_norm_sq(p):
     """
     theta = su2_angle(p)
     return 2.0 * theta * theta
-
-
-def su2_plaquette_action(p):
-    """Wilson plaquette action 2 Re tr(1 - g) = 4 (1 - w0) of a point.
-
-    For w0 > 0 it is evaluated as 4 |w|^2 / (1 + w0), the same number on the
-    unit sphere, free of the 1 - w0 cancellation near the identity (the
-    max(w0, 0) only keeps the unused branch finite at w0 = -1).
-    """
-    p = np.asarray(p, dtype=float)
-    w0 = p[..., 0]
-    near = 4.0 * np.sum(p[..., 1:] ** 2, axis=-1) / (1.0 + np.maximum(w0, 0.0))
-    return np.where(w0 > 0.0, near, 4.0 * (1.0 - w0))
 
 
 def capital_e(gamma):

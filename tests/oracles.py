@@ -1,0 +1,237 @@
+"""Reference implementations the tests compare the package against.
+
+No command reaches them, so they live with the tests: SU(2) four-vector
+arithmetic and the quaternion plaquette action (the independent route to
+actions.plaquette_actions), lexicographic site indexing, the Gaussian chain
+and transfer kernels behind the Bose upper rate, and the d = 2 one-bond and
+L-independent rate bounds.
+"""
+
+import numpy as np
+
+from boselgt.errors import NumericError, UsageError
+from boselgt.haar import cue_norm, gue_norm
+from boselgt.partition import _banded_form, logdet_posdef, z_single_bond
+from boselgt.su2 import _sinc_ball, su2_angle
+
+# ------------------------------------------------------------------- SU(2)
+
+def su2_exp(a):
+    """Exponential e^{iA.s} of algebra vectors, shape (..., 3) -> (..., 4)."""
+    a = np.asarray(a, dtype=float)
+    r = np.linalg.norm(a, axis=-1)
+    w0 = np.cos(r)
+    vec = _sinc_ball(r)[..., None] * a
+    return np.concatenate([w0[..., None], vec], axis=-1)
+
+
+def su2_log(p):
+    """Principal logarithm, shape (..., 4) -> (..., 3), |result| <= pi.
+
+    The point (-1, 0, 0, 0) has no principal logarithm (every direction at
+    radius pi maps to it) and raises ValueError.  The radius is su2_angle,
+    arctan2(|w|, w0), which stays accurate where arcsin|w| does not: near the
+    equator w0 = 0, where arcsin has unbounded slope, and near -1.
+    """
+    p = np.asarray(p, dtype=float)
+    w0 = p[..., 0]
+    w = p[..., 1:]
+    wn = np.linalg.norm(w, axis=-1)
+    if np.any((wn == 0.0) & (w0 < 0.0)):
+        raise ValueError("logarithm undefined at -1")
+    scale = su2_angle(p) / np.where(wn == 0.0, 1.0, wn)
+    return scale[..., None] * w
+
+
+def su2_mul(p, q):
+    """Group product of points, broadcasting over leading axes.
+
+    (w0 + i w.s)(v0 + i v.s) = w0 v0 - w.v + i(w0 v + v0 w - w x v).s,
+    the cross term sign coming from s_a s_b = delta 1 + i eps_abc s_c.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    w0, w = p[..., 0], p[..., 1:]
+    v0, v = q[..., 0], q[..., 1:]
+    r0 = w0 * v0 - np.sum(w * v, axis=-1)
+    rv = w0[..., None] * v + v0[..., None] * w - np.cross(w, v)
+    return np.concatenate([r0[..., None], rv], axis=-1)
+
+
+def su2_inverse(p):
+    """Inverse (= conjugate transpose): negate the vector part."""
+    p = np.asarray(p, dtype=float)
+    return np.concatenate([p[..., :1], -p[..., 1:]], axis=-1)
+
+
+def su2_plaquette_action(p):
+    """Wilson plaquette action 2 Re tr(1 - g) = 4 (1 - w0) of a point.
+
+    For w0 > 0 it is evaluated as 4 |w|^2 / (1 + w0), the same number on the
+    unit sphere, free of the 1 - w0 cancellation near the identity (the
+    max(w0, 0) only keeps the unused branch finite at w0 = -1).
+    """
+    p = np.asarray(p, dtype=float)
+    w0 = p[..., 0]
+    near = 4.0 * np.sum(p[..., 1:] ** 2, axis=-1) / (1.0 + np.maximum(w0, 0.0))
+    return np.where(w0 > 0.0, near, 4.0 * (1.0 - w0))
+
+
+# ----------------------------------------------------------------- lattice
+
+def site_index(lattice, coords):
+    """Dense index of a 1-based coordinate tuple (lexicographic order)."""
+    coords = np.asarray(coords)
+    if coords.shape[-1] != lattice.d:
+        raise ValueError(f"expected {lattice.d} coordinates, got {coords.shape[-1]}")
+    if np.any(coords < 1) or np.any(coords > lattice.L):
+        raise ValueError(f"coordinates must lie in 1..{lattice.L}")
+    idx = np.zeros(coords.shape[:-1], dtype=np.int64)
+    for k in range(lattice.d):
+        idx = idx * lattice.L + (coords[..., k] - 1)
+    return idx if idx.ndim else int(idx)
+
+
+# ------------------------------------------------------- chain and kernels
+
+def chain_partition(length, n, d, gauge_list=None, kappa_sq=None):
+    """Gaussian chain value det(1 - d kappa^2 A)^{-1/2} on an open line.
+
+    A is the symmetrized adjacency with one orthogonal block per link (the
+    identity when gauge_list is None).  The value does not depend on the
+    gauge blocks at all, which is asserted cheaply via the similarity
+    transform structure in the tests.  kappa_sq defaults to the massless
+    hopping 1/(2d); the closed form for length 2, N = 1 is
+    (1 - d^2 kappa^4)^{-1/2}.
+    """
+    if length < 2:
+        raise UsageError(f"chain length must be >= 2, got {length}")
+    if kappa_sq is None:
+        kappa_sq = 1.0 / (2.0 * d)
+    if gauge_list is None:
+        gauge_list = [np.eye(n)] * (length - 1)
+    if len(gauge_list) != length - 1:
+        raise ValueError(f"need {length - 1} gauge blocks, got {len(gauge_list)}")
+    for g in gauge_list:
+        if np.shape(g) != (n, n):
+            raise ValueError(f"gauge blocks must be {n} x {n}, got {np.shape(g)}")
+    links = np.arange(length - 1)
+    hops = d * kappa_sq * np.asarray(gauge_list, dtype=float)
+    ab = _banded_form(length, n, links, links + 1, hops)
+    logdet = logdet_posdef(ab, context="chain quadratic form")
+    return float(np.exp(-0.5 * logdet))
+
+
+def transfer_kernel_matrix(d_kappa_sq=0.5, g=1.0, n_points=512, x_max=8.0):
+    """Symmetrized discretization of the one-bond transfer kernel (N = 1 real).
+
+    T(x, y) = e^{-x^2/4} e^{d kappa^2 x g y} e^{-y^2/4} on [-x_max, x_max],
+    midpoint grid, scaled by the cell width so singular values approximate
+    the L2(R) operator norm.  At d kappa^2 = 1/2 and g = 1 the kernel is
+    e^{-(x-y)^2/4} whose exact norm is sqrt(4 pi).
+    """
+    step = 2.0 * x_max / n_points
+    x = -x_max + step * (np.arange(n_points) + 0.5)
+    kernel = np.exp(-x[:, None] ** 2 / 4.0
+                    + d_kappa_sq * g * x[:, None] * x[None, :]
+                    - x[None, :] ** 2 / 4.0)
+    return step * kernel
+
+
+def transfer_kernel_norm(d_kappa_sq=0.5, g=1.0, n_points=512, x_max=8.0):
+    """Largest singular value of the discretized one-bond kernel."""
+    k = transfer_kernel_matrix(d_kappa_sq, g, n_points, x_max)
+    return float(np.linalg.norm(k, ord=2))
+
+
+# transfer_kernel_norm_complex: midpoint grid per axis, power-iteration stop.
+COMPLEX_KERNEL_POINTS = 96
+COMPLEX_KERNEL_X_MAX = 9.0
+COMPLEX_KERNEL_RTOL = 1e-10
+COMPLEX_KERNEL_MAX_ITER = 500
+
+
+def transfer_kernel_norm_complex(d_kappa_sq=0.5, theta=0.3):
+    """Norm of the complex-field kernel for U(1), discretized on R^2.
+
+    The field has two real components; the coupling rotates by theta.  The
+    exact norm at d kappa^2 = 1/2 is 4 pi (the square of the real case).
+
+    The grid operator is n_points^2 square (COMPLEX_KERNEL_POINTS per axis),
+    far too large to materialize, but the kernel factors into four one-axis
+    coupling matrices
+
+        K(x, y) = f(x1) f(x2) prod_{ij} exp(t R_ij x_i y_j) f(y1) f(y2),
+
+    so one matvec is two tensor contractions of O(n_points^3) memory.  The
+    top singular value comes from power iteration on K^T K (K itself is not
+    symmetric for theta != 0), stopped at relative change COMPLEX_KERNEL_RTOL.
+    """
+    n_points = COMPLEX_KERNEL_POINTS
+    step = 2.0 * COMPLEX_KERNEL_X_MAX / n_points
+    x = -COMPLEX_KERNEL_X_MAX + step * (np.arange(n_points) + 0.5)
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    t = d_kappa_sq
+    e = {(i, j): np.exp(t * rot[i, j] * np.outer(x, x)) for i in (0, 1)
+         for j in (0, 1)}
+    f = np.exp(-x * x / 4.0)
+
+    def apply_kernel(v, transpose):
+        # v indexed (y1, y2); contract y2 first, then y1; transpose swaps
+        # the roles of R and R^T, i.e. mirrors the (i, j) indices.
+        def blk(i, j):
+            return e[(j, i)] if transpose else e[(i, j)]
+        u = (f[:, None] * f[None, :]) * v
+        w = np.einsum("ad,bd,cd->abc", blk(0, 1), blk(1, 1), u, optimize=True)
+        out = np.einsum("ac,bc,abc->ab", blk(0, 0), blk(1, 0), w, optimize=True)
+        return (f[:, None] * f[None, :]) * out * step**2
+
+    # Deterministic positive start; the top eigenfunction has no nodes.
+    v = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 8.0)
+    v /= np.linalg.norm(v)
+    sigma_sq_prev = 0.0
+    for _ in range(COMPLEX_KERNEL_MAX_ITER):
+        w = apply_kernel(apply_kernel(v, False), True)
+        sigma_sq = float(np.linalg.norm(w))
+        v = w / sigma_sq
+        if abs(sigma_sq - sigma_sq_prev) <= COMPLEX_KERNEL_RTOL * sigma_sq:
+            return float(np.sqrt(sigma_sq))
+        sigma_sq_prev = sigma_sq
+    raise NumericError("power iteration for the complex kernel norm "
+                       f"did not converge in {COMPLEX_KERNEL_MAX_ITER} steps")
+
+
+# ------------------------------------------------------------------ bounds
+
+def d2_bond_upper_checks(params):
+    """Direct one-bond inequalities for d = 2: scaled z against two constants.
+
+    Returns (scaled_value, literal_constant, sharp_constant); the scaled
+    value must not exceed either.  The sharp constant is
+    (pi/2)^{N^2} gue_norm/cue_norm, the literal one replaces pi/2 by
+    pi^2/2 and is therefore much looser.  Both are U(N) constants, so SU
+    raises UsageError; SU(2) has su2.su2_bounds_check.
+    """
+    if params.d != 2:
+        raise UsageError(f"d = 2 only, got d = {params.d}")
+    if params.kind != "U":
+        raise UsageError(
+            f"the d = 2 one-bond constants are for U(N), got {params.kind}({params.n}); "
+            "su2_bounds_check covers SU(2)")
+    n = params.n
+    c = params.scaling.coupling
+    z = z_single_bond(c, n, kind=params.kind)
+    scaled = c ** (n * n / 2.0) * z
+    ratio = gue_norm(n) / cue_norm(n)
+    literal = (np.pi**2 / 2.0) ** (n * n) * ratio
+    sharp = (np.pi / 2.0) ** (n * n) * ratio
+    return float(scaled), float(literal), float(sharp)
+
+
+def combined_rates_uniform(consts, d):
+    """L-independent majorant of BoundConstants.combined_rates in dimension d:
+    Lr/Ls < d, so the gauge rate is scaled by d with the sign kept on the
+    safe side."""
+    return (consts.bose_lower + d * min(consts.gauge_lower, 0.0),
+            consts.bose_upper + d * max(consts.gauge_upper, 0.0))

@@ -25,11 +25,11 @@ from boselgt.bounds import (BoundConstants, check_plaquette_quadratic,
                             verify_gauge_bounds)
 from boselgt.haar import haar_sample, weyl_integrate
 from boselgt.lattice import GaugeFixing, Lattice
-from boselgt.partition import (transfer_kernel_norm, z_bose_exact,
-                               z_bose_exact_unscaled, z_wilson_d2_exact,
-                               z_wilson_mc)
+from boselgt.partition import (z_bose_exact, z_bose_exact_unscaled,
+                               z_wilson_d2_exact, z_wilson_mc)
 from boselgt.rmt import cue_gue_target, d2_free_energy, d2_limit_target, w_ratio
-from boselgt.su2 import su2_exp, su2_log, su2_to_matrix, su2_z_gluon
+from boselgt.su2 import su2_to_matrix, su2_z_gluon
+from oracles import su2_exp, su2_log, transfer_kernel_norm
 
 # ------------------------------------------------------------------ plumbing
 

@@ -15,8 +15,8 @@ from boselgt.actions import (FIELD_KINDS, ModelParams, ScalingFactors,
                              wilson_action)
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample
-from boselgt.su2 import (su2_exp, su2_inverse, su2_mul, su2_plaquette_action,
-                         su2_to_matrix)
+from boselgt.su2 import su2_to_matrix
+from oracles import su2_exp, su2_inverse, su2_mul, su2_plaquette_action
 
 RNG = np.random.default_rng(2024)
 

@@ -8,13 +8,14 @@ import pytest
 from boselgt import bounds, mc
 from boselgt.actions import ModelParams, plaquette_actions, wilson_action
 from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
-                            check_plaquette_quadratic, d2_bond_upper_checks,
+                            check_plaquette_quadratic,
                             elementary_inequality_suite, gauge_rate_bounds,
                             group_dim, sampled_checks, verify_bose_bounds,
                             verify_full_model, verify_gauge_bounds)
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample
 from boselgt.partition import bose_quadratic_form, logdet_posdef, z_wilson_mc
+from oracles import combined_rates_uniform, d2_bond_upper_checks
 
 
 # --------------------------------------------------------------- constants
@@ -75,7 +76,7 @@ def test_constants_for_params_and_combination():
 def test_uniform_rates_majorize_every_lattice_size(kind, n, d):
     p0 = ModelParams(d=d, L=2, n=n, kind=kind)
     consts = BoundConstants.for_params(p0)
-    u_lo, u_up = consts.combined_rates_uniform()
+    u_lo, u_up = combined_rates_uniform(consts, d)
     for L in (2, 3, 4, 5):
         lat = ModelParams(d=d, L=L, n=n, kind=kind).lattice
         lo, up = consts.combined_rates(lat)

@@ -283,6 +283,16 @@ SMALL = ["--d", 2, "--L", 2]
     (["su2-check", "--g0-sq", "nan"], "g0^2 must be positive, got nan"),
     (["verify-bounds", "--which", "gauge", "--g0-sq", "inf", *SMALL],
      "g0^2 must be positive, got inf"),
+    # The bare mass and hopping must be finite; NaN fails the range too.
+    *[(["bose-exact", *SMALL, f"--{flag}", value],
+       f"{what} must be finite and >= 0, got {value}")
+      for flag, what in (("m-u", "bare mass"), ("kappa-u-sq", "bare hopping"))
+      for value in ("nan", "inf")],
+    # Every seeded command keys Philox with the seed: [0, 2^128) only.
+    *[(argv + ["--seed", seed, *SMALL], f"seed must lie in [0, 2^128), got {seed}")
+      for argv in (["wilson-mc", "--samples", 10],
+                   ["bose-exact", "--gauge", "random"])
+      for seed in (-1, 2**128)],
 ])
 def test_bad_monte_carlo_counts_exit_2_naming_the_value(tmp_path, capsys,
                                                         monkeypatch, argv,

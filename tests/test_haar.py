@@ -11,7 +11,8 @@ from boselgt.haar import (angle_norm_sq, cue_density, cue_density_vandermonde,
                           cue_norm, gue_density, gue_integral, gue_norm,
                           haar_sample, peaked_cue_integral, weyl_integrate,
                           wrap_angle)
-from boselgt.su2 import su2_exp, su2_haar, su2_to_matrix
+from boselgt.su2 import su2_haar, su2_to_matrix
+from oracles import su2_exp
 
 RNG = np.random.default_rng(515)
 

@@ -3,6 +3,9 @@
 pytest has already imported scipy in this process, so sys.modules is only
 meaningful in a child.  The child prints one JSON line last: the exit code
 of the command and whether scipy was loaded by then.
+
+The last test reads the import graph statically: every public function or
+class of the package needs a caller outside the tests.
 """
 
 import ast
@@ -112,3 +115,47 @@ def test_first_scipy_import_in_worker_threads_keeps_results(tmp_path):
         reports[workers] = json.loads(out.read_text())["payload"]["checks"]["full"]
     for key in ("log_value", "std_error_log"):
         assert reports[2][key] == reports[1][key]
+
+
+# Public definitions no command, script or benchmark calls that stay in the
+# package: the action definitions the tests compare against, and the reader
+# of the record schema the tests validate against.
+UNCALLED_KEPT = ("bose_action", "bose_action_unscaled", "gauge_transform",
+                 "field_transform", "load_schema")
+
+
+def references(path):
+    """(enclosing top-level definition, name) for each name a file uses.
+
+    Names, attribute names and imported names count; in perfbench/spans.py
+    so does every string, since Tracer.rebind takes attribute names as text.
+    """
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield from ((owner, a.name.rpartition(".")[2]) for a in node.names)
+            elif (path.name == "spans.py" and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                yield owner, node.value
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    users = {}
+    for path in sorted(p for top in ("src", "scripts", "perfbench")
+                       for p in (SRC.parent / top).rglob("*.py")
+                       if "tests" not in p.parts):
+        for owner, name in references(path):
+            users.setdefault(name, set()).add((path, owner))
+    uncalled = [f"{path.stem}.{node.name}"
+                for path in sorted((SRC / "boselgt").glob("*.py"))
+                for node in ast.parse(path.read_text()).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in UNCALLED_KEPT
+                and not users.get(node.name, set()) - {(path, node.name)}]
+    assert uncalled == []

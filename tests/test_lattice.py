@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from boselgt.errors import UsageError
 from boselgt.lattice import GaugeFixing, Lattice, n_retained_bonds
+from oracles import site_index
 
 SMALL_GRID = [(d, L) for d in (2, 3, 4) for L in (2, 3, 4) if L**d <= 256]
 
@@ -42,17 +43,17 @@ def test_site_enumeration_is_lexicographic():
     assert coords[1].tolist() == [1, 2]   # last coordinate fastest
     assert coords[3].tolist() == [2, 1]   # first coordinate slowest
     for s in range(lat.n_sites):
-        assert lat.site_index(coords[s]) == s
+        assert site_index(lat, coords[s]) == s
 
 
 def test_site_index_rejects_out_of_range():
     lat = Lattice(d=2, L=3)
     with pytest.raises(ValueError):
-        lat.site_index((0, 1))
+        site_index(lat, (0, 1))
     with pytest.raises(ValueError):
-        lat.site_index((1, 4))
+        site_index(lat, (1, 4))
     with pytest.raises(ValueError):
-        lat.site_index((1, 1, 1))
+        site_index(lat, (1, 1, 1))
 
 
 def test_bond_endpoints_differ_by_unit_step():
@@ -76,7 +77,7 @@ def loop_bond_arrays(lat):
     direction = np.array(dirs, dtype=np.int64)
     head_coords = coords[site].copy()
     head_coords[np.arange(len(site)), direction] += 1
-    head = lat.site_index(head_coords)
+    head = site_index(lat, head_coords)
     table = np.full((lat.n_sites, lat.d), -1, dtype=np.int64)
     table[site, direction] = np.arange(len(site))
     return site, direction, head, table
@@ -110,8 +111,8 @@ def loop_plaq_arrays(lat):
                 site.append(s)
                 mus.append(mu)
                 nus.append(nu)
-                bonds.append((table[s, mu], table[lat.site_index(c_mu), nu],
-                              table[lat.site_index(c_nu), mu], table[s, nu]))
+                bonds.append((table[s, mu], table[site_index(lat, c_mu), nu],
+                              table[site_index(lat, c_nu), mu], table[s, nu]))
     return (np.array(site, dtype=np.int64), np.array(mus, dtype=np.int64),
             np.array(nus, dtype=np.int64), np.array(bonds, dtype=np.int64))
 
@@ -125,13 +126,17 @@ def test_plaq_arrays_match_loop_enumeration(d, L):
         assert np.array_equal(got, want)
 
 
-def test_bond_index_round_trip():
+def bond_at(lat, coords, mu):
+    """Forward bond at 1-based coords in direction mu, read from the bond table."""
+    return lat._bond_arrays[3][site_index(lat, coords), mu]
+
+
+def test_bond_table_round_trip():
     lat = Lattice(d=2, L=3)
-    b = lat.bond_index((1, 1), 1)
-    assert lat.bond_tail[b] == lat.site_index((1, 1))
-    assert lat.bond_head[b] == lat.site_index((1, 2))
-    with pytest.raises(ValueError):
-        lat.bond_index((1, 3), 1)  # forward step leaves the lattice
+    b = bond_at(lat, (1, 1), 1)
+    assert lat.bond_tail[b] == site_index(lat, (1, 1))
+    assert lat.bond_head[b] == site_index(lat, (1, 2))
+    assert bond_at(lat, (1, 3), 1) == -1  # forward step leaves the lattice
 
 
 def test_plaquette_boundary_walk():
@@ -139,27 +144,28 @@ def test_plaquette_boundary_walk():
     assert lat.n_plaquettes == 1
     b1, b2, b3, b4 = lat.plaq_bonds[0]
     # x -> x+e0 -> x+e0+e1 -> x+e1 -> x with x = (1,1).
-    assert b1 == lat.bond_index((1, 1), 0)
-    assert b2 == lat.bond_index((2, 1), 1)
-    assert b3 == lat.bond_index((1, 2), 0)
-    assert b4 == lat.bond_index((1, 1), 1)
+    assert b1 == bond_at(lat, (1, 1), 0)
+    assert b2 == bond_at(lat, (2, 1), 1)
+    assert b3 == bond_at(lat, (1, 2), 0)
+    assert b4 == bond_at(lat, (1, 1), 1)
 
 
 def test_horizontal_plaquette_counts():
+    def n_horizontal(lat):  # plaquettes not involving direction 0
+        return int(np.count_nonzero(lat._plaq_arrays[1] >= 1))
     lat = Lattice(d=3, L=2)
-    horiz = lat.horizontal_plaquettes()
     assert lat.n_plaquettes == 6
-    assert len(horiz) == 2          # only the (1,2)-plane avoids direction 0
-    assert len(Lattice(d=2, L=4).horizontal_plaquettes()) == 0
+    assert n_horizontal(lat) == 2   # only the (1,2)-plane avoids direction 0
+    assert n_horizontal(Lattice(d=2, L=4)) == 0
     lat4 = Lattice(d=4, L=2)
     assert lat4.n_plaquettes == 24
-    assert len(lat4.horizontal_plaquettes()) == 12
+    assert n_horizontal(lat4) == 12
 
 
 @pytest.mark.parametrize("d,L", SMALL_GRID)
 def test_bond_plaquette_incidence_bound(d, L):
     lat = Lattice(d=d, L=L)
-    counts = lat.bond_plaquette_incidence()
+    counts = np.bincount(lat.plaq_bonds.ravel())
     assert counts.sum() == 4 * lat.n_plaquettes
     assert counts.max() <= 2 * (d - 1)
 
@@ -206,5 +212,5 @@ def test_invalid_lattices_rejected():
 def test_site_index_inverts_coords(d, L, data):
     lat = Lattice(d=d, L=L)
     coords = tuple(data.draw(st.integers(1, L)) for _ in range(d))
-    s = lat.site_index(coords)
+    s = site_index(lat, coords)
     assert tuple(lat.site_coords[s]) == coords

@@ -16,11 +16,12 @@ from scipy.special import ive
 
 from boselgt.bounds import bose_upper_rate, gauge_rate_bounds
 from boselgt.haar import cue_norm, gue_integral, gue_norm
-from boselgt.partition import (chain_partition, transfer_kernel_norm,
-                               transfer_kernel_norm_complex, z_single_bond)
+from boselgt.partition import z_single_bond
 from boselgt.rmt import cue_gue_target, d2_limit_target
 from boselgt.su2 import (capital_e, su2_bound_constants, su2_z_gluon,
                          su2_z_weyl_coupling)
+from oracles import (chain_partition, transfer_kernel_norm,
+                     transfer_kernel_norm_complex)
 
 # (coupling, value) pairs frozen from the scaled-Bessel route.
 Z_U1 = [

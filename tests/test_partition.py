@@ -9,11 +9,10 @@ from boselgt.actions import ModelParams, gauge_transform, identity_bonds
 from boselgt.errors import NotPositiveDefiniteError, NumericError, UsageError
 from boselgt.haar import haar_sample
 from boselgt.mc import Moments
-from boselgt.partition import (Estimate, bose_quadratic_form, chain_partition,
-                               complex_embedding_blocks, logdet_posdef,
-                               transfer_kernel_matrix, z_bose_exact,
-                               z_bose_exact_unscaled, z_single_bond,
-                               z_wilson_d2_exact, z_wilson_mc)
+from boselgt.partition import (Estimate, bose_quadratic_form, logdet_posdef,
+                               z_bose_exact, z_bose_exact_unscaled,
+                               z_single_bond, z_wilson_d2_exact, z_wilson_mc)
+from oracles import chain_partition, transfer_kernel_matrix
 
 
 def quad_z_4d(q, x_max=10.0, m=48):
@@ -355,14 +354,3 @@ def test_transfer_kernel_matrix_shape_and_symmetry():
     assert np.allclose(k, k.T, atol=1e-15)
     assert np.all(k > 0.0)
 
-
-def test_complex_embedding_blocks_identity():
-    rng = np.random.default_rng(81)
-    for n in (1, 2, 3):
-        g = haar_sample(rng, n)
-        m, l = complex_embedding_blocks(g)
-        assert m.shape == (2 * n, 2 * n) and l.shape == (2 * n, 2 * n)
-        assert np.allclose(l.T @ l, 4.0 * np.eye(2 * n), atol=1e-13)
-        assert np.allclose(l / 2.0,
-                           np.block([[np.real(g), -np.imag(g)],
-                                     [np.imag(g), np.real(g)]]), atol=1e-15)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from boselgt.errors import UsageError
 from boselgt.su2 import (capital_e, su2_angle, su2_angle_norm_sq,
-                         su2_bound_constants, su2_bounds_check, su2_exp,
-                         su2_haar, su2_haar_density, su2_inverse, su2_log,
-                         su2_mul, su2_plaquette_action, su2_to_matrix,
-                         su2_z_gluon)
+                         su2_bound_constants, su2_bounds_check, su2_haar,
+                         su2_haar_density, su2_to_matrix, su2_z_gluon)
+from oracles import su2_exp, su2_inverse, su2_log, su2_mul, su2_plaquette_action
 
 RNG = np.random.default_rng(77)
 
