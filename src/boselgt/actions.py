@@ -30,9 +30,9 @@ The kernel takes the flattened lead (sample) axes in slices of about
 holds about 8192 complex entries (128 KiB) and the memory it needs beyond
 its output stays the same whatever the batch size.
 
-A gauge configuration is a plain complex bond array of shape
-lead + (n_bonds, N, N), one matrix per bond; random ones come from
-haar.haar_sample and the trivial one from identity_bonds.
+A gauge configuration is a complex array lead + (k, N, N) of the matrices
+on k listed bonds (all n_bonds unless bond ids say which); each other bond
+is the identity.  Random matrices come from haar.haar_sample.
 
 Fields are arrays of shape (n_sites, N): real dtype for the real model,
 complex for the complex model.  The hopping term is written once as
@@ -133,8 +133,7 @@ class ScalingFactors:
 
 def identity_bonds(n, size):
     """Identity bond matrices of shape size + (n, n), complex and writable."""
-    shape = (size,) if np.isscalar(size) else tuple(size)
-    return np.broadcast_to(np.eye(n, dtype=complex), shape + (n, n)).copy()
+    return np.ones(size)[..., None, None] * np.eye(n, dtype=complex)
 
 
 def gauge_transform(lattice, bonds, site_unitaries):
@@ -153,23 +152,32 @@ def field_transform(field, site_unitaries):
 
 # ------------------------------------------------------------------ actions
 
-def plaquette_actions(lattice, bonds):
+def plaquette_actions(lattice, bonds, bond_ids=None):
     """|1 - hol|_HS^2 = |g1 g2 - g4 g3|_F^2 per plaquette, shape (..., n_plaq).
 
-    The bonds are moved to entry planes (N, N, samples, n_bonds), the four
-    corners gathered with np.take, and the half-plaquette products
-    A = g1 g2 and B = g4 g3 formed entry by entry, vectorised over samples
-    and plaquettes, so no per-matrix matmul loop is involved.  The lead axes
-    are flattened and taken in slices of about _SLICE_ENTRIES // n_plaq
-    samples (haar.lead_slices), each written into one preallocated output.
+    bonds (lead + (k, N, N)) holds the lattice bonds bond_ids (default: all,
+    in order); every bond not listed is the identity.  They are moved to
+    entry planes (N, N, samples, k + 1) whose last column is the identity,
+    the four corners gathered with np.take (an unlisted corner reads column
+    -1), and A = g1 g2 and B = g4 g3 formed entry by entry over samples and
+    plaquettes, with no per-matrix matmul.  The lead axes are flattened and
+    taken in slices of about _SLICE_ENTRIES // n_plaq samples
+    (haar.lead_slices), each written into one preallocated output.
     """
-    pb = lattice.plaq_bonds
-    n = bonds.shape[-1]
+    n, drawn = bonds.shape[-1], bonds.shape[-3]
+    ids = np.arange(lattice.n_bonds) if bond_ids is None else bond_ids
+    if len(ids) != drawn:
+        raise ValueError(f"{len(ids)} bond ids for {drawn} bond matrices")
+    col = np.full(lattice.n_bonds, -1)
+    col[ids] = np.arange(drawn)
+    pb = col[lattice.plaq_bonds]
     flat = bonds.reshape((-1,) + bonds.shape[-3:])
     out = np.empty((len(flat), len(pb)))
     for s in lead_slices(len(flat), len(pb)):
-        # Contiguous so that each gathered plane g[i, j] is too.
-        planes = np.ascontiguousarray(np.moveaxis(flat[s], (-2, -1), (0, 1)))
+        # Contiguous, so each gathered g[i, j] is too; column -1 is the identity.
+        planes = np.empty((n, n, s.stop - s.start, drawn + 1), dtype=complex)
+        np.copyto(planes[..., :drawn], np.moveaxis(flat[s], (-2, -1), (0, 1)))
+        planes[..., drawn] = np.eye(n)[:, :, None]
         g1, g2, g3, g4 = (np.take(planes, pb[:, c], axis=-1) for c in range(4))
         total = 0.0
         for i in range(n):
@@ -185,10 +193,10 @@ def plaquette_actions(lattice, bonds):
     return out.reshape(bonds.shape[:-3] + (len(pb),))
 
 
-def wilson_action(params, bonds):
+def wilson_action(params, bonds, bond_ids=None):
     """Total gauge action (a^{d-4}/g^2) * sum of plaquette actions."""
-    lat = params.lattice
-    return params.scaling.coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
+    return params.scaling.coupling * np.sum(
+        plaquette_actions(params.lattice, bonds, bond_ids), axis=-1)
 
 
 def _hopping_sum(lattice, bonds, field):

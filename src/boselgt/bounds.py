@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mc
-from .actions import identity_bonds, plaquette_actions
+from .actions import plaquette_actions
 from .errors import UsageError
 from .haar import (angle_norm_sq, check_group, cue_density, cue_density_vandermonde,
                    cue_norm, gue_density, gue_integral, gue_norm, haar_sample)
@@ -320,17 +320,14 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
     """
     if k not in (1, 2, 3, 4):
         raise UsageError(f"k must be in 1..4, got {k}")
-    # The one plaquette of the d = 2, L = 2 lattice; its first k bonds are
-    # Haar, the rest 1.
+    # The first k bonds of the one plaquette of Lattice(d=2, L=2) are Haar.
     lat = Lattice(d=2, L=2)
     haar_bonds = lat.plaq_bonds[0][:k]
     name = f"plaquette quadratic bound {kind}({n}) k={k}"
 
     def block(rng, count):
         mats = haar_sample(rng, n, kind=kind, size=(count, k))
-        bonds = identity_bonds(n, (count, lat.n_bonds))
-        bonds[:, haar_bonds] = mats
-        action = plaquette_actions(lat, bonds)[:, 0]
+        action = plaquette_actions(lat, mats, haar_bonds)[:, 0]
         bound = k * n * np.sum(angle_norm_sq(mats, kind), axis=-1)
         return {name: [bound - action, 4.0 * n - action]}
 
@@ -357,7 +354,7 @@ def elementary_inequality_suite(n_draws, seed, n_workers=1,
     units of the compared quantity.  Returns a dict name -> SampledBoundCheck.
     """
     lat = Lattice(d=2, L=2)
-    haar_bond = lat.plaq_bonds[0, 0]
+    haar_bond = lat.plaq_bonds[0, :1]
 
     def block(rng, count):
         slack = {"upper-quadratic": [], "lower-quadratic": [],
@@ -384,9 +381,7 @@ def elementary_inequality_suite(n_draws, seed, n_workers=1,
                 slack["density-lower"].append(
                     rho_box * (1 + 1e-12) - factor * hat_box)
         mats = haar_sample(rng, 2, kind="SU", size=count)
-        bonds = identity_bonds(2, (count, lat.n_bonds))
-        bonds[:, haar_bond] = mats
-        act = plaquette_actions(lat, bonds)[:, 0]
+        act = plaquette_actions(lat, mats[:, None], haar_bond)[:, 0]
         norm_sq = angle_norm_sq(mats, "SU")
         theta = np.sqrt(norm_sq / 2.0)
         half = theta <= np.pi / 2.0

@@ -266,9 +266,6 @@ def run_su2_check(cfg):
 
 
 def run_sweep(cfg):
-    if cfg["d"] != 2:
-        raise UsageError("the sweep uses the exact d = 2 factorization; "
-                         f"got d = {cfg['d']}")
     out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else (
         default_output_dir() / "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -375,7 +372,7 @@ COMMANDS = {
          Opt("--g-sq-values", "floats", (1.0,), "gauge couplings"),
          Opt("--L-values", "ints", (2, 3), "side lengths"),
          Opt("--n-values", "ints", (1,), "matrix sizes"))
-        + _model_opts("kind", "g0_sq", "d")
+        + _model_opts("kind", "g0_sq")
         + (Opt("--out-dir", "str", None,
                "directory for per-point records (resume unit)"),
            Opt("--force", "bool", False, "recompute existing records")),
@@ -459,6 +456,8 @@ def main(argv=None):
     opts = COMMON_OPTS + spec.opts
     try:
         cfg = resolve_config(command, given, opts)
+        if "seed" in cfg:  # echoed in the record even where nothing is drawn
+            mc.check_seed(cfg["seed"])
         start = time.perf_counter()
         payload, code = spec.run(cfg)
         wall = time.perf_counter() - start

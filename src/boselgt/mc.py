@@ -21,13 +21,15 @@ DEFAULT_BLOCK_SIZE = 8192
 _BLOCK_STRIDE = 1 << 40
 
 
-def block_rng(seed, block_index):
-    """Generator for one block: Philox keyed by seed, counter offset by block.
-
-    The seed is the 128-bit Philox key, so it must lie in [0, 2^128).
-    """
+def check_seed(seed):
+    """The seed is the 128-bit Philox key, so it must lie in [0, 2^128)."""
     if not 0 <= seed < 1 << 128:
         raise UsageError(f"seed must lie in [0, 2^128), got {seed}")
+
+
+def block_rng(seed, block_index):
+    """Generator for one block: Philox keyed by seed, counter offset by block."""
+    check_seed(seed)
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(block_index * _BLOCK_STRIDE)
     return np.random.Generator(bitgen)

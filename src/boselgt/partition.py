@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mc
-from .actions import identity_bonds, wilson_action
+from .actions import wilson_action
 from .errors import NotPositiveDefiniteError, NumericError, UsageError
 from .haar import check_group, haar_sample, peaked_cue_integral
 from .lattice import require_positive
@@ -204,22 +204,18 @@ def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
     """Monte Carlo mean of e^{-S_w} over Haar bond configurations.
 
     With gauge_fixed=True only the bonds outside the enhanced temporal tree
-    are sampled (tree bonds stay at the identity), which leaves the value
-    unchanged by gauge invariance and cuts the sampled volume; the variance
-    is comparable either way.  Warns when the relative standard error
-    exceeds 10%.
+    are drawn and passed to the kernel with their bond ids; the tree bonds
+    are the identity, which the kernel supplies, so a block holds no full
+    bond array.  Gauge invariance leaves the value unchanged, and the
+    variance is comparable either way.  Warns when the relative standard
+    error exceeds 10%.
     """
-    lat = params.lattice
-    if gauge_fixed:
-        active = params.gauge_fixing.retained_bonds
-    else:
-        active = np.arange(lat.n_bonds)
+    active = params.gauge_fixing.retained_bonds if gauge_fixed else None
+    n_active = params.lattice.n_bonds if active is None else len(active)
 
     def block(rng, count):
-        bonds = identity_bonds(params.n, (count, lat.n_bonds))
-        bonds[:, active] = haar_sample(rng, params.n, kind=params.kind,
-                                       size=(count, len(active)))
-        return np.exp(-wilson_action(params, bonds))
+        bonds = haar_sample(rng, params.n, kind=params.kind, size=(count, n_active))
+        return np.exp(-wilson_action(params, bonds, active))
 
     moments = mc.sample_mean(block, n_samples, seed,
                              n_workers=n_workers, block_size=block_size)

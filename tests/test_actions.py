@@ -133,19 +133,49 @@ def test_plaquette_kernel_matches_matmul_chain(n, kind, lead):
 
 
 
+def _drawn_bond_ids(params, which, rng):
+    """Bond ids of a draw: all (None), the gauge-fixed retained set, the
+    first 1 or 3 corners of one plaquette, or a random unsorted subset."""
+    lat = params.lattice
+    if which == "retained":
+        return params.gauge_fixing.retained_bonds
+    if which.startswith("corners-"):
+        return lat.plaq_bonds[lat.n_plaquettes // 2][:int(which[-1])]
+    if which == "random":
+        return rng.permutation(lat.n_bonds)[:lat.n_bonds // 2]
+    return None
+
+
 @pytest.mark.parametrize("d,L", [(2, 3), (3, 2), (4, 2)])
 @pytest.mark.parametrize("n,kind", [(1, "U"), (2, "U"), (2, "SU"), (3, "U")])
 @pytest.mark.parametrize("lead", [(), (7,), (3, 5), (1000,)])
 def test_plaquette_slices_match_one_slice(monkeypatch, d, L, n, kind, lead):
     # Slices of 6 samples: several per batch, and a ragged last one for
-    # every lead but ().
-    lat = ModelParams(d=d, L=L).lattice
-    bonds = haar_sample(np.random.default_rng(d + 10 * n), n, kind=kind,
-                        size=lead + (lat.n_bonds,))
-    monkeypatch.setattr(haar, "_SLICE_ENTRIES", 10**12)
-    whole = plaquette_actions(lat, bonds)
-    monkeypatch.setattr(haar, "_SLICE_ENTRIES", 6 * lat.n_plaquettes)
-    assert np.array_equal(plaquette_actions(lat, bonds), whole)
+    # every lead but ().  Drawn bonds with their ids give, bit for bit, the
+    # action of the full bond array with every other bond the identity.
+    params = ModelParams(d=d, L=L)
+    lat = params.lattice
+    rng = np.random.default_rng(d + 10 * n)
+    for which in ("all", "retained", "corners-1", "corners-3", "random"):
+        ids = _drawn_bond_ids(params, which, rng)
+        bonds = identity_bonds(n, lead + (lat.n_bonds,))
+        drawn = slice(None) if ids is None else ids
+        draws = haar_sample(rng, n, kind=kind, size=bonds[..., drawn, 0, 0].shape)
+        bonds[..., drawn, :, :] = draws
+        monkeypatch.setattr(haar, "_SLICE_ENTRIES", 10**12)
+        whole = plaquette_actions(lat, bonds)
+        assert np.array_equal(plaquette_actions(lat, draws, ids), whole), which
+        monkeypatch.setattr(haar, "_SLICE_ENTRIES", 6 * lat.n_plaquettes)
+        assert np.array_equal(plaquette_actions(lat, bonds), whole), which
+        assert np.array_equal(plaquette_actions(lat, draws, ids), whole), which
+
+
+def test_plaquette_actions_reject_a_bond_id_count_that_differs():
+    lat = ModelParams(d=2, L=2).lattice
+    draws = identity_bonds(2, (5, 1))
+    for ids in ([0, 1], None):
+        with pytest.raises(ValueError, match="bond ids for 1 bond matrices"):
+            plaquette_actions(lat, draws, ids)
 
 
 def _traced_peak_beyond_output(fn):

@@ -257,8 +257,8 @@ def test_plaquette_quadratic_runs_the_action_kernel(monkeypatch, kind, n):
     # each draw is one plaquette evaluated by bounds.plaquette_actions.
     evaluated = []
 
-    def counted(lattice, bonds):
-        out = plaquette_actions(lattice, bonds)
+    def counted(lattice, bonds, bond_ids=None):
+        out = plaquette_actions(lattice, bonds, bond_ids)
         evaluated.append(out.size)
         return out
 
@@ -278,7 +278,7 @@ def test_plaquette_quadratic_reports_an_injected_violation(monkeypatch):
     # second count is redone from the same draws (one block, seed window 0).
     n_samples, seed = 3000, 5
     monkeypatch.setattr(bounds, "plaquette_actions",
-                        lambda lat, bonds: plaquette_actions(lat, bonds) + 5.0)
+                        lambda lat, bonds, ids: plaquette_actions(lat, bonds, ids) + 5.0)
     chk = check_plaquette_quadratic("U", 1, 1, n_samples, seed)
     lam = np.angle(haar_sample(mc.block_rng(seed, 0), 1, kind="U",
                                size=(n_samples, 1))[:, 0, 0, 0])

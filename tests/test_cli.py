@@ -201,10 +201,11 @@ def test_config_lists_and_bools_parse_like_flags(tmp_path, capsys):
 
 
 def test_sweep_rejects_other_dimensions(tmp_path, capsys):
-    code, _, stderr = run_cli(
-        ["sweep", "--d", 3, "--out-dir", tmp_path], capsys)
-    assert code == 2
-    assert "error:" in stderr
+    # The sweep is the exact d = 2 factorization; it has no --d option.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--d", "3", "--out-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --d 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -293,6 +294,10 @@ SMALL = ["--d", 2, "--L", 2]
       for argv in (["wilson-mc", "--samples", 10],
                    ["bose-exact", "--gauge", "random"])
       for seed in (-1, 2**128)],
+    # The seed is echoed in the record, so it is checked where nothing is drawn.
+    (["verify-bounds", "--which", "gauge", "--seed", -1, *SMALL],
+     "seed must lie in [0, 2^128), got -1"),
+    (["bose-exact", "--seed", -5, *SMALL], "seed must lie in [0, 2^128), got -5"),
 ])
 def test_bad_monte_carlo_counts_exit_2_naming_the_value(tmp_path, capsys,
                                                         monkeypatch, argv,

@@ -1,5 +1,6 @@
 """Partition values: exact determinants, Monte Carlo, one-bond, kernels."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -293,6 +294,23 @@ def test_gauge_fixed_sampling_agrees_with_free():
     fixed = z_wilson_mc(p, n_samples=20_000, seed=9, gauge_fixed=True)
     joint = np.hypot(free.std_error_log, fixed.std_error_log)
     assert abs(free.log_value - fixed.log_value) < 3.0 * joint
+
+
+@pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")
+def test_gauge_fixed_block_holds_only_its_draws():
+    # The tree bonds are the identity, which the kernel supplies: a block
+    # peaks at the sampler's Gaussians and draws, with no full bond array.
+    p = ModelParams(d=4, L=3, n=2, g_sq=4.0)
+    samples = 2048
+    draw_bytes = samples * p.gauge_fixing.n_retained * p.n**2 * 16
+    p.lattice.plaq_bonds  # tables are built once per lattice, not per block
+    tracemalloc.start()
+    try:
+        z_wilson_mc(p, samples, seed=3, gauge_fixed=True, block_size=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * draw_bytes, peak / draw_bytes
 
 
 def test_wilson_mc_warns_when_noisy():
