@@ -40,9 +40,10 @@ from . import mc
 from .actions import plaquette_actions
 from .errors import UsageError
 from .haar import (angle_norm_sq, check_group, cue_density, cue_density_vandermonde,
-                   cue_norm, gue_density, gue_integral, gue_norm, haar_sample)
+                   cue_norm, gue_density, gue_integral, gue_norm, haar_sample,
+                   lead_slices)
 from .lattice import Lattice, check_dimension, n_retained_bonds, require_positive
-from .partition import (Estimate, bose_quadratic_form, logdet_posdef,
+from .partition import (Estimate, band_entries, bose_quadratic_form, logdet_posdef,
                         z_wilson_d2_exact, z_wilson_mc)
 from .su2 import su2_bound_constants, su2_haar_density
 # su2_haar and z_single_bond are not called here: perfbench/spans.py rebinds
@@ -52,6 +53,8 @@ from .su2 import su2_haar
 
 DETERMINISTIC_LOG_RTOL = 1e-8
 BOSE_BLOCK_SIZE = 32  # configurations per draw window of the Bose check
+# Band entries per slice of the full-model Bose stack (2 MiB of doubles).
+FULL_BAND_SLICE_ENTRIES = 1 << 18
 
 
 # --------------------------------------------------------------- constants
@@ -281,6 +284,15 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     e^{-S_w(g)} Z_B(g); the average is estimated by Monte Carlo with the
     exact Bose determinant evaluated per sample.  Bounds are the combined
     exact rates times the site count.
+
+    Every bond is drawn: the real fields couple through Re(g), so Z_B(g) is
+    invariant only under orthogonal site rotations, not under the U(N) or
+    SU(N) ones a gauge-fixing tree would use.  A block keeps its Haar draws
+    whole, so the random stream does not depend on slicing, and builds and
+    factorises the Bose band over slices of FULL_BAND_SLICE_ENTRIES band
+    entries (haar.lead_slices), written into one log Z_B array.  Forms in a
+    stack do not couple, so the values match one stack of the whole block
+    (bit for bit in every case tested, LAPACK's blocked kd >= 32 path too).
     """
     if params.field_kind != "real" or params.n_flavors != 1:
         raise UsageError("full-model verification is set up for one real flavor")
@@ -288,13 +300,17 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     consts = BoundConstants.for_params(params)
     lo_rate, up_rate = consts.combined_rates(lat)
     coupling = params.scaling.coupling
+    per_form = band_entries(params)
 
     def block(rng, count):
         bonds = haar_sample(rng, params.n, kind=params.kind,
                             size=(count, lat.n_bonds))
         actions = coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
-        log_z_b = -0.5 * logdet_posdef(bose_quadratic_form(params, bonds),
-                                       context="full-model Bose form")
+        log_z_b = np.empty(count)
+        for s in lead_slices(count, per_form, FULL_BAND_SLICE_ENTRIES):
+            log_z_b[s] = -0.5 * logdet_posdef(
+                bose_quadratic_form(params, bonds[s]),
+                context="full-model Bose form")
         return np.exp(-actions + log_z_b)
 
     moments = mc.sample_mean(block, n_samples, seed,

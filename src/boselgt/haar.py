@@ -11,8 +11,8 @@ Gram-Schmidt gives a positive diagonal by construction.  Each column is
 projected twice against the earlier ones, which keeps Q unitary to round-off
 (classical Gram-Schmidt with one re-orthogonalisation pass).  The loops run
 over the N^2 matrix entries, each vectorised over a slice of about 8192 / N
-matrices (lead_slices, shared with actions.plaquette_actions), so no
-per-matrix LAPACK call is made.  The real and imaginary Gaussian draws are
+matrices (lead_slices, shared with actions.plaquette_actions and the
+full-model Bose band of bounds), so no per-matrix LAPACK call is made.  The real and imaginary Gaussian draws are
 taken for the whole batch, so the random stream does not depend on slicing,
 and with the output they are the only batch-sized arrays: the memory beyond
 the output is the draws' (as many bytes as the output) plus slice planes of
@@ -90,9 +90,12 @@ def check_group(kind, n):
 
 # ---------------------------------------------------------------- sampling
 
-def lead_slices(m, width):
-    """Slices covering range(m), each of about _SLICE_ENTRIES // width items."""
-    step = max(1, _SLICE_ENTRIES // width)
+def lead_slices(m, width, entries=None):
+    """Slices covering range(m), each of about entries // width items.
+
+    entries defaults to _SLICE_ENTRIES, read at call time.
+    """
+    step = max(1, (_SLICE_ENTRIES if entries is None else entries) // width)
     return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 

@@ -48,6 +48,11 @@ from .haar import weyl_integrate
 from .su2 import su2_haar, su2_to_matrix
 
 METHODS = ("exact-determinant", "quadrature", "monte-carlo")
+# exp overflows a double above this log value.
+LOG_MAX_DOUBLE = float(np.log(np.finfo(float).max))
+# Below this mean the squared deviations of the weights can underflow, so
+# their m2, and with it the error bar, may read 0.
+MIN_MC_MEAN = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ class Estimate:
 
     @property
     def value(self):
-        if self.log_value > 709.0:
+        if self.log_value > LOG_MAX_DOUBLE:
             return np.inf
         if self.log_value < -745.0:
             return 0.0
@@ -95,17 +100,40 @@ class Estimate:
 
     @classmethod
     def from_moments(cls, moments, seed):
+        """Monte Carlo estimate from the merged Moments of positive weights.
+
+        Raises NumericError when the mean is below MIN_MC_MEAN: at 0 every
+        weight underflowed, and above 0 the error bar may have.
+        """
         m = moments
-        if m.mean <= 0.0:
+        if not m.mean >= MIN_MC_MEAN:
             raise NumericError(
-                f"Monte Carlo mean of a positive quantity came out {m.mean:.6e}: "
-                "the weights underflowed")
+                f"Monte Carlo mean of a positive quantity came out {m.mean:.6e}, "
+                f"below {MIN_MC_MEAN:.3e} (the square root of the smallest normal "
+                "double): the weights or their squared deviations underflowed")
         return cls(log_value=float(np.log(m.mean)),
                    std_error_log=m.std_error / m.mean,
                    method="monte-carlo", n_samples=m.n, seed=seed)
 
 
 # ----------------------------------------------------------- Bose sector
+
+def _bandwidth(tails, heads, width):
+    """Lower bandwidth kd of Q: the widest link, in fields, plus its block."""
+    return int((heads - tails).max()) * width + width - 1
+
+
+def _field_width(params):
+    return params.n * (1 if params.field_kind == "real" else 2)
+
+
+def band_entries(params):
+    """Entries (kd + 1) M of one form's lower band, without building it."""
+    lat = params.lattice
+    width = _field_width(params)
+    kd = _bandwidth(lat.bond_tail, lat.bond_head, width)
+    return (kd + 1) * lat.n_sites * width
+
 
 def _banded_form(n_nodes, width, tails, heads, hops):
     """Lower band of Q = 1 - (hopping blocks), stacked over the lead axes.
@@ -118,7 +146,7 @@ def _banded_form(n_nodes, width, tails, heads, hops):
     an entry, so one scatter places them all.
     """
     lead = hops.shape[:-3]
-    kd = int((heads - tails).max()) * width + width - 1
+    kd = _bandwidth(tails, heads, width)
     ab = np.zeros((kd + 1,) + lead + (n_nodes * width,))
     ab[0] = 1.0
     # Entry [i, r, c] is Q[heads[i] w + r, tails[i] w + c]; the index arrays
@@ -192,7 +220,7 @@ def z_bose_exact_unscaled(params, scaled):
 
     Q_u = s_B^2 Q exactly, so log Z_B shifts by -(n_flavors / 2) M log s_B^2.
     """
-    m = params.lattice.n_sites * params.n * (1 if params.field_kind == "real" else 2)
+    m = params.lattice.n_sites * _field_width(params)
     shift = m * np.log(params.scaling.bose_scale**2)
     return replace(scaled, log_value=scaled.log_value - 0.5 * params.n_flavors * shift)
 

@@ -54,7 +54,8 @@ def test_instrument_rebinds_and_restores(spans):
     assert ix.counted("su2.haar") == 0
     assert ix.calls("su2.to_matrix") == 0
     assert ix.counted("actions.plaquette") == 64
-    # The full-model verifier factorises each block's forms in one call.
+    # The full-model verifier factorises its forms in slices of about 2 MiB
+    # of band; a 32-sample block is one slice, so one call per block.
     assert ix.calls("partition.logdet") == 2
 
 

@@ -1,5 +1,6 @@
 """Volume-rate bounds, their reports, and the sampled verifiers."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,9 @@ from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
                             group_dim, sampled_checks, verify_bose_bounds,
                             verify_full_model, verify_gauge_bounds)
 from boselgt.errors import UsageError
-from boselgt.haar import haar_sample
-from boselgt.partition import bose_quadratic_form, logdet_posdef, z_wilson_mc
+from boselgt.haar import haar_sample, lead_slices
+from boselgt.partition import (Estimate, band_entries, bose_quadratic_form,
+                               logdet_posdef, z_wilson_mc)
 from oracles import combined_rates_uniform, d2_bond_upper_checks
 
 
@@ -217,6 +219,46 @@ def test_full_model_verifier_matches_matter_sector_api(n, kind):
     # sigma_log is the relative error of the unscaled mean, whatever the scale.
     assert rep.std_error_log == pytest.approx(
         np.std(w, ddof=1) / np.sqrt(count) / np.mean(w), rel=1e-10)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_full_model_slices_equal_one_unsliced_factorisation(monkeypatch, n_workers):
+    p = ModelParams(d=3, L=2, n=2, kind="U", g_sq=2.0)
+    count, block, seed = 96, 32, 5
+    # Seven forms per slice: each 32-sample block runs as 7, 7, 7, 7, 4.
+    monkeypatch.setattr(bounds, "FULL_BAND_SLICE_ENTRIES", 7 * band_entries(p))
+    assert [s.stop - s.start for s in lead_slices(
+        block, band_entries(p), bounds.FULL_BAND_SLICE_ENTRIES)] == [7, 7, 7, 7, 4]
+    rep = verify_full_model(p, count, seed, n_workers=n_workers, block_size=block)
+
+    def unsliced(rng, m):
+        bonds = haar_sample(rng, p.n, kind=p.kind, size=(m, p.lattice.n_bonds))
+        log_z_b = -0.5 * logdet_posdef(bose_quadratic_form(p, bonds))
+        return np.exp(-wilson_action(p, bonds) + log_z_b)
+
+    est = Estimate.from_moments(
+        mc.sample_mean(unsliced, count, seed, block_size=block), seed)
+    log_scale = (group_dim(p.kind, p.n) * p.gauge_fixing.n_retained
+                 * np.log(p.scaling.gauge_scale))
+    assert rep.log_value == est.log_value + log_scale
+    assert rep.std_error_log == est.std_error_log
+
+
+def test_full_model_block_holds_about_its_draws():
+    # The Bose band is built and factorised over slices of the block, so a
+    # block peaks near its Haar draws plus their plaquette planes, not at a
+    # stacked band of every sample.
+    p = ModelParams(d=3, L=2, n=2, kind="SU")
+    samples = 8192
+    draw_bytes = samples * p.lattice.n_bonds * p.n**2 * 16
+    verify_full_model(p, 64, seed=3, block_size=64)  # tables and scipy, once
+    tracemalloc.start()
+    try:
+        verify_full_model(p, samples, seed=3, block_size=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * draw_bytes, peak / draw_bytes
 
 
 @pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")

@@ -327,6 +327,11 @@ def assert_no_bare_non_finite(directory):
     (["su2-check", "--d", 3, "--a", 1e-210], "overflows at c = 1e+210"),
     # 1/beta overflows: the message names beta, not the derived coupling.
     (["cue-gue", "--n", 1, "--betas", 5e-324], "overflows at beta = 5e-324"),
+    # Weights in e^{-493}..e^{-380}: their squared deviations underflow, and
+    # the error bar read a false 0 with a "pass".
+    (["verify-bounds", "--d", 3, "--L", 4, "--n", 2, "--which", "full",
+      "--samples", 5000, "--seed", 3],
+     "came out 2.127427e-170, below 1.492e-154"),
 ])
 def test_out_of_range_numbers_exit_3_naming_the_value(tmp_path, capsys,
                                                       monkeypatch, argv,

@@ -1,5 +1,6 @@
 """Partition values: exact determinants, Monte Carlo, one-bond, kernels."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -10,8 +11,8 @@ from boselgt.actions import ModelParams, gauge_transform, identity_bonds
 from boselgt.errors import NotPositiveDefiniteError, NumericError, UsageError
 from boselgt.haar import haar_sample
 from boselgt.mc import Moments
-from boselgt.partition import (Estimate, bose_quadratic_form, logdet_posdef,
-                               z_bose_exact, z_bose_exact_unscaled,
+from boselgt.partition import (LOG_MAX_DOUBLE, MIN_MC_MEAN, Estimate,
+                               bose_quadratic_form, logdet_posdef, z_bose_exact, z_bose_exact_unscaled,
                                z_single_bond, z_wilson_d2_exact, z_wilson_mc)
 from oracles import chain_partition, transfer_kernel_matrix
 
@@ -104,6 +105,24 @@ def test_estimate_from_moments():
         Estimate.from_moments(Moments(n=100, mean=-0.5, m2=1.0), seed=0)
 
 
+def test_estimate_value_spans_the_whole_double_range():
+    for log_value in (709.5, LOG_MAX_DOUBLE, -700.0):
+        est = Estimate.exact(log_value)
+        assert est.value == pytest.approx(math.exp(log_value), rel=1e-15)
+    assert Estimate.exact(np.nextafter(LOG_MAX_DOUBLE, np.inf)).value == np.inf
+    assert Estimate.exact(-746.0).value == 0.0
+
+
+def test_mean_whose_squared_deviations_can_underflow_is_refused():
+    # Weights near e^{-390} have squared deviations below the smallest
+    # double, so m2 reads 0 and the error bar would be a false 0.
+    with pytest.raises(NumericError, match="came out 2.127400e-170, below"):
+        Estimate.from_moments(Moments(n=5000, mean=2.1274e-170, m2=0.0), seed=3)
+    assert MIN_MC_MEAN ** 2 == np.finfo(float).tiny
+    edge = Estimate.from_moments(Moments(n=100, mean=MIN_MC_MEAN, m2=0.0), seed=0)
+    assert edge.log_value == np.log(MIN_MC_MEAN)
+
+
 def test_rescaling_by_replace_keeps_the_log_error():
     # A known scale factor shifts log_value; the error of the log, and so
     # the relative error of the value, stays what the sample gave.
@@ -168,6 +187,23 @@ def test_bose_value_gauge_invariance():
     a = z_bose_exact(p, cfg).log_value
     b = z_bose_exact(p, gauge_transform(p.lattice, cfg, rots)).log_value
     assert b == pytest.approx(a, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_real_fields_are_invariant_only_under_orthogonal_site_rotations(n):
+    # Real fields couple through Re(g): Re(r g r'^T) = r Re(g) r'^T for
+    # orthogonal r, but not for unitary r, so the full model of real fields
+    # has only O(N) site symmetry and cannot be gauge-fixed to U(N) trees.
+    p = ModelParams(d=2, L=3, n=n)
+    rng = np.random.default_rng(43)
+    cfg = haar_sample(rng, n, size=p.lattice.n_bonds)
+    orthogonal, _ = np.linalg.qr(rng.standard_normal((p.lattice.n_sites, n, n)))
+    unitary = haar_sample(rng, n, size=p.lattice.n_sites)
+    a = z_bose_exact(p, cfg).log_value
+    b = z_bose_exact(p, gauge_transform(p.lattice, cfg, orthogonal)).log_value
+    c = z_bose_exact(p, gauge_transform(p.lattice, cfg, unitary)).log_value
+    assert b == pytest.approx(a, rel=1e-10)
+    assert abs(c - a) > 1e-3
 
 
 def test_decoupled_bose_value_is_one():
