@@ -25,10 +25,13 @@ unitary
 which is how the action is evaluated: a sum of squares, never negative and
 free of the cancellation in 2(N - Re tr hol) near the identity, where small
 lattice spacing puts every plaquette.  Per plaquette it lies in [0, 4N].
-The kernel takes the flattened lead (sample) axes in slices of about
-8192 / n_plaq samples (haar.lead_slices), so each temporary entry plane
-holds about 8192 complex entries (128 KiB) and the memory it needs beyond
-its output stays the same whatever the batch size.
+Bonds that are not drawn are the identity, so the kernel plans per call
+which corners it must multiply (plaquette_actions): under the enhanced
+temporal gauge no tree corner is gathered or multiplied.  It takes the
+flattened lead (sample) axes in slices of about 8192 / (widest plaquette
+group) samples (haar.lead_slices), so each temporary entry plane holds
+about 8192 complex entries (128 KiB) and the memory it needs beyond its
+output stays the same whatever the batch size.
 
 A gauge configuration is a complex array lead + (k, N, N) of the matrices
 on k listed bonds (all n_bonds unless bond ids say which); each other bond
@@ -156,13 +159,24 @@ def plaquette_actions(lattice, bonds, bond_ids=None):
     """|1 - hol|_HS^2 = |g1 g2 - g4 g3|_F^2 per plaquette, shape (..., n_plaq).
 
     bonds (lead + (k, N, N)) holds the lattice bonds bond_ids (default: all,
-    in order); every bond not listed is the identity.  They are moved to
-    entry planes (N, N, samples, k + 1) whose last column is the identity,
-    the four corners gathered with np.take (an unlisted corner reads column
-    -1), and A = g1 g2 and B = g4 g3 formed entry by entry over samples and
-    plaquettes, with no per-matrix matmul.  The lead axes are flattened and
-    taken in slices of about _SLICE_ENTRIES // n_plaq samples
-    (haar.lead_slices), each written into one preallocated output.
+    in order); every bond not listed is the identity.  A plan made per call
+    from bond_ids classes each half A = g1 g2 and B = g4 g3 by its drawn
+    corners (none, one, two), swaps the halves where B has more (|A - B|^2
+    is symmetric), and groups the plaquettes by the pair of classes.  Only
+    drawn corners are gathered and multiplied: a one-corner half is that
+    matrix, an identity half subtracts 1 from the diagonal, and two
+    identity halves give 0.  x * 1 and x + 0 are exact, so each action is
+    bit for bit the one of the full product.  The drawn matrices are moved
+    to entry planes (N, N, samples, k), and the products are formed entry
+    by entry over samples and plaquettes, with no per-matrix matmul.  The
+    lead axes are flattened and taken in slices of about _SLICE_ENTRIES //
+    (widest group) samples (haar.lead_slices), so a group's gathered planes
+    hold about _SLICE_ENTRIES entries.  At d3 L3 U(1) a slice has a fixed
+    cost of about 40 us (three groups, 2-vCPU Xeon), and sizing by the
+    widest group (18) rather than n_plaq (36) halves the slices of an
+    8192-sample block from 37 to 19.  Each slice's group columns are put
+    back in plaquette order by one gather into the preallocated output, so
+    sums over plaquettes keep their order.
     """
     n, drawn = bonds.shape[-1], bonds.shape[-3]
     ids = np.arange(lattice.n_bonds) if bond_ids is None else bond_ids
@@ -170,27 +184,53 @@ def plaquette_actions(lattice, bonds, bond_ids=None):
         raise ValueError(f"{len(ids)} bond ids for {drawn} bond matrices")
     col = np.full(lattice.n_bonds, -1)
     col[ids] = np.arange(drawn)
-    pb = col[lattice.plaq_bonds]
-    flat = bonds.reshape((-1,) + bonds.shape[-3:])
-    out = np.empty((len(flat), len(pb)))
-    for s in lead_slices(len(flat), len(pb)):
-        # Contiguous, so each gathered g[i, j] is too; column -1 is the identity.
-        planes = np.empty((n, n, s.stop - s.start, drawn + 1), dtype=complex)
-        np.copyto(planes[..., :drawn], np.moveaxis(flat[s], (-2, -1), (0, 1)))
-        planes[..., drawn] = np.eye(n)[:, :, None]
-        g1, g2, g3, g4 = (np.take(planes, pb[:, c], axis=-1) for c in range(4))
-        total = 0.0
-        for i in range(n):
-            for k in range(n):
-                x = g1[i, 0] * g2[0, k]
-                y = g4[i, 0] * g3[0, k]
-                for j in range(1, n):
-                    x += g1[i, j] * g2[j, k]
-                    y += g4[i, j] * g3[j, k]
-                x -= y
-                total = total + (x.real * x.real + x.imag * x.imag)
-        out[s] = total
-    return out.reshape(bonds.shape[:-3] + (len(pb),))
+    halves = col[lattice.plaq_bonds][:, [[0, 1], [3, 2]]]   # (P, half, corner)
+    rank = np.count_nonzero(halves >= 0, axis=-1)
+    one = rank == 1
+    halves[one] = -np.sort(-halves[one])   # a lone drawn corner comes first
+    swap = rank[:, 1] > rank[:, 0]
+    halves[swap], rank[swap] = halves[swap, ::-1], rank[swap, ::-1]
+    key = 3 * rank[:, 0] + rank[:, 1]
+    order = np.argsort(key, kind="stable")
+    stops = np.cumsum(np.unique(key, return_counts=True)[1]).tolist()
+    groups = []   # per group: its span of `order` and the drawn corners of A and B
+    for first, stop in zip([0] + stops[:-1], stops):
+        pick = halves[order[first:stop]]
+        r = rank[order[first]]
+        groups.append((first, stop, [list(pick[:, h, :r[h]].T) for h in (0, 1)]))
+    back = np.argsort(order)
+    flat = bonds.reshape((int(np.prod(bonds.shape[:-3])),) + bonds.shape[-3:])
+    out = np.empty((len(flat), len(order)))
+    width = max(stop - first for first, stop, _ in groups)
+    for s in lead_slices(len(flat), width):
+        # Contiguous, so each gathered g[i, j] is too.
+        planes = np.empty((n, n, s.stop - s.start, drawn), dtype=complex)
+        np.copyto(planes, np.moveaxis(flat[s], (-2, -1), (0, 1)))
+        grouped = np.empty((s.stop - s.start, len(order)))
+        for first, stop, corners in groups:
+            a, b = ([np.take(planes, c, axis=-1) for c in h] for h in corners)
+            total = 0.0   # stays 0 for two identity halves
+            for i in range(n if a else 0):
+                for k in range(n):
+                    x = _half_entry(a, i, k)
+                    if b:
+                        x -= _half_entry(b, i, k)
+                    elif i == k:
+                        x = x - 1.0
+                    total = total + (x.real * x.real + x.imag * x.imag)
+            grouped[:, first:stop] = total
+        np.take(grouped, back, axis=1, out=out[s])
+    return out.reshape(bonds.shape[:-3] + (len(order),))
+
+
+def _half_entry(half, i, k):
+    """Entry (i, k) of a half product from its gathered drawn corners (one or two)."""
+    if len(half) == 1:
+        return half[0][i, k]
+    x = half[0][i, 0] * half[1][0, k]
+    for j in range(1, len(half[0])):
+        x += half[0][i, j] * half[1][j, k]
+    return x
 
 
 def wilson_action(params, bonds, bond_ids=None):

@@ -29,7 +29,10 @@ verdicts use a relative tolerance of 1e-8 on the log scale.
 
 Pointwise inequalities are checked on random draws by sampled_checks: a
 comparison's slack is its bound minus the checked quantity, a slack below 0
-is a violation, and the worst margin is the smallest slack.
+is a violation, and the worst margin is the smallest slack.  Where a slack
+can fall below 0 by round-off alone (the U(1) plaquette bound at tiny
+angles), each negative slack is recomputed exactly and only an exact slack
+below 0 is a violation; mpmath is imported there, for those draws only.
 """
 
 from dataclasses import dataclass, replace
@@ -188,13 +191,16 @@ class SampledBoundCheck:
 
     violations counts the slacks (bound minus checked quantity) below 0;
     worst_margin is the smallest slack, in the units of the compared
-    quantity (log Z_B for the Bose check).
+    quantity (log Z_B for the Bose check).  recounted is None for a check
+    without an exact route; otherwise it counts the draws whose float slack
+    was below 0 but whose exact slack is not (round-off, not violations).
     """
 
     name: str
     n_samples: int
     violations: int
     worst_margin: float
+    recounted: int | None = None
 
     @property
     def passed(self):
@@ -205,20 +211,37 @@ def sampled_checks(slack_block, n_samples, seed, n_workers=1,
                    block_size=mc.DEFAULT_BLOCK_SIZE):
     """{name: SampledBoundCheck} from slack_block(rng, count) -> {name: slacks}.
 
-    slacks lists one array per comparison.  Each block reduces to its count
-    and smallest slack (nan if any slack is nan) before blocks merge.
+    slacks lists one array per comparison, or a pair (array, exact) for a
+    comparison with an exact route: exact(draws) recomputes the slacks of
+    the listed draws, and replaces each float slack below 0 before counting
+    (the replaced ones that are >= 0 are the check's recount).  Each block
+    reduces to its count, smallest slack (nan if any slack is nan) and
+    recount before blocks merge.
     """
     def reduced(rng, count):
-        return {name: (sum(int(np.count_nonzero(s < 0.0)) for s in slacks),
-                       np.min([np.min(s, initial=np.inf) for s in slacks]))
-                for name, slacks in slack_block(rng, count).items()}
+        out = {}
+        for name, slacks in slack_block(rng, count).items():
+            recounted, arrays = None, []
+            for s in slacks:
+                if isinstance(s, tuple):
+                    s, exact = s
+                    wrong = np.flatnonzero(s < 0.0)
+                    if wrong.size:
+                        s[wrong] = exact(wrong)
+                    recounted = (recounted or 0) + int(np.count_nonzero(s[wrong] >= 0.0))
+                arrays.append(s)
+            out[name] = (sum(int(np.count_nonzero(s < 0.0)) for s in arrays),
+                         np.min([np.min(s, initial=np.inf) for s in arrays]), recounted)
+        return out
 
     parts = mc.map_blocks(reduced, n_samples, seed,
                           n_workers=n_workers, block_size=block_size)
     return {name: SampledBoundCheck(
                 name=name, n_samples=n_samples,
                 violations=sum(p[name][0] for p in parts),
-                worst_margin=float(np.min([p[name][1] for p in parts])))
+                worst_margin=float(np.min([p[name][1] for p in parts])),
+                recounted=(None if parts[0][name][2] is None
+                           else sum(p[name][2] for p in parts)))
             for name in parts[0]}
 
 
@@ -332,7 +355,11 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
     each draw gives one slack per inequality, in units of the action.
     Every group goes through the same path: haar_sample draws the bonds,
     plaquette_actions evaluates the action the Monte Carlo integrates, and
-    haar.angle_norm_sq reads the angles back.
+    haar.angle_norm_sq reads the angles back.  For U(1) at k = 1 the exact
+    slack is theta^2 - 4 sin^2(theta/2) ~ theta^4 / 12, below the round-off
+    of theta^2 once |theta| < ~4e-8, so each draw with a quadratic slack
+    below 0 is recomputed at 50 digits (_exact_quadratic_slacks) and counts
+    as a violation only if that says so; the recount is reported.
     """
     if k not in (1, 2, 3, 4):
         raise UsageError(f"k must be in 1..4, got {k}")
@@ -345,10 +372,53 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
         mats = haar_sample(rng, n, kind=kind, size=(count, k))
         action = plaquette_actions(lat, mats, haar_bonds)[:, 0]
         bound = k * n * np.sum(angle_norm_sq(mats, kind), axis=-1)
-        return {name: [bound - action, 4.0 * n - action]}
+        exact = lambda draws: _exact_quadratic_slacks(mats[draws], bound[draws],
+                                                      action[draws])
+        return {name: [(bound - action, exact), 4.0 * n - action]}
 
     return sampled_checks(block, n_samples, seed, n_workers=n_workers,
                           block_size=block_size)[name]
+
+
+def _exact_quadratic_slacks(mats, bound, action):
+    """Slacks k N sum_b |lam_b|^2 - |g1 g2 - g4 g3|_F^2 of draws at 50 digits.
+
+    mats (draws, k, N, N) are the first k plaquette corners, the others the
+    identity; bound and action are the float values the check compared.
+    The entries are unitary to round-off only, and that alone moves
+    |z - 1|^2 by about eta (theta^2 + eta), eta ~ 1e-16, more than the
+    exact slack theta^4 / 12 at tiny angles.  So each matrix is replaced by
+    its unitary polar factor (Newton's X <- (X + X^-H) / 2; from a defect
+    of 1e-15 each step squares it, so four steps pass 50 digits), and the
+    angles (eigenvalues' arguments) and the action are taken from those.
+    A draw keeps its float slack unless the float bound and action lie
+    within 1e-13 (exact bound + exact action) + 1e-30 of the exact ones (a
+    few units of round-off, relative, and squared in unit-size entries): a
+    larger gap is an error of the kernel, not round-off, and stays visible.
+    """
+    import mpmath
+
+    out = bound - action
+    with mpmath.workdps(50):
+        for j, corners in enumerate(mats):
+            k, n = corners.shape[:2]
+            g, angles = [], mpmath.mpf(0)
+            for m in corners:
+                x = mpmath.matrix(m.tolist())
+                for _ in range(4):
+                    x = (x + mpmath.inverse(x).H) / 2
+                eig = [x[0, 0]] if n == 1 else mpmath.eig(x, left=False, right=False)
+                angles += sum(mpmath.arg(e) ** 2 for e in eig)
+                g.append(x)
+            g += [mpmath.eye(n)] * (4 - k)
+            diff = g[0] * g[1] - g[3] * g[2]
+            exact_action = sum(abs(diff[i, c]) ** 2 for i in range(n) for c in range(n))
+            exact_bound = k * n * angles
+            gap = (abs(mpmath.mpf(bound[j]) - exact_bound)
+                   + abs(mpmath.mpf(action[j]) - exact_action))
+            if gap <= 1e-13 * (exact_bound + exact_action) + 1e-30:
+                out[j] = float(exact_bound - exact_action)
+    return out
 
 
 def elementary_inequality_suite(n_draws, seed, n_workers=1,

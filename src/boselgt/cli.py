@@ -216,6 +216,10 @@ def report_sampled_check(chk, unit="draws"):
                "verdict": "pass" if chk.passed else "fail"}
     print(f"{chk.name}: {payload['verdict']} ({chk.violations} violations "
           f"in {chk.n_samples} {unit}, worst margin {chk.worst_margin:.3g})")
+    if chk.recounted is not None:
+        payload["recounted"] = chk.recounted
+        print(f"{chk.name} round-off recount: {chk.recounted} float slacks "
+              "below 0 hold at 50 digits")
     return payload
 
 

@@ -50,10 +50,11 @@ def su2_to_matrix(p):
     p = np.asarray(p, dtype=float)
     w0, w1, w2, w3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
     m = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
-    m[..., 0, 0] = w0 + 1j * w3
-    m[..., 0, 1] = w2 + 1j * w1
-    m[..., 1, 0] = -w2 + 1j * w1
-    m[..., 1, 1] = w0 - 1j * w3
+    re, im = m.real, m.imag   # entries written part by part: no complex temporaries
+    re[..., 0, 0], im[..., 0, 0] = w0, w3
+    re[..., 0, 1], im[..., 0, 1] = w2, w1
+    re[..., 1, 0], im[..., 1, 0] = -w2, w1
+    re[..., 1, 1], im[..., 1, 1] = w0, -w3
     return m
 
 
@@ -61,7 +62,8 @@ def su2_haar(rng, size=()):
     """Haar-distributed points: uniform on the unit 3-sphere."""
     shape = (size,) if np.isscalar(size) else tuple(size)
     x = rng.standard_normal(shape + (4,))
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    return x
 
 
 def su2_haar_density(a):

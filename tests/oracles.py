@@ -2,15 +2,16 @@
 
 No command reaches them, so they live with the tests: SU(2) four-vector
 arithmetic and the quaternion plaquette action (the independent route to
-actions.plaquette_actions), lexicographic site indexing, the Gaussian chain
-and transfer kernels behind the Bose upper rate, and the d = 2 one-bond and
-L-independent rate bounds.
+actions.plaquette_actions), the Haar sampler's expressions with
+batch-sized temporaries (haar.haar_sample builds its matrices in place),
+lexicographic site indexing, the Gaussian chain and transfer kernels behind
+the Bose upper rate, and the d = 2 one-bond and L-independent rate bounds.
 """
 
 import numpy as np
 
 from boselgt.errors import NumericError, UsageError
-from boselgt.haar import cue_norm, gue_norm
+from boselgt.haar import cue_norm, gue_norm, lead_slices
 from boselgt.partition import _banded_form, logdet_posdef, z_single_bond
 from boselgt.su2 import _sinc_ball, su2_angle
 
@@ -75,6 +76,60 @@ def su2_plaquette_action(p):
     w0 = p[..., 0]
     near = 4.0 * np.sum(p[..., 1:] ** 2, axis=-1) / (1.0 + np.maximum(w0, 0.0))
     return np.where(w0 > 0.0, near, 4.0 * (1.0 - w0))
+
+
+# -------------------------------------------------------------- sampling
+
+def haar_sample_with_temporaries(rng, n, kind="U", size=()):
+    """Haar matrices through batch-sized temporaries, the same random stream.
+
+    The real and imaginary Gaussian entries are two batch arrays joined by
+    re + 1j * im; U(1) is z / |z|; SU(2) is x / |x| on the quaternion points
+    with complex entry sums; the other groups run Gram-Schmidt with one
+    re-orthogonalisation pass over haar.lead_slices of the batch, on fresh
+    column arrays.  haar.haar_sample, which builds every matrix in its
+    output, must give the same matrices bit for bit.
+    """
+    shape = (size,) if np.isscalar(size) else tuple(size)
+    if kind == "SU" and n == 2:
+        x = rng.standard_normal(shape + (4,))
+        w0, w1, w2, w3 = np.moveaxis(x / np.linalg.norm(x, axis=-1, keepdims=True), -1, 0)
+        m = np.empty(shape + (2, 2), dtype=complex)
+        m[..., 0, 0] = w0 + 1j * w3
+        m[..., 0, 1] = w2 + 1j * w1
+        m[..., 1, 0] = -w2 + 1j * w1
+        m[..., 1, 1] = w0 - 1j * w3
+        return m
+    if n == 1:
+        z = rng.standard_normal(shape + (1, 1)) + 1j * rng.standard_normal(shape + (1, 1))
+        return z / np.abs(z)
+    re = rng.standard_normal(shape + (n, n)).reshape(-1, n, n)
+    im = rng.standard_normal(shape + (n, n)).reshape(-1, n, n)
+    q = np.empty(re.shape, dtype=complex)
+    for s in lead_slices(len(q), n):
+        done = []
+        for k in range(n):
+            col = [re[s, i, k] + 1j * im[s, i, k] for i in range(n)]
+            for _ in range(2):
+                for u, conj_u in done:
+                    c = conj_u[0] * col[0]
+                    for i in range(1, n):
+                        c += conj_u[i] * col[i]
+                    for i in range(n):
+                        col[i] -= c * u[i]
+            norm = np.sqrt(sum(x.real * x.real + x.imag * x.imag for x in col))
+            for i, x in enumerate(col):
+                x /= norm
+                q[s, i, k] = x
+            done.append((col, [np.conj(x) for x in col]))
+        if kind == "SU":
+            if n == 3:
+                (a, d, g), (b, e, h), (c, f, i) = (col for col, _ in done)
+                det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+            else:
+                det = np.linalg.det(q[s])
+            q[s, 0, :] = q[s, 0, :] * np.conj(det)[:, None]
+    return q.reshape(shape + (n, n))
 
 
 # ----------------------------------------------------------------- lattice

@@ -13,6 +13,7 @@ from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
                             elementary_inequality_suite, gauge_rate_bounds,
                             group_dim, sampled_checks, verify_bose_bounds,
                             verify_full_model, verify_gauge_bounds)
+from boselgt.cli import report_sampled_check
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample, lead_slices
 from boselgt.partition import (Estimate, band_entries, bose_quadratic_form,
@@ -331,6 +332,64 @@ def test_plaquette_quadratic_reports_an_injected_violation(monkeypatch):
     assert chk.worst_margin == pytest.approx(
         min(np.min(quadratic_slack), np.min(4.0 - action)), rel=1e-12)
     assert chk.worst_margin <= -1.0 and not chk.passed
+
+
+def _tiny_angle_u1(rng, n, kind="U", size=()):
+    """U(1) draws at |theta| in [1e-12, 1e-5], normalised as haar_sample does."""
+    count = size[0]
+    theta = np.exp(rng.uniform(np.log(1e-12), np.log(1e-5), count))
+    theta *= rng.choice([-1.0, 1.0], count)
+    g = rng.uniform(0.3, 2.0, count) * np.exp(1j * theta)
+    return (g / np.abs(g))[:, None, None, None]
+
+
+def test_plaquette_quadratic_recounts_round_off_exactly(monkeypatch, capsys):
+    # At tiny angles the U(1), k = 1 slack theta^4 / 12 is below the round-off
+    # of theta^2: every negative float slack is recomputed at 50 digits and,
+    # its exact slack being >= 0, recounted rather than counted.
+    n_samples, seed = 600, 4
+    monkeypatch.setattr(bounds, "haar_sample", _tiny_angle_u1)
+    mats = _tiny_angle_u1(mc.block_rng(seed, 0), 1, size=(n_samples, 1))
+    lat = bounds.Lattice(d=2, L=2)
+    float_slack = (np.angle(mats[:, 0, 0, 0]) ** 2
+                   - plaquette_actions(lat, mats, lat.plaq_bonds[0][:1])[:, 0])
+    negative = int(np.count_nonzero(float_slack < 0.0))
+    assert negative > 20
+    chk = check_plaquette_quadratic("U", 1, 1, n_samples, seed)
+    assert chk.passed and chk.violations == 0
+    assert chk.recounted == negative
+    assert chk.worst_margin >= 0.0
+    payload = report_sampled_check(chk)
+    assert payload["recounted"] == negative
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (f"{chk.name} round-off recount: {negative} float "
+                         "slacks below 0 hold at 50 digits")
+
+
+def test_plaquette_quadratic_recount_keeps_kernel_errors(monkeypatch):
+    # An action 1e-24 too large is tiny, but far above the round-off of the
+    # draws it makes negative (|theta| < 2e-6, action < 4e-12): the exact
+    # recount leaves every one of them a violation.
+    n_samples, seed = 300, 6
+    monkeypatch.setattr(bounds, "haar_sample", _tiny_angle_u1)
+    monkeypatch.setattr(bounds, "plaquette_actions",
+                        lambda lat, bonds, ids: plaquette_actions(lat, bonds, ids) + 1e-24)
+    mats = _tiny_angle_u1(mc.block_rng(seed, 0), 1, size=(n_samples, 1))
+    lat = bounds.Lattice(d=2, L=2)
+    float_slack = (np.angle(mats[:, 0, 0, 0]) ** 2 - 1e-24
+                   - plaquette_actions(lat, mats, lat.plaq_bonds[0][:1])[:, 0])
+    negative = int(np.count_nonzero(float_slack < 0.0))
+    assert negative > 50
+    chk = check_plaquette_quadratic("U", 1, 1, n_samples, seed)
+    assert chk.violations == negative and chk.recounted == 0
+    assert chk.worst_margin < 0.0
+
+
+def test_checks_without_an_exact_route_report_no_recount(capsys):
+    chk = sampled_checks(lambda rng, count: {"x": [rng.uniform(size=count)]}, 100, 0)["x"]
+    assert chk.recounted is None
+    assert "recounted" not in report_sampled_check(chk)
+    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def test_plaquette_quadratic_rejects_bad_k():

@@ -1,5 +1,7 @@
 """Haar sampling, eigenvalue-angle densities, and their quadratures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from boselgt.haar import (angle_norm_sq, cue_density, cue_density_vandermonde,
                           haar_sample, peaked_cue_integral, weyl_integrate,
                           wrap_angle)
 from boselgt.su2 import su2_haar, su2_to_matrix
-from oracles import su2_exp
+from oracles import haar_sample_with_temporaries, su2_exp
 
 RNG = np.random.default_rng(515)
 
@@ -69,6 +71,36 @@ def test_haar_sample_slices_match_one_slice(monkeypatch, n, kind):
     sliced = draw(16)
     assert len(haar.lead_slices(91, n)) > 2 and 91 % (16 // n) != 0
     assert np.array_equal(sliced, whole)
+
+@pytest.mark.parametrize("n,kind", [(1, "U"), (2, "U"), (3, "U"), (2, "SU"),
+                                    (3, "SU")])
+@pytest.mark.parametrize("size", [(), (7,), (3, 5), (9000,)])
+def test_haar_sample_in_place_matches_the_batch_temporaries(n, kind, size):
+    # Built in its output (9000 spans two or more Gram-Schmidt slices), the
+    # sampler draws the same random stream and does the same arithmetic as
+    # the expressions with batch-sized complex temporaries.
+    seed = 17 * n + len(size)
+    got = haar_sample(np.random.default_rng(seed), n, kind=kind, size=size)
+    expect = haar_sample_with_temporaries(np.random.default_rng(seed), n,
+                                          kind=kind, size=size)
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n,kind", [(1, "U"), (2, "U"), (3, "U"), (2, "SU"),
+                                    (3, "SU")])
+def test_haar_sample_needs_one_float_plane_beyond_its_output(n, kind):
+    # The matrices are built in the output; beyond it only one float plane
+    # of the batch (0.5x; SU(2): its points plus one entry plane, 0.625x).
+    # Separate real and imaginary draws and their complex sum needed 1x-1.5x.
+    haar_sample(np.random.default_rng(0), n, kind=kind, size=(4, 3))   # warm caches
+    tracemalloc.start()
+    try:
+        out = haar_sample(np.random.default_rng(5), n, kind=kind, size=(16384, 54))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 0.65 * out.nbytes, peak / out.nbytes
+
 
 @pytest.mark.parametrize("size", [(), (9,), (4, 6)])
 def test_su2_haar_sample_is_the_quaternion_route(size):

@@ -88,6 +88,9 @@ def test_bound_suite_runs_to_its_summary(tmp_path, capsys, monkeypatch):
     for name in names:
         line, = [l for l in lines if l.startswith(f"{name}: ")]
         assert "pass (0 violations in 2000 draws, worst margin " in line, line
+    # The plaquette cells report their round-off recount on a line of its own.
+    for name in names[:8]:
+        assert f"{name} round-off recount: 0 float slacks below 0 hold at 50 digits" in lines
 
     records = {(r.config["d"], r.config["L"], r.config["n"], r.config["kind"]): r
                for r in map(read_record, tmp_path.glob("verify-bounds-*.json"))}
