@@ -43,21 +43,18 @@ from . import mc
 from .actions import plaquette_actions
 from .errors import UsageError
 from .haar import (angle_norm_sq, check_group, cue_density, cue_density_vandermonde,
-                   cue_norm, gue_density, gue_integral, gue_norm, haar_sample,
-                   lead_slices)
-from .lattice import Lattice, check_dimension, n_retained_bonds, require_positive
-from .partition import (Estimate, band_entries, bose_quadratic_form, logdet_posdef,
-                        z_wilson_d2_exact, z_wilson_mc)
+                   cue_norm, gue_density, gue_integral, gue_norm, haar_sample)
+from .lattice import Lattice, check_dimension, require_positive
+from .partition import Estimate, log_z_bose, z_wilson_d2_exact, z_wilson_mc
 from .su2 import su2_bound_constants, su2_haar_density
-# su2_haar and z_single_bond are not called here: perfbench/spans.py rebinds
-# them in this module, and its Tracer.rebind fails on a missing name.
-from .partition import z_single_bond
+# su2_haar, z_single_bond, bose_quadratic_form and logdet_posdef are not
+# called here: perfbench/spans.py rebinds them in this module, and its
+# Tracer.rebind fails on a missing name.
+from .partition import bose_quadratic_form, logdet_posdef, z_single_bond
 from .su2 import su2_haar
 
 DETERMINISTIC_LOG_RTOL = 1e-8
 BOSE_BLOCK_SIZE = 32  # configurations per draw window of the Bose check
-# Band entries per slice of the full-model Bose stack (2 MiB of doubles).
-FULL_BAND_SLICE_ENTRIES = 1 << 18
 
 
 # --------------------------------------------------------------- constants
@@ -126,9 +123,10 @@ class BoundConstants:
         """Exact per-site rates for the full model on this lattice.
 
         (lower, upper) with upper = bose_upper + gauge_upper * Lr/Ls and the
-        same shape for lower (whose Bose part is 0).
+        same shape for lower (whose Bose part is 0); a spanning tree leaves
+        Lr = n_bonds - (n_sites - 1) retained bonds.
         """
-        ratio = n_retained_bonds(lattice.d, lattice.L) / lattice.n_sites
+        ratio = (lattice.n_bonds - lattice.n_sites + 1) / lattice.n_sites
         return (self.bose_lower + self.gauge_lower * ratio,
                 self.bose_upper + self.gauge_upper * ratio)
 
@@ -253,9 +251,9 @@ def verify_bose_bounds(params, n_configs, seed, n_workers=1):
     Z_B for n_f flavors is the n_f-th power of the one-flavor value, so the
     one-flavor cap rate * n_sites is multiplied by n_f.  The slack of a
     configuration is min(log Z_B, log cap - log Z_B), so a configuration
-    violating any of the three inequalities counts once.  Forms are
-    factorised one configuration at a time: a stacked block of large forms
-    costs far more memory than it saves time.
+    violating any of the three inequalities counts once.  A block draws
+    its configurations one at a time, the order the random stream has
+    always had, and takes log Z_B of the whole stack from log_z_bose.
     """
     lat = params.lattice
     log_cap = (params.n_flavors * lat.n_sites
@@ -263,11 +261,9 @@ def verify_bose_bounds(params, n_configs, seed, n_workers=1):
     name = "bose-sector bounds"
 
     def block(rng, count):
-        log_z = np.empty(count)
-        for i in range(count):
-            bonds = haar_sample(rng, params.n, kind=params.kind, size=lat.n_bonds)
-            q = bose_quadratic_form(params, bonds)
-            log_z[i] = -0.5 * params.n_flavors * logdet_posdef(q)
+        log_z = log_z_bose(params, np.stack(
+            [haar_sample(rng, params.n, kind=params.kind, size=lat.n_bonds)
+             for _ in range(count)]))
         # log_z >= 0 is both "Z_B >= 1" and "det Q <= 1" (flavors > 0).
         return {name: [np.minimum(log_z, log_cap - log_z)]}
 
@@ -311,11 +307,8 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     Every bond is drawn: the real fields couple through Re(g), so Z_B(g) is
     invariant only under orthogonal site rotations, not under the U(N) or
     SU(N) ones a gauge-fixing tree would use.  A block keeps its Haar draws
-    whole, so the random stream does not depend on slicing, and builds and
-    factorises the Bose band over slices of FULL_BAND_SLICE_ENTRIES band
-    entries (haar.lead_slices), written into one log Z_B array.  Forms in a
-    stack do not couple, so the values match one stack of the whole block
-    (bit for bit in every case tested, LAPACK's blocked kd >= 32 path too).
+    whole, so the random stream does not depend on slicing; log_z_bose
+    builds and factorises their Bose bands slice by slice.
     """
     if params.field_kind != "real" or params.n_flavors != 1:
         raise UsageError("full-model verification is set up for one real flavor")
@@ -323,18 +316,12 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     consts = BoundConstants.for_params(params)
     lo_rate, up_rate = consts.combined_rates(lat)
     coupling = params.scaling.coupling
-    per_form = band_entries(params)
 
     def block(rng, count):
         bonds = haar_sample(rng, params.n, kind=params.kind,
                             size=(count, lat.n_bonds))
         actions = coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
-        log_z_b = np.empty(count)
-        for s in lead_slices(count, per_form, FULL_BAND_SLICE_ENTRIES):
-            log_z_b[s] = -0.5 * logdet_posdef(
-                bose_quadratic_form(params, bonds[s]),
-                context="full-model Bose form")
-        return np.exp(-actions + log_z_b)
+        return np.exp(-actions + log_z_bose(params, bonds))
 
     moments = mc.sample_mean(block, n_samples, seed,
                              n_workers=n_workers, block_size=block_size)

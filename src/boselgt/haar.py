@@ -12,7 +12,8 @@ projected twice against the earlier ones, which keeps Q unitary to round-off
 (classical Gram-Schmidt with one re-orthogonalisation pass).  The loops run
 over the N^2 matrix entries, each vectorised over a slice of about 8192 / N
 matrices (lead_slices, shared with actions.plaquette_actions and the
-full-model Bose band of bounds), so no per-matrix LAPACK call is made.
+stacked Bose bands of partition.log_z_bose), so no per-matrix LAPACK call
+is made.
 The matrices are built in the output array: the real parts of the batch's
 Gaussian entries are drawn into one float buffer and copied into the
 output, then the imaginary parts (all real parts first, as two separate

@@ -200,9 +200,3 @@ class GaugeFixing:
     @property
     def n_retained(self):
         return int(np.sum(~self.tree_mask))
-
-
-def n_retained_bonds(d, L):
-    """Retained bond count d L^{d-1}(L-1) - (L^d - 1) without building arrays."""
-    lat = Lattice(d=d, L=L)
-    return lat.n_bonds - (lat.n_sites - 1)

@@ -21,7 +21,10 @@ with ab[k, ..., c] = Q[..., c + k, c].  The band axis comes first, so
 ab.reshape(kd + 1, -1) is, without a copy, the band of the block-diagonal
 matrix of all the forms: entries past the end of each form are zero, so
 neighbours do not couple, and one banded Cholesky factorises the stack.
-This module is the only place that lays out or factorises Q.
+log_z_bose is the one Bose log-determinant path: bose-exact, the Bose
+check and the full model all take log Z_B from it, stacked over slices of
+about 2 MiB of band, and this module is the only place that lays out or
+factorises Q.
 
 Values that can leave the double range are carried as logarithms; Estimate
 keeps both, with log_value authoritative, and carries its error on the log
@@ -39,7 +42,7 @@ import numpy as np
 from . import mc
 from .actions import wilson_action
 from .errors import NotPositiveDefiniteError, NumericError, UsageError
-from .haar import check_group, haar_sample, peaked_cue_integral
+from .haar import check_group, haar_sample, lead_slices, peaked_cue_integral
 from .lattice import require_positive
 # weyl_integrate, su2_haar and su2_to_matrix are not called here:
 # perfbench/spans.py rebinds them in this module, and its Tracer.rebind
@@ -53,6 +56,8 @@ LOG_MAX_DOUBLE = float(np.log(np.finfo(float).max))
 # Below this mean the squared deviations of the weights can underflow, so
 # their m2, and with it the error bar, may read 0.
 MIN_MC_MEAN = float(np.sqrt(np.finfo(float).tiny))
+# Band entries per slice of a stacked Bose band (2 MiB of doubles).
+BOSE_SLICE_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -127,14 +132,6 @@ def _field_width(params):
     return params.n * (1 if params.field_kind == "real" else 2)
 
 
-def band_entries(params):
-    """Entries (kd + 1) M of one form's lower band, without building it."""
-    lat = params.lattice
-    width = _field_width(params)
-    kd = _bandwidth(lat.bond_tail, lat.bond_head, width)
-    return (kd + 1) * lat.n_sites * width
-
-
 def _banded_form(n_nodes, width, tails, heads, hops):
     """Lower band of Q = 1 - (hopping blocks), stacked over the lead axes.
 
@@ -204,15 +201,34 @@ def logdet_posdef(ab, context="quadratic form"):
     return float(logdet) if ab.ndim == 2 else logdet
 
 
-def z_bose_exact(params, bonds):
-    """Exact scaled Bose partition value det(Q)^{-n_flavors/2} as an Estimate.
+def log_z_bose(params, bonds):
+    """Scaled log Z_B = -(n_flavors / 2) log det Q(g) per configuration.
 
-    For complex fields Q is the real embedding, giving det^{-n_flavors}
-    of the Hermitian form automatically.
+    bonds has shape lead + (n_bonds, N, N); the result has shape lead (a
+    0-d array for one configuration).  The forms are built and factorised
+    as stacks over slices of about BOSE_SLICE_ENTRIES band entries
+    (haar.lead_slices), so memory stays near the bonds whatever the lead
+    size.  Forms in a stack do not couple, so each value equals that of
+    its form factorised alone (bit for bit in every case tested, LAPACK's
+    blocked kd >= 32 path too).  For complex fields Q is the real
+    embedding, giving det^{-n_flavors} of the Hermitian form.
     """
-    ab = bose_quadratic_form(params, bonds)
-    logdet = logdet_posdef(ab, context="Bose quadratic form")
-    return Estimate.exact(-0.5 * params.n_flavors * logdet)
+    lat = params.lattice
+    width = _field_width(params)
+    kd = _bandwidth(lat.bond_tail, lat.bond_head, width)
+    per_form = (kd + 1) * lat.n_sites * width
+    lead = bonds.shape[:-3]
+    flat = bonds.reshape((-1,) + bonds.shape[-3:])
+    out = np.empty(len(flat))
+    for s in lead_slices(len(flat), per_form, BOSE_SLICE_ENTRIES):
+        out[s] = -0.5 * params.n_flavors * logdet_posdef(
+            bose_quadratic_form(params, flat[s]), context="Bose quadratic form")
+    return out.reshape(lead)
+
+
+def z_bose_exact(params, bonds):
+    """Exact scaled Bose partition value det(Q)^{-n_flavors/2} as an Estimate."""
+    return Estimate.exact(log_z_bose(params, bonds))
 
 
 def z_bose_exact_unscaled(params, scaled):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boselgt import bounds, mc
+from boselgt import bounds, mc, partition
 from boselgt.actions import ModelParams, plaquette_actions, wilson_action
 from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
                             check_plaquette_quadratic,
@@ -16,8 +16,8 @@ from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
 from boselgt.cli import report_sampled_check
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample, lead_slices
-from boselgt.partition import (Estimate, band_entries, bose_quadratic_form,
-                               logdet_posdef, z_wilson_mc)
+from boselgt.partition import (Estimate, bose_quadratic_form, log_z_bose,
+                               logdet_posdef, z_bose_exact, z_wilson_mc)
 from oracles import combined_rates_uniform, d2_bond_upper_checks
 
 
@@ -165,6 +165,23 @@ def test_bose_verifier_complex_fields():
     assert chk.passed
 
 
+def test_bose_verifier_margin_matches_per_configuration_values():
+    # The check's one block draws from block_rng(seed, 0); redraw its
+    # configurations one at a time and take each log Z_B from z_bose_exact.
+    p = ModelParams(d=2, L=3, n=2, field_kind="complex", n_flavors=3,
+                    m_u=0.0, kappa_u_sq=1.0)
+    count, seed = 20, 6
+    chk = verify_bose_bounds(p, count, seed)
+    rng = mc.block_rng(seed, 0)
+    log_z = np.array([z_bose_exact(p, haar_sample(
+        rng, p.n, kind=p.kind, size=p.lattice.n_bonds)).log_value
+        for _ in range(count)])
+    log_cap = p.n_flavors * p.lattice.n_sites * bose_upper_rate(p.n, p.L, "complex")
+    margins = np.minimum(log_z, log_cap - log_z)
+    assert chk.worst_margin == np.min(margins)
+    assert chk.violations == np.count_nonzero(margins < 0.0)
+
+
 def test_bose_cap_counts_every_flavor():
     # Z_B for n_f flavors is the n_f-th power of the one-flavor value, so
     # the cap on log Z_B is n_f * rate * n_sites.
@@ -226,10 +243,12 @@ def test_full_model_verifier_matches_matter_sector_api(n, kind):
 def test_full_model_slices_equal_one_unsliced_factorisation(monkeypatch, n_workers):
     p = ModelParams(d=3, L=2, n=2, kind="U", g_sq=2.0)
     count, block, seed = 96, 32, 5
+    one = haar_sample(np.random.default_rng(seed), p.n, size=p.lattice.n_bonds)
+    per_form = bose_quadratic_form(p, one).size
     # Seven forms per slice: each 32-sample block runs as 7, 7, 7, 7, 4.
-    monkeypatch.setattr(bounds, "FULL_BAND_SLICE_ENTRIES", 7 * band_entries(p))
+    monkeypatch.setattr(partition, "BOSE_SLICE_ENTRIES", 7 * per_form)
     assert [s.stop - s.start for s in lead_slices(
-        block, band_entries(p), bounds.FULL_BAND_SLICE_ENTRIES)] == [7, 7, 7, 7, 4]
+        block, per_form, partition.BOSE_SLICE_ENTRIES)] == [7, 7, 7, 7, 4]
     rep = verify_full_model(p, count, seed, n_workers=n_workers, block_size=block)
 
     def unsliced(rng, m):
@@ -243,6 +262,21 @@ def test_full_model_slices_equal_one_unsliced_factorisation(monkeypatch, n_worke
                  * np.log(p.scaling.gauge_scale))
     assert rep.log_value == est.log_value + log_scale
     assert rep.std_error_log == est.std_error_log
+
+    # A Bose-check block (configurations drawn one by one and stacked),
+    # complex with three flavours and wider forms, in slices of 7, 7, 7, 7,
+    # 4; and one unstacked configuration.  Each value is its form's own
+    # factorisation, bit for bit.
+    q = replace(p, field_kind="complex", n_flavors=3)
+    rng = np.random.default_rng(seed)
+    bonds = np.stack([haar_sample(rng, q.n, size=q.lattice.n_bonds)
+                      for _ in range(block)])
+    alone = [-0.5 * 3 * logdet_posdef(bose_quadratic_form(q, b)) for b in bonds]
+    monkeypatch.setattr(partition, "BOSE_SLICE_ENTRIES",
+                        7 * bose_quadratic_form(q, one).size)
+    assert np.array_equal(log_z_bose(q, bonds), alone)
+    single = log_z_bose(q, bonds[3])
+    assert single.shape == () and single == alone[3]
 
 
 def test_full_model_block_holds_about_its_draws():

@@ -2,9 +2,10 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boselgt import haar
@@ -164,13 +165,36 @@ def test_haar_trace_second_moment():
         assert abs(t.mean() - 1.0) < 4.0 * se
 
 
+def cue_density_50_digits(row):
+    """prod_{j<k} 4 sin^2((l_j - l_k)/2) of the float angles at 50 digits."""
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(float(v)) for v in row]
+        return float(mpmath.fprod(4 * mpmath.sin((x[j] - x[k]) / 2) ** 2
+                                  for j in range(len(x))
+                                  for k in range(j + 1, len(x))))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+@example(seed=2_416_009_527, n=2)  # one pair 8.2e-6 apart
 def test_cue_density_routes_agree(seed, n):
+    # Each route against the density at 50 digits, within its round-off.
     lam = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(8, n))
-    a = cue_density(lam)
-    b = cue_density_vandermonde(lam)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-300)
+    exact = np.array([cue_density_50_digits(row) for row in lam])
+    j, k = np.triu_indices(n, 1)
+    gap = lam[:, j] - lam[:, k]
+    chord = np.abs(2.0 * np.sin(gap / 2.0))
+    eps = np.finfo(float).eps
+    # The sine route: a few ulps per pair, plus the rounding of the float
+    # gap (eps |gap| / 2) amplified by cot(gap / 2), which only matters
+    # where a gap wraps close to 2 pi.
+    tol_sine = eps * np.sum(4.0 + np.abs(gap) / chord, axis=-1)
+    assert np.all(np.abs(cue_density(lam) - exact) <= tol_sine * exact)
+    # The Vandermonde route subtracts unit-modulus points, each off by about
+    # eps, so a squared chord is off by about 4 eps / chord, relative.
+    tol_vandermonde = eps * np.sum(4.0 + 8.0 / chord, axis=-1)
+    assert np.all(np.abs(cue_density_vandermonde(lam) - exact)
+                  <= tol_vandermonde * exact)
 
 
 def test_cue_density_degenerate_pair_is_tiny_not_negative():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boselgt.errors import UsageError
-from boselgt.lattice import GaugeFixing, Lattice, n_retained_bonds
+from boselgt.lattice import GaugeFixing, Lattice
 from oracles import site_index
 
 SMALL_GRID = [(d, L) for d in (2, 3, 4) for L in (2, 3, 4) if L**d <= 256]
@@ -31,9 +31,10 @@ def test_counts_match_closed_forms(d, L):
 ])
 def test_retained_bond_counts(d, L, expected):
     # (L-1)^2, (2L+1)(L-1)^2 and (3L^3 - L^2 - L - 1)(L-1) respectively.
-    assert n_retained_bonds(d, L) == expected
     lat = Lattice(d=d, L=L)
     assert GaugeFixing.enhanced_temporal(lat).n_retained == expected
+    # A spanning tree keeps n_sites - 1 bonds, the count combined_rates reads.
+    assert lat.n_bonds - (lat.n_sites - 1) == expected
 
 
 def test_site_enumeration_is_lexicographic():
