@@ -25,22 +25,21 @@ unitary
 which is how the action is evaluated: a sum of squares, never negative and
 free of the cancellation in 2(N - Re tr hol) near the identity, where small
 lattice spacing puts every plaquette.  Per plaquette it lies in [0, 4N].
-Bonds that are not drawn are the identity, so the kernel plans per call
-which corners it must multiply (plaquette_actions): under the enhanced
-temporal gauge no tree corner is gathered or multiplied.  It takes the
-flattened lead (sample) axes in slices of about 8192 / (widest plaquette
-group) samples (haar.lead_slices), so each temporary entry plane holds
-about 8192 complex entries (128 KiB) and the memory it needs beyond its
-output stays the same whatever the batch size.
+Bonds that are not drawn are the identity.  Which corners the kernel must
+multiply is a PlaquettePlan, built once from the lattice and the drawn
+bond ids where a caller chooses them and passed to every kernel call:
+under the enhanced temporal gauge no tree corner is gathered or
+multiplied.  The kernel (plaquette_actions) takes the flattened lead
+(sample) axes in slices of about 8192 / (widest plaquette group) samples
+(haar.lead_slices), so each temporary entry plane holds about 8192 complex
+entries (128 KiB) and the memory it needs beyond its output stays the same
+whatever the batch size.
 
 A gauge configuration is a complex array lead + (k, N, N) of the matrices
-on k listed bonds (all n_bonds unless bond ids say which); each other bond
-is the identity.  Random matrices come from haar.haar_sample.
-
-Fields are arrays of shape (n_sites, N): real dtype for the real model,
-complex for the complex model.  The hopping term is written once as
--kappa^2 * Re <phi_x, g_b phi_y>, which reduces to phi_x . Re(g_b) phi_y
-for real fields.
+on the k bonds its plan lists (all n_bonds unless it lists fewer); each
+other bond is the identity.  Random matrices come from haar.haar_sample.
+The field-level actions and the gauge transformations that check the Bose
+quadratic form live with the tests (tests/oracles.py).
 """
 
 from dataclasses import dataclass
@@ -139,38 +138,70 @@ def identity_bonds(n, size):
     return np.ones(size)[..., None, None] * np.eye(n, dtype=complex)
 
 
-def gauge_transform(lattice, bonds, site_unitaries):
-    """g_b -> r_tail g_b r_head^dag for per-site matrices (n_sites, N, N)."""
-    r = np.asarray(site_unitaries, dtype=complex)
-    return r[lattice.bond_tail] @ bonds @ np.conj(
-        np.swapaxes(r[lattice.bond_head], -1, -2))
-
-
-def field_transform(field, site_unitaries):
-    """phi_x -> r_x phi_x (use orthogonal r for real fields)."""
-    r = np.asarray(site_unitaries)
-    out = np.einsum("sij,sj->si", r, np.asarray(field))
-    return np.real(out) if np.isrealobj(field) and np.isrealobj(r) else out
-
-
 # ------------------------------------------------------------------ actions
 
-def plaquette_actions(lattice, bonds, bond_ids=None):
+@dataclass(frozen=True, eq=False)
+class PlaquettePlan:
+    """Which corners of each plaquette are drawn, grouped for the kernel.
+
+    Built once per bond set (for_bonds) where the caller chooses the bonds,
+    and only read by plaquette_actions, so worker threads share one plan.
+    Each half A = g1 g2 and B = g4 g3 of a plaquette is classed by its drawn
+    corners (none, one, two), the halves are swapped where B has more
+    (|A - B|^2 is symmetric), and the plaquettes are grouped by the pair of
+    classes.  groups holds per group its span (first, stop) of the grouped
+    order and, for A and then B, the columns of the drawn corners (one index
+    array per corner, a lone drawn corner first).  width is the widest
+    group, and back puts the grouped plaquettes back in plaquette order.
+    """
+
+    n_drawn: int
+    groups: tuple
+    width: int
+    back: np.ndarray
+
+    @classmethod
+    def for_bonds(cls, lattice, bond_ids=None):
+        """The plan for drawn bonds bond_ids (default: all, in order).
+
+        Column j of the kernel's bond array is bond bond_ids[j]; every bond
+        not listed is the identity.
+        """
+        ids = np.arange(lattice.n_bonds) if bond_ids is None else bond_ids
+        col = np.full(lattice.n_bonds, -1)
+        col[ids] = np.arange(len(ids))
+        halves = col[lattice.plaq_bonds][:, [[0, 1], [3, 2]]]   # (P, half, corner)
+        rank = np.count_nonzero(halves >= 0, axis=-1)
+        one = rank == 1
+        halves[one] = -np.sort(-halves[one])   # a lone drawn corner comes first
+        swap = rank[:, 1] > rank[:, 0]
+        halves[swap], rank[swap] = halves[swap, ::-1], rank[swap, ::-1]
+        key = 3 * rank[:, 0] + rank[:, 1]
+        order = np.argsort(key, kind="stable")
+        stops = np.cumsum(np.unique(key, return_counts=True)[1]).tolist()
+        groups = []
+        for first, stop in zip([0] + stops[:-1], stops):
+            pick = halves[order[first:stop]]
+            r = rank[order[first]]
+            a, b = (tuple(pick[:, h, :r[h]].T) for h in (0, 1))
+            groups.append((first, stop, a, b))
+        return cls(n_drawn=len(ids), groups=tuple(groups),
+                   width=max(stop - first for first, stop, _, _ in groups),
+                   back=np.argsort(order))
+
+
+def plaquette_actions(plan, bonds):
     """|1 - hol|_HS^2 = |g1 g2 - g4 g3|_F^2 per plaquette, shape (..., n_plaq).
 
-    bonds (lead + (k, N, N)) holds the lattice bonds bond_ids (default: all,
-    in order); every bond not listed is the identity.  A plan made per call
-    from bond_ids classes each half A = g1 g2 and B = g4 g3 by its drawn
-    corners (none, one, two), swaps the halves where B has more (|A - B|^2
-    is symmetric), and groups the plaquettes by the pair of classes.  Only
-    drawn corners are gathered and multiplied: a one-corner half is that
-    matrix, an identity half subtracts 1 from the diagonal, and two
+    bonds (lead + (k, N, N)) holds the k drawn bonds of plan, in its order.
+    Only drawn corners are gathered and multiplied: a one-corner half is
+    that matrix, an identity half subtracts 1 from the diagonal, and two
     identity halves give 0.  x * 1 and x + 0 are exact, so each action is
     bit for bit the one of the full product.  The drawn matrices are moved
     to entry planes (N, N, samples, k), and the products are formed entry
     by entry over samples and plaquettes, with no per-matrix matmul.  The
     lead axes are flattened and taken in slices of about _SLICE_ENTRIES //
-    (widest group) samples (haar.lead_slices), so a group's gathered planes
+    plan.width samples (haar.lead_slices), so a group's gathered planes
     hold about _SLICE_ENTRIES entries.  At d3 L3 U(1) a slice has a fixed
     cost of about 40 us (three groups, 2-vCPU Xeon), and sizing by the
     widest group (18) rather than n_plaq (36) halves the slices of an
@@ -179,35 +210,17 @@ def plaquette_actions(lattice, bonds, bond_ids=None):
     sums over plaquettes keep their order.
     """
     n, drawn = bonds.shape[-1], bonds.shape[-3]
-    ids = np.arange(lattice.n_bonds) if bond_ids is None else bond_ids
-    if len(ids) != drawn:
-        raise ValueError(f"{len(ids)} bond ids for {drawn} bond matrices")
-    col = np.full(lattice.n_bonds, -1)
-    col[ids] = np.arange(drawn)
-    halves = col[lattice.plaq_bonds][:, [[0, 1], [3, 2]]]   # (P, half, corner)
-    rank = np.count_nonzero(halves >= 0, axis=-1)
-    one = rank == 1
-    halves[one] = -np.sort(-halves[one])   # a lone drawn corner comes first
-    swap = rank[:, 1] > rank[:, 0]
-    halves[swap], rank[swap] = halves[swap, ::-1], rank[swap, ::-1]
-    key = 3 * rank[:, 0] + rank[:, 1]
-    order = np.argsort(key, kind="stable")
-    stops = np.cumsum(np.unique(key, return_counts=True)[1]).tolist()
-    groups = []   # per group: its span of `order` and the drawn corners of A and B
-    for first, stop in zip([0] + stops[:-1], stops):
-        pick = halves[order[first:stop]]
-        r = rank[order[first]]
-        groups.append((first, stop, [list(pick[:, h, :r[h]].T) for h in (0, 1)]))
-    back = np.argsort(order)
+    if drawn != plan.n_drawn:
+        raise ValueError(f"plan of {plan.n_drawn} drawn bonds given {drawn} bond matrices")
+    n_plaq = len(plan.back)
     flat = bonds.reshape((int(np.prod(bonds.shape[:-3])),) + bonds.shape[-3:])
-    out = np.empty((len(flat), len(order)))
-    width = max(stop - first for first, stop, _ in groups)
-    for s in lead_slices(len(flat), width):
+    out = np.empty((len(flat), n_plaq))
+    for s in lead_slices(len(flat), plan.width):
         # Contiguous, so each gathered g[i, j] is too.
         planes = np.empty((n, n, s.stop - s.start, drawn), dtype=complex)
         np.copyto(planes, np.moveaxis(flat[s], (-2, -1), (0, 1)))
-        grouped = np.empty((s.stop - s.start, len(order)))
-        for first, stop, corners in groups:
+        grouped = np.empty((s.stop - s.start, n_plaq))
+        for first, stop, *corners in plan.groups:
             a, b = ([np.take(planes, c, axis=-1) for c in h] for h in corners)
             total = 0.0   # stays 0 for two identity halves
             for i in range(n if a else 0):
@@ -219,8 +232,8 @@ def plaquette_actions(lattice, bonds, bond_ids=None):
                         x = x - 1.0
                     total = total + (x.real * x.real + x.imag * x.imag)
             grouped[:, first:stop] = total
-        np.take(grouped, back, axis=1, out=out[s])
-    return out.reshape(bonds.shape[:-3] + (len(order),))
+        np.take(grouped, plan.back, axis=1, out=out[s])
+    return out.reshape(bonds.shape[:-3] + (n_plaq,))
 
 
 def _half_entry(half, i, k):
@@ -233,41 +246,6 @@ def _half_entry(half, i, k):
     return x
 
 
-def wilson_action(params, bonds, bond_ids=None):
+def wilson_action(params, plan, bonds):
     """Total gauge action (a^{d-4}/g^2) * sum of plaquette actions."""
-    return params.scaling.coupling * np.sum(
-        plaquette_actions(params.lattice, bonds, bond_ids), axis=-1)
-
-
-def _hopping_sum(lattice, bonds, field):
-    """sum over bonds of Re <phi_tail, g_b phi_head>."""
-    phi = np.asarray(field)
-    moved = np.einsum("bij,bj->bi", bonds, phi[lattice.bond_head])
-    return float(np.sum(np.real(np.conj(phi[lattice.bond_tail]) * moved)))
-
-
-def bose_action(params, bonds, field):
-    """Scaled Bose action sum_x |phi_x|^2 / 2 - kappa^2 sum_b Re<phi, g phi>."""
-    _check_field(params, field)
-    lat = params.lattice
-    site = 0.5 * float(np.sum(np.abs(field) ** 2))
-    return site - params.scaling.kappa_sq * _hopping_sum(lat, bonds, field)
-
-
-def bose_action_unscaled(params, bonds, field):
-    """Unscaled Bose action; equals bose_action(params, bonds, s_B * field)."""
-    _check_field(params, field)
-    lat = params.lattice
-    s = params.scaling
-    site = 0.5 * s.bose_scale**2 * float(np.sum(np.abs(field) ** 2))
-    hop = params.kappa_u_sq * params.a ** (params.d - 2)
-    return site - hop * _hopping_sum(lat, bonds, field)
-
-
-def _check_field(params, field):
-    phi = np.asarray(field)
-    expect = (params.lattice.n_sites, params.n)
-    if phi.shape != expect:
-        raise ValueError(f"field must have shape {expect}, got {phi.shape}")
-    if params.field_kind == "real" and np.iscomplexobj(phi):
-        raise ValueError("real model given a complex field")
+    return params.scaling.coupling * np.sum(plaquette_actions(plan, bonds), axis=-1)

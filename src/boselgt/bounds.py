@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mc
-from .actions import plaquette_actions
+from .actions import PlaquettePlan, plaquette_actions
 from .errors import UsageError
 from .haar import (angle_norm_sq, check_group, cue_density, cue_density_vandermonde,
                    cue_norm, gue_density, gue_integral, gue_norm, haar_sample)
@@ -316,11 +316,12 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     consts = BoundConstants.for_params(params)
     lo_rate, up_rate = consts.combined_rates(lat)
     coupling = params.scaling.coupling
+    plan = PlaquettePlan.for_bonds(lat)
 
     def block(rng, count):
         bonds = haar_sample(rng, params.n, kind=params.kind,
                             size=(count, lat.n_bonds))
-        actions = coupling * np.sum(plaquette_actions(lat, bonds), axis=-1)
+        actions = coupling * np.sum(plaquette_actions(plan, bonds), axis=-1)
         return np.exp(-actions + log_z_bose(params, bonds))
 
     moments = mc.sample_mean(block, n_samples, seed,
@@ -352,12 +353,12 @@ def check_plaquette_quadratic(kind, n, k, n_samples, seed, n_workers=1,
         raise UsageError(f"k must be in 1..4, got {k}")
     # The first k bonds of the one plaquette of Lattice(d=2, L=2) are Haar.
     lat = Lattice(d=2, L=2)
-    haar_bonds = lat.plaq_bonds[0][:k]
+    plan = PlaquettePlan.for_bonds(lat, lat.plaq_bonds[0][:k])
     name = f"plaquette quadratic bound {kind}({n}) k={k}"
 
     def block(rng, count):
         mats = haar_sample(rng, n, kind=kind, size=(count, k))
-        action = plaquette_actions(lat, mats, haar_bonds)[:, 0]
+        action = plaquette_actions(plan, mats)[:, 0]
         bound = k * n * np.sum(angle_norm_sq(mats, kind), axis=-1)
         exact = lambda draws: _exact_quadratic_slacks(mats[draws], bound[draws],
                                                       action[draws])
@@ -427,7 +428,7 @@ def elementary_inequality_suite(n_draws, seed, n_workers=1,
     units of the compared quantity.  Returns a dict name -> SampledBoundCheck.
     """
     lat = Lattice(d=2, L=2)
-    haar_bond = lat.plaq_bonds[0, :1]
+    plan = PlaquettePlan.for_bonds(lat, lat.plaq_bonds[0, :1])
 
     def block(rng, count):
         slack = {"upper-quadratic": [], "lower-quadratic": [],
@@ -454,7 +455,7 @@ def elementary_inequality_suite(n_draws, seed, n_workers=1,
                 slack["density-lower"].append(
                     rho_box * (1 + 1e-12) - factor * hat_box)
         mats = haar_sample(rng, 2, kind="SU", size=count)
-        act = plaquette_actions(lat, mats[:, None], haar_bond)[:, 0]
+        act = plaquette_actions(plan, mats[:, None])[:, 0]
         norm_sq = angle_norm_sq(mats, "SU")
         theta = np.sqrt(norm_sq / 2.0)
         half = theta <= np.pi / 2.0

@@ -11,9 +11,10 @@ Gram-Schmidt gives a positive diagonal by construction.  Each column is
 projected twice against the earlier ones, which keeps Q unitary to round-off
 (classical Gram-Schmidt with one re-orthogonalisation pass).  The loops run
 over the N^2 matrix entries, each vectorised over a slice of about 8192 / N
-matrices (lead_slices, shared with actions.plaquette_actions and the
-stacked Bose bands of partition.log_z_bose), so no per-matrix LAPACK call
-is made.
+matrices (lead_slices, shared with the plaquette kernel
+actions.plaquette_actions, which sizes its slices by the widest group of
+its plan, and the stacked Bose bands of partition.log_z_bose), so no
+per-matrix LAPACK call is made.
 The matrices are built in the output array: the real parts of the batch's
 Gaussian entries are drawn into one float buffer and copied into the
 output, then the imaginary parts (all real parts first, as two separate
@@ -51,7 +52,9 @@ conj(p_b)], an N x N determinant of 1-D integrals (_gram_det) at any N.
 
 legendre_integral, Gauss-Legendre on a symmetric window checked against half
 as many nodes, is the one 1-D rule: U(N) Gram entries, the Gaussian box and
-the SU(2) radial and angle integrals (su2 imports it inside functions).
+the SU(2) radial and angle integrals (su2 imports it inside functions).  It
+refuses a value below the smallest normal double as an underflow, so a
+subnormal value, with its lost digits, never passes as a result.
 """
 
 from functools import lru_cache
@@ -312,15 +315,17 @@ def legendre_integral(node_value, half_width, what):
     """node_value(x, w) for the Gauss-Legendre rule (x, w) on [-half_width, half_width].
 
     Run at _GRAM_NODES and at half as many nodes: a relative gap above
-    PEAK_QUAD_RTOL is a QuadratureError, and a value not > 0 (every integrand
-    here is positive, so underflow) a NumericError; both name `what`.
+    PEAK_QUAD_RTOL is a QuadratureError, and a value below the smallest
+    normal double a NumericError; both name `what`.  Every integrand here
+    is positive, so such a value has underflowed: 0, or a subnormal that
+    has lost digits.
     """
     fine, coarse = (node_value(half_width * x, half_width * w) for x, w in
                     (_legendre(_GRAM_NODES), _legendre(_GRAM_NODES // 2)))
     achieved = abs(fine - coarse) / max(abs(fine), 1e-300)
     if achieved > PEAK_QUAD_RTOL:
         raise QuadratureError(f"{what} did not converge", achieved)
-    if not fine > 0.0:
+    if not fine >= np.finfo(float).tiny:
         raise NumericError(f"{what} underflows to {fine}")
     return fine
 

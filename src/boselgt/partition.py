@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mc
-from .actions import wilson_action
+from .actions import PlaquettePlan, wilson_action
 from .errors import NotPositiveDefiniteError, NumericError, UsageError
 from .haar import check_group, haar_sample, lead_slices, peaked_cue_integral
 from .lattice import require_positive
@@ -51,7 +51,9 @@ from .haar import weyl_integrate
 from .su2 import su2_haar, su2_to_matrix
 
 METHODS = ("exact-determinant", "quadrature", "monte-carlo")
-# exp overflows a double above this log value.
+# exp of a log value in [LOG_MIN_NORMAL, LOG_MAX_DOUBLE] is a normal double:
+# below it is subnormal or 0, above it overflows.
+LOG_MIN_NORMAL = float(np.log(np.finfo(float).tiny))
 LOG_MAX_DOUBLE = float(np.log(np.finfo(float).max))
 # Below this mean the squared deviations of the weights can underflow, so
 # their m2, and with it the error bar, may read 0.
@@ -177,15 +179,15 @@ def bose_quadratic_form(params, bonds):
 
 
 def logdet_posdef(ab, context="quadratic form"):
-    """log det of symmetric positive definite band matrices via Cholesky.
+    """log det of a stack of symmetric positive definite band matrices.
 
-    A 2-D band ab[k, c] = Q[c + k, c] gives a float; a stack of shape
-    (kd + 1,) + lead + (M,) gives an array over lead, from one banded
-    Cholesky of the block-diagonal stack.  The Gershgorin bound says
-    eigenvalues are at least 1 - 2 d kappa^2 times the largest coupling row
-    sum, so well inside the hopping range the factorization cannot fail; if
-    it does (e.g. at the massless edge with round-off), the smallest
-    eigenvalue of the stack is named in the error.
+    ab has the module's layout (kd + 1,) + lead + (M,), and the result is
+    an array over lead, from one banded Cholesky of the block-diagonal
+    stack.  The Gershgorin bound says eigenvalues are at least
+    1 - 2 d kappa^2 times the largest coupling row sum, so well inside the
+    hopping range the factorization cannot fail; if it does (e.g. at the
+    massless edge with round-off), the smallest eigenvalue of the stack is
+    named in the error.
     """
     import scipy.linalg
 
@@ -197,8 +199,7 @@ def logdet_posdef(ab, context="quadratic form"):
             stacked, lower=True, select="i", select_range=(0, 0))
         raise NotPositiveDefiniteError(
             f"{context} is not positive definite", float(smallest[0])) from None
-    logdet = 2.0 * np.sum(np.log(chol[0].reshape(ab.shape[1:])), axis=-1)
-    return float(logdet) if ab.ndim == 2 else logdet
+    return 2.0 * np.sum(np.log(chol[0].reshape(ab.shape[1:])), axis=-1)
 
 
 def log_z_bose(params, bonds):
@@ -248,18 +249,17 @@ def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
     """Monte Carlo mean of e^{-S_w} over Haar bond configurations.
 
     With gauge_fixed=True only the bonds outside the enhanced temporal tree
-    are drawn and passed to the kernel with their bond ids; the tree bonds
-    are the identity, which the kernel supplies, so a block holds no full
-    bond array.  Gauge invariance leaves the value unchanged, and the
-    variance is comparable either way.  Warns when the relative standard
-    error exceeds 10%.
+    are drawn, and the one plaquette plan of the call treats the tree bonds
+    as the identity, so a block holds no full bond array.  Gauge invariance
+    leaves the value unchanged, and the variance is comparable either way.
+    Warns when the relative standard error exceeds 10%.
     """
-    active = params.gauge_fixing.retained_bonds if gauge_fixed else None
-    n_active = params.lattice.n_bonds if active is None else len(active)
+    plan = PlaquettePlan.for_bonds(
+        params.lattice, params.gauge_fixing.retained_bonds if gauge_fixed else None)
 
     def block(rng, count):
-        bonds = haar_sample(rng, params.n, kind=params.kind, size=(count, n_active))
-        return np.exp(-wilson_action(params, bonds, active))
+        bonds = haar_sample(rng, params.n, kind=params.kind, size=(count, plan.n_drawn))
+        return np.exp(-wilson_action(params, plan, bonds))
 
     moments = mc.sample_mean(block, n_samples, seed,
                              n_workers=n_workers, block_size=block_size)

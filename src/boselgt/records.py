@@ -4,7 +4,7 @@ Every CLI run produces a ResultRecord with the resolved configuration echoed
 back, a payload of computed numbers, and the wall time.  Records are plain
 JSON validated against the shipped schema (schema/result_record.schema.json).
 Values whose magnitude can leave the double range are stored as logs; the
-convenience "value" entries are null once |log| exceeds 700.
+convenience "value" entries are null unless exp(log) is a normal double.
 
 CSV floats are written with 17 significant digits so a round trip through
 text recovers the double exactly.
@@ -20,12 +20,11 @@ from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
+from .partition import LOG_MAX_DOUBLE, LOG_MIN_NORMAL
+
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "BOSELGT_OUTPUT_DIR"
 FLOAT_FORMAT = "{:.17g}"
-# Beyond this magnitude exp() leaves the double range; payload "value"
-# entries become null and only the log survives.
-LOG_VALUE_LIMIT = 700.0
 
 
 def default_output_dir():
@@ -87,8 +86,8 @@ class ResultRecord:
 
 
 def safe_value(log_value):
-    """exp(log_value) when it fits in a double, else None (JSON null)."""
-    if abs(log_value) > LOG_VALUE_LIMIT:
+    """exp(log_value) when it is a normal double, else None (JSON null)."""
+    if not LOG_MIN_NORMAL <= log_value <= LOG_MAX_DOUBLE:
         return None
     return float(math.exp(log_value))
 

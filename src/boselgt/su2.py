@@ -179,7 +179,9 @@ def su2_bounds_check(a, g_sq, d, g0_sq=4.0):
     if g_sq > g0_sq:
         raise UsageError(f"g^2 must be <= g0^2 = {g0_sq}, got {g_sq}")
     c = coupling(a, g_sq, d)
-    scaled = c * math.sqrt(c) * su2_z_gluon(a, g_sq, d)
-    if not scaled < math.inf:
-        raise NumericError(f"c^(3/2) z overflows at c = {c:g}")
+    # Checked first: where c^(3/2) overflows, z is below the normal range.
+    scale = c * math.sqrt(c)
+    if not scale < math.inf:
+        raise NumericError(f"c^(3/2) overflows at c = {c:g}")
+    scaled = scale * su2_z_gluon(a, g_sq, d)
     return Su2BoundCheck(scaled_value=float(scaled), lower=lower, upper=upper)

@@ -4,8 +4,10 @@ No command reaches them, so they live with the tests: SU(2) four-vector
 arithmetic and the quaternion plaquette action (the independent route to
 actions.plaquette_actions), the Haar sampler's expressions with
 batch-sized temporaries (haar.haar_sample builds its matrices in place),
-lexicographic site indexing, the Gaussian chain and transfer kernels behind
-the Bose upper rate, and the d = 2 one-bond and L-independent rate bounds.
+lexicographic site indexing, the field-level Bose actions and gauge
+transformations (the definitions partition.bose_quadratic_form is checked
+against), the Gaussian chain and transfer kernels behind the Bose upper
+rate, and the d = 2 one-bond and L-independent rate bounds.
 """
 
 import numpy as np
@@ -147,6 +149,56 @@ def site_index(lattice, coords):
     return idx if idx.ndim else int(idx)
 
 
+# ------------------------------------------------------ field-level actions
+
+def gauge_transform(lattice, bonds, site_unitaries):
+    """g_b -> r_tail g_b r_head^dag for per-site matrices (n_sites, N, N)."""
+    r = np.asarray(site_unitaries, dtype=complex)
+    return r[lattice.bond_tail] @ bonds @ np.conj(
+        np.swapaxes(r[lattice.bond_head], -1, -2))
+
+
+def field_transform(field, site_unitaries):
+    """phi_x -> r_x phi_x (use orthogonal r for real fields)."""
+    r = np.asarray(site_unitaries)
+    out = np.einsum("sij,sj->si", r, np.asarray(field))
+    return np.real(out) if np.isrealobj(field) and np.isrealobj(r) else out
+
+
+def _hopping_sum(lattice, bonds, field):
+    """sum over bonds of Re <phi_tail, g_b phi_head>."""
+    phi = np.asarray(field)
+    moved = np.einsum("bij,bj->bi", bonds, phi[lattice.bond_head])
+    return float(np.sum(np.real(np.conj(phi[lattice.bond_tail]) * moved)))
+
+
+def bose_action(params, bonds, field):
+    """Scaled Bose action sum_x |phi_x|^2 / 2 - kappa^2 sum_b Re<phi, g phi>."""
+    _check_field(params, field)
+    lat = params.lattice
+    site = 0.5 * float(np.sum(np.abs(field) ** 2))
+    return site - params.scaling.kappa_sq * _hopping_sum(lat, bonds, field)
+
+
+def bose_action_unscaled(params, bonds, field):
+    """Unscaled Bose action; equals bose_action(params, bonds, s_B * field)."""
+    _check_field(params, field)
+    lat = params.lattice
+    s = params.scaling
+    site = 0.5 * s.bose_scale**2 * float(np.sum(np.abs(field) ** 2))
+    hop = params.kappa_u_sq * params.a ** (params.d - 2)
+    return site - hop * _hopping_sum(lat, bonds, field)
+
+
+def _check_field(params, field):
+    phi = np.asarray(field)
+    expect = (params.lattice.n_sites, params.n)
+    if phi.shape != expect:
+        raise ValueError(f"field must have shape {expect}, got {phi.shape}")
+    if params.field_kind == "real" and np.iscomplexobj(phi):
+        raise ValueError("real model given a complex field")
+
+
 # ------------------------------------------------------- chain and kernels
 
 def chain_partition(length, n, d, gauge_list=None, kappa_sq=None):
@@ -172,8 +224,8 @@ def chain_partition(length, n, d, gauge_list=None, kappa_sq=None):
             raise ValueError(f"gauge blocks must be {n} x {n}, got {np.shape(g)}")
     links = np.arange(length - 1)
     hops = d * kappa_sq * np.asarray(gauge_list, dtype=float)
-    ab = _banded_form(length, n, links, links + 1, hops)
-    logdet = logdet_posdef(ab, context="chain quadratic form")
+    ab = _banded_form(length, n, links, links + 1, hops[None])   # a stack of one
+    logdet = logdet_posdef(ab, context="chain quadratic form")[0]
     return float(np.exp(-0.5 * logdet))
 
 

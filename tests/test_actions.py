@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from boselgt import haar
-from boselgt.actions import (FIELD_KINDS, ModelParams, ScalingFactors,
-                             bose_action, bose_action_unscaled,
-                             field_transform, gauge_transform,
-                             identity_bonds, plaquette_actions,
-                             wilson_action)
+from boselgt.actions import (FIELD_KINDS, ModelParams, PlaquettePlan,
+                             ScalingFactors, identity_bonds,
+                             plaquette_actions, wilson_action)
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample
 from boselgt.su2 import su2_to_matrix
-from oracles import su2_exp, su2_inverse, su2_mul, su2_plaquette_action
+from oracles import (bose_action, bose_action_unscaled, field_transform,
+                     gauge_transform, su2_exp, su2_inverse, su2_mul,
+                     su2_plaquette_action)
 
 RNG = np.random.default_rng(2024)
 
@@ -83,15 +83,16 @@ def test_two_pictures_give_the_same_action(field_kind):
 def test_identity_config_has_zero_action():
     p = small_params(n=2)
     cfg = identity_bonds(2, p.lattice.n_bonds)
-    assert wilson_action(p, cfg) == 0.0
-    assert np.all(plaquette_actions(p.lattice, cfg) == 0.0)
+    plan = PlaquettePlan.for_bonds(p.lattice)
+    assert wilson_action(p, plan, cfg) == 0.0
+    assert np.all(plaquette_actions(plan, cfg) == 0.0)
 
 
 def test_plaquette_action_range():
     p = ModelParams(d=3, L=3, n=2, kind="SU")
     cfg = haar_sample(np.random.default_rng(4), 2, kind="SU",
                       size=p.lattice.n_bonds)
-    acts = plaquette_actions(p.lattice, cfg)
+    acts = plaquette_actions(PlaquettePlan.for_bonds(p.lattice), cfg)
     assert acts.shape == (p.lattice.n_plaquettes,)
     assert np.all(acts >= 0.0)
     assert np.all(acts <= 4.0 * p.n)
@@ -107,7 +108,7 @@ def test_u1_holonomy_signs():
     for b, t in zip((b1, b2, b3, b4), theta):
         bonds[b, 0, 0] = np.exp(1j * t)
     total = theta[0] + theta[1] - theta[2] - theta[3]
-    act = plaquette_actions(lat, bonds)[0]
+    act = plaquette_actions(PlaquettePlan.for_bonds(lat), bonds)[0]
     assert act == pytest.approx(2.0 * (1.0 - np.cos(total)), rel=1e-13)
 
 
@@ -127,7 +128,7 @@ def test_plaquette_kernel_matches_matmul_chain(n, kind, lead):
     bonds = haar_sample(rng, n, kind=kind, size=lead + (lat.n_bonds,))
     hol = _matmul_chain(lat, bonds)
     expect = 2.0 * (n - np.real(np.trace(hol, axis1=-2, axis2=-1)))
-    got = plaquette_actions(lat, bonds)
+    got = plaquette_actions(PlaquettePlan.for_bonds(lat), bonds)
     assert got.shape == lead + (lat.n_plaquettes,)
     assert np.max(np.abs(got - expect)) < 1e-13
 
@@ -151,23 +152,26 @@ def _drawn_bond_ids(params, which, rng):
 @pytest.mark.parametrize("lead", [(), (7,), (3, 5), (1000,)])
 def test_plaquette_slices_match_one_slice(monkeypatch, d, L, n, kind, lead):
     # Slices of 6 samples: several per batch, and a ragged last one for
-    # every lead but ().  Drawn bonds with their ids give, bit for bit, the
-    # action of the full bond array with every other bond the identity.
+    # every lead but ().  Drawn bonds under their plan give, bit for bit,
+    # the action of the full bond array with every other bond the identity,
+    # and one plan serves every slicing.
     params = ModelParams(d=d, L=L)
     lat = params.lattice
+    every = PlaquettePlan.for_bonds(lat)
     rng = np.random.default_rng(d + 10 * n)
     for which in ("all", "retained", "corners-1", "corners-3", "random"):
         ids = _drawn_bond_ids(params, which, rng)
+        plan = PlaquettePlan.for_bonds(lat, ids)
         bonds = identity_bonds(n, lead + (lat.n_bonds,))
         drawn = slice(None) if ids is None else ids
         draws = haar_sample(rng, n, kind=kind, size=bonds[..., drawn, 0, 0].shape)
         bonds[..., drawn, :, :] = draws
         monkeypatch.setattr(haar, "_SLICE_ENTRIES", 10**12)
-        whole = plaquette_actions(lat, bonds)
-        assert np.array_equal(plaquette_actions(lat, draws, ids), whole), which
+        whole = plaquette_actions(every, bonds)
+        assert np.array_equal(plaquette_actions(plan, draws), whole), which
         monkeypatch.setattr(haar, "_SLICE_ENTRIES", 6 * lat.n_plaquettes)
-        assert np.array_equal(plaquette_actions(lat, bonds), whole), which
-        assert np.array_equal(plaquette_actions(lat, draws, ids), whole), which
+        assert np.array_equal(plaquette_actions(every, bonds), whole), which
+        assert np.array_equal(plaquette_actions(plan, draws), whole), which
 
 
 def _half_class_pairs(lattice, ids):
@@ -190,23 +194,61 @@ def test_plaquette_plan_is_bit_identical_for_every_half_class_pair(n, kind):
     id_sets += [corners[[0, 3]], corners[[2, 1]], corners[[2]], corners[:0],
                 rng.permutation(lat.n_bonds)[:lat.n_bonds // 2],
                 params.gauge_fixing.retained_bonds]
+    every = PlaquettePlan.for_bonds(lat)
     seen = set()
     for ids in id_sets:
+        plan = PlaquettePlan.for_bonds(lat, ids)
         draws = haar_sample(rng, n, kind=kind, size=(50, len(ids)))
         full = identity_bonds(n, (50, lat.n_bonds))
         full[:, ids] = draws
-        got = plaquette_actions(lat, draws, ids)
-        assert got.tobytes() == plaquette_actions(lat, full).tobytes(), ids
-        seen |= _half_class_pairs(lat, ids)
+        got = plaquette_actions(plan, draws)
+        assert got.tobytes() == plaquette_actions(every, full).tobytes(), ids
+        assert _plan_class_pairs(plan) == _half_class_pairs(lat, ids), ids
+        seen |= _plan_class_pairs(plan)
     assert seen == {(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
+
+
+def _plan_class_pairs(plan):
+    """(A, B) drawn-corner counts of a plan's plaquette groups."""
+    return {(len(a), len(b)) for _, _, a, b in plan.groups}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_retained_bond_plan_groups_three_class_pairs_at_most(d, L):
+    # Under the enhanced temporal gauge the plan groups only (1, 0), (1, 1)
+    # and (2, 2) halves: no plaquette lies wholly in the tree (a tree has no
+    # cycle), and none has three retained corners or a retained half facing
+    # a tree half.  d2 L2 is the one plaquette with one retained corner,
+    # d = 2 adds (1, 1) from L = 3, and d >= 3 has all three pairs.
+    params = ModelParams(d=d, L=L)
+    plan = PlaquettePlan.for_bonds(params.lattice, params.gauge_fixing.retained_bonds)
+    pairs = _plan_class_pairs(plan)
+    if d == 2:
+        assert pairs == ({(1, 0)} if L == 2 else {(1, 0), (1, 1)})
+    else:
+        assert pairs == {(1, 0), (1, 1), (2, 2)}
+    assert plan.n_drawn == params.gauge_fixing.n_retained
+    assert sorted(plan.back) == list(range(params.lattice.n_plaquettes))
+
+
+def test_all_bond_plan_is_one_group_in_plaquette_order():
+    lat = ModelParams(d=3, L=3).lattice
+    plan = PlaquettePlan.for_bonds(lat)
+    assert _plan_class_pairs(plan) == {(2, 2)}
+    ((first, stop, a, b),) = plan.groups
+    assert (first, stop) == (0, lat.n_plaquettes) == (0, plan.width)
+    assert np.array_equal(np.stack(a + b, axis=-1), lat.plaq_bonds[:, [0, 1, 3, 2]])
+    assert np.array_equal(plan.back, np.arange(lat.n_plaquettes))
+    assert plan.n_drawn == lat.n_bonds
 
 
 def test_plaquette_actions_reject_a_bond_id_count_that_differs():
     lat = ModelParams(d=2, L=2).lattice
     draws = identity_bonds(2, (5, 1))
     for ids in ([0, 1], None):
-        with pytest.raises(ValueError, match="bond ids for 1 bond matrices"):
-            plaquette_actions(lat, draws, ids)
+        with pytest.raises(ValueError, match="drawn bonds given 1 bond matrices"):
+            plaquette_actions(PlaquettePlan.for_bonds(lat, ids), draws)
 
 
 def _traced_peak_beyond_output(fn):
@@ -227,7 +269,7 @@ def test_plaquette_kernel_memory_does_not_grow_with_the_batch():
         bonds = haar_sample(np.random.default_rng(5), 2,
                             size=(samples, lat.n_bonds))
         extra.append(_traced_peak_beyond_output(
-            lambda: plaquette_actions(lat, bonds))[0])
+            lambda: plaquette_actions(PlaquettePlan.for_bonds(lat), bonds))[0])
     assert max(extra) <= 2.0 * min(extra), extra
 
 
@@ -253,21 +295,23 @@ def test_plaquette_action_keeps_precision_near_identity(eps):
     hol = su2_mul(su2_mul(su2_mul(pts[pb[:, 0]], pts[pb[:, 1]]),
                           su2_inverse(pts[pb[:, 2]])), su2_inverse(pts[pb[:, 3]]))
     expect = su2_plaquette_action(hol)
-    got = plaquette_actions(lat, su2_to_matrix(pts))
+    plan = PlaquettePlan.for_bonds(lat)
+    got = plaquette_actions(plan, su2_to_matrix(pts))
     assert np.max(np.abs(got / expect - 1.0)) < 1e-12
 
     theta = eps * rng.standard_normal(lat.n_bonds)
     s = theta[pb[:, 0]] + theta[pb[:, 1]] - theta[pb[:, 2]] - theta[pb[:, 3]]
     expect = 4.0 * np.sin(s / 2.0) ** 2
-    got = plaquette_actions(lat, np.exp(1j * theta)[:, None, None])
+    got = plaquette_actions(plan, np.exp(1j * theta)[:, None, None])
     assert np.max(np.abs(got / expect - 1.0)) < 1e-12
 
 
 def test_wilson_action_coupling_prefactor():
     p = small_params(a=0.5, g_sq=2.0)  # c = a^{-2}/g^2 = 2
     cfg = haar_sample(np.random.default_rng(8), 1, size=p.lattice.n_bonds)
-    raw = float(np.sum(plaquette_actions(p.lattice, cfg)))
-    assert wilson_action(p, cfg) == pytest.approx(2.0 * raw, rel=1e-13)
+    plan = PlaquettePlan.for_bonds(p.lattice)
+    raw = float(np.sum(plaquette_actions(plan, cfg)))
+    assert wilson_action(p, plan, cfg) == pytest.approx(2.0 * raw, rel=1e-13)
 
 
 def test_wilson_action_is_gauge_invariant():
@@ -276,7 +320,9 @@ def test_wilson_action_is_gauge_invariant():
     cfg = haar_sample(rng, 2, size=p.lattice.n_bonds)
     rots = haar_sample(rng, 2, size=(p.lattice.n_sites,))
     moved = gauge_transform(p.lattice, cfg, rots)
-    assert wilson_action(p, moved) == pytest.approx(wilson_action(p, cfg), rel=1e-10)
+    plan = PlaquettePlan.for_bonds(p.lattice)
+    assert wilson_action(p, plan, moved) == pytest.approx(
+        wilson_action(p, plan, cfg), rel=1e-10)
 
 
 def test_bose_action_gauge_covariance_complex():

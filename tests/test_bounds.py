@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from boselgt import bounds, mc, partition
-from boselgt.actions import ModelParams, plaquette_actions, wilson_action
+from boselgt.actions import ModelParams, PlaquettePlan, plaquette_actions, wilson_action
 from boselgt.bounds import (BoundConstants, BoundReport, bose_upper_rate,
                             check_plaquette_quadratic,
                             elementary_inequality_suite, gauge_rate_bounds,
@@ -226,7 +226,9 @@ def test_full_model_verifier_matches_matter_sector_api(n, kind):
     # weight them through the per-configuration matter-sector API.
     bonds = haar_sample(mc.block_rng(seed, 0), n, kind=kind,
                         size=(count, p.lattice.n_bonds))
-    log_w = [-wilson_action(p, b) - 0.5 * logdet_posdef(bose_quadratic_form(p, b))
+    plan = PlaquettePlan.for_bonds(p.lattice)
+    log_w = [-wilson_action(p, plan, b)
+             - 0.5 * logdet_posdef(bose_quadratic_form(p, b[None]))[0]
              for b in bonds]
     log_scale = (group_dim(kind, n) * p.gauge_fixing.n_retained
                  * np.log(p.scaling.gauge_scale))
@@ -237,6 +239,30 @@ def test_full_model_verifier_matches_matter_sector_api(n, kind):
     # sigma_log is the relative error of the unscaled mean, whatever the scale.
     assert rep.std_error_log == pytest.approx(
         np.std(w, ddof=1) / np.sqrt(count) / np.mean(w), rel=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_each_estimator_and_check_builds_one_plaquette_plan_per_call(
+        monkeypatch, n_workers):
+    # The plan depends only on the bond set, so it is built where the bonds
+    # are chosen and every block (eight here, on one or two threads) reuses it.
+    built = []
+    for_bonds = PlaquettePlan.for_bonds
+
+    def counted(cls, lattice, bond_ids=None):
+        built.append(None if bond_ids is None else len(bond_ids))
+        return for_bonds(lattice, bond_ids)
+
+    monkeypatch.setattr(PlaquettePlan, "for_bonds", classmethod(counted))
+    p = ModelParams(d=3, L=2, n=2, kind="SU")
+    run = dict(n_workers=n_workers, block_size=32)
+    for gauge_fixed in (False, True):
+        z_wilson_mc(p, 256, seed=1, gauge_fixed=gauge_fixed, **run)
+    verify_full_model(p, 256, seed=1, **run)
+    check_plaquette_quadratic("U", 1, 3, 256, seed=1, **run)
+    elementary_inequality_suite(256, seed=1, **run)
+    assert built == [None, p.gauge_fixing.n_retained, None, 3, 1]
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
@@ -250,11 +276,12 @@ def test_full_model_slices_equal_one_unsliced_factorisation(monkeypatch, n_worke
     assert [s.stop - s.start for s in lead_slices(
         block, per_form, partition.BOSE_SLICE_ENTRIES)] == [7, 7, 7, 7, 4]
     rep = verify_full_model(p, count, seed, n_workers=n_workers, block_size=block)
+    plan = PlaquettePlan.for_bonds(p.lattice)
 
     def unsliced(rng, m):
         bonds = haar_sample(rng, p.n, kind=p.kind, size=(m, p.lattice.n_bonds))
         log_z_b = -0.5 * logdet_posdef(bose_quadratic_form(p, bonds))
-        return np.exp(-wilson_action(p, bonds) + log_z_b)
+        return np.exp(-wilson_action(p, plan, bonds) + log_z_b)
 
     est = Estimate.from_moments(
         mc.sample_mean(unsliced, count, seed, block_size=block), seed)
@@ -271,7 +298,8 @@ def test_full_model_slices_equal_one_unsliced_factorisation(monkeypatch, n_worke
     rng = np.random.default_rng(seed)
     bonds = np.stack([haar_sample(rng, q.n, size=q.lattice.n_bonds)
                       for _ in range(block)])
-    alone = [-0.5 * 3 * logdet_posdef(bose_quadratic_form(q, b)) for b in bonds]
+    alone = [-0.5 * 3 * logdet_posdef(bose_quadratic_form(q, b[None]))[0]
+             for b in bonds]
     monkeypatch.setattr(partition, "BOSE_SLICE_ENTRIES",
                         7 * bose_quadratic_form(q, one).size)
     assert np.array_equal(log_z_bose(q, bonds), alone)
@@ -334,8 +362,8 @@ def test_plaquette_quadratic_runs_the_action_kernel(monkeypatch, kind, n):
     # each draw is one plaquette evaluated by bounds.plaquette_actions.
     evaluated = []
 
-    def counted(lattice, bonds, bond_ids=None):
-        out = plaquette_actions(lattice, bonds, bond_ids)
+    def counted(plan, bonds):
+        out = plaquette_actions(plan, bonds)
         evaluated.append(out.size)
         return out
 
@@ -355,7 +383,7 @@ def test_plaquette_quadratic_reports_an_injected_violation(monkeypatch):
     # second count is redone from the same draws (one block, seed window 0).
     n_samples, seed = 3000, 5
     monkeypatch.setattr(bounds, "plaquette_actions",
-                        lambda lat, bonds, ids: plaquette_actions(lat, bonds, ids) + 5.0)
+                        lambda plan, bonds: plaquette_actions(plan, bonds) + 5.0)
     chk = check_plaquette_quadratic("U", 1, 1, n_samples, seed)
     lam = np.angle(haar_sample(mc.block_rng(seed, 0), 1, kind="U",
                                size=(n_samples, 1))[:, 0, 0, 0])
@@ -385,8 +413,9 @@ def test_plaquette_quadratic_recounts_round_off_exactly(monkeypatch, capsys):
     monkeypatch.setattr(bounds, "haar_sample", _tiny_angle_u1)
     mats = _tiny_angle_u1(mc.block_rng(seed, 0), 1, size=(n_samples, 1))
     lat = bounds.Lattice(d=2, L=2)
+    plan = PlaquettePlan.for_bonds(lat, lat.plaq_bonds[0][:1])
     float_slack = (np.angle(mats[:, 0, 0, 0]) ** 2
-                   - plaquette_actions(lat, mats, lat.plaq_bonds[0][:1])[:, 0])
+                   - plaquette_actions(plan, mats)[:, 0])
     negative = int(np.count_nonzero(float_slack < 0.0))
     assert negative > 20
     chk = check_plaquette_quadratic("U", 1, 1, n_samples, seed)
@@ -407,11 +436,12 @@ def test_plaquette_quadratic_recount_keeps_kernel_errors(monkeypatch):
     n_samples, seed = 300, 6
     monkeypatch.setattr(bounds, "haar_sample", _tiny_angle_u1)
     monkeypatch.setattr(bounds, "plaquette_actions",
-                        lambda lat, bonds, ids: plaquette_actions(lat, bonds, ids) + 1e-24)
+                        lambda plan, bonds: plaquette_actions(plan, bonds) + 1e-24)
     mats = _tiny_angle_u1(mc.block_rng(seed, 0), 1, size=(n_samples, 1))
     lat = bounds.Lattice(d=2, L=2)
+    plan = PlaquettePlan.for_bonds(lat, lat.plaq_bonds[0][:1])
     float_slack = (np.angle(mats[:, 0, 0, 0]) ** 2 - 1e-24
-                   - plaquette_actions(lat, mats, lat.plaq_bonds[0][:1])[:, 0])
+                   - plaquette_actions(plan, mats)[:, 0])
     negative = int(np.count_nonzero(float_slack < 0.0))
     assert negative > 50
     chk = check_plaquette_quadratic("U", 1, 1, n_samples, seed)

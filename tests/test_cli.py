@@ -332,6 +332,12 @@ def assert_no_bare_non_finite(directory):
     (["verify-bounds", "--d", 3, "--L", 4, "--n", 2, "--which", "full",
       "--samples", 5000, "--seed", 3],
      "came out 2.127427e-170, below 1.492e-154"),
+    # A subnormal one-bond value has lost digits: at a = 1e-5 it passed as a
+    # d2-limit value 2.1e-3 off its target.
+    (["z-bond", "--n", 8, "--coupling", 1e10],
+     "at peak scale 1e+10 underflows to 1.9e-322"),
+    (["d2-limit", "--n", 8, "--a-values", 1e-5],
+     "at peak scale 1e+10 underflows to 1.9e-322"),
 ])
 def test_out_of_range_numbers_exit_3_naming_the_value(tmp_path, capsys,
                                                       monkeypatch, argv,

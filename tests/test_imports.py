@@ -118,11 +118,9 @@ def test_first_scipy_import_in_worker_threads_keeps_results(tmp_path):
 
 
 # Public definitions no command, script or benchmark calls that stay in the
-# package: the action definitions the tests compare against, the reader of
-# the record schema the tests validate against, and the reader of the
-# record format itself.
-UNCALLED_KEPT = ("bose_action", "bose_action_unscaled", "gauge_transform",
-                 "field_transform", "load_schema", "ResultRecord.load")
+# package: the reader of the record schema the tests validate against, and
+# the reader of the record format itself.
+UNCALLED_KEPT = ("load_schema", "ResultRecord.load")
 
 
 def references(path):

@@ -7,14 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boselgt.actions import ModelParams, gauge_transform, identity_bonds
+from boselgt.actions import ModelParams, identity_bonds
 from boselgt.errors import NotPositiveDefiniteError, NumericError, UsageError
 from boselgt.haar import haar_sample
 from boselgt.mc import Moments
 from boselgt.partition import (LOG_MAX_DOUBLE, MIN_MC_MEAN, Estimate,
                                bose_quadratic_form, logdet_posdef, z_bose_exact, z_bose_exact_unscaled,
                                z_single_bond, z_wilson_d2_exact, z_wilson_mc)
-from oracles import chain_partition, transfer_kernel_matrix
+from oracles import chain_partition, gauge_transform, transfer_kernel_matrix
 
 
 def quad_z_4d(q, x_max=10.0, m=48):
@@ -229,10 +229,11 @@ def test_logdet_posdef_routes_and_failure():
     rng = np.random.default_rng(61)
     a = rng.standard_normal((6, 6))
     q = a @ a.T + 6.0 * np.eye(6)
-    assert logdet_posdef(dense_to_band(q)) == pytest.approx(
-        np.linalg.slogdet(q)[1], rel=1e-12)
+    # A stack of one form: the band axis, one lead entry, the columns.
+    assert logdet_posdef(dense_to_band(q)[:, None]) == pytest.approx(
+        [np.linalg.slogdet(q)[1]], rel=1e-12)
     with pytest.raises(NotPositiveDefiniteError) as err:
-        logdet_posdef(dense_to_band(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        logdet_posdef(dense_to_band(np.array([[1.0, 2.0], [2.0, 1.0]]))[:, None])
     assert err.value.smallest_pivot < 0.0  # the offending pivot is reported
     assert err.value.smallest_pivot == pytest.approx(-1.0)
 
@@ -249,7 +250,7 @@ def test_band_form_matches_dense_per_bond_build(d, L, field_kind, n):
     assert np.array_equal(band_to_dense(ab), dense)
     sign, expect = np.linalg.slogdet(dense)
     assert sign == 1.0
-    assert logdet_posdef(ab) == pytest.approx(expect, rel=1e-10)
+    assert logdet_posdef(ab[:, None]) == pytest.approx([expect], rel=1e-10)
 
 
 @pytest.mark.parametrize("field_kind,width", [("real", 2), ("complex", 4)])
@@ -279,7 +280,7 @@ def test_stacked_bands_factorise_as_one(d, L, field_kind, n):
     # Entries past the end of each form are zero, so the block-diagonal
     # stack factorises into the per-form Cholesky factors, at these band
     # widths bit for bit.
-    assert np.array_equal(logdets, [logdet_posdef(b) for b in bands])
+    assert np.array_equal(logdets, [logdet_posdef(b[:, None])[0] for b in bands])
     for logdet, cfg in zip(logdets, configs):
         sign, expect = np.linalg.slogdet(dense_bose_form(p, cfg))
         assert sign == 1.0

@@ -3,12 +3,13 @@
 import csv
 import json
 import math
+import sys
 
 import jsonschema
 import pytest
 
-from boselgt.partition import Estimate
-from boselgt.records import (LOG_VALUE_LIMIT, OUTPUT_DIR_ENV, ResultRecord,
+from boselgt.partition import LOG_MAX_DOUBLE, LOG_MIN_NORMAL, Estimate
+from boselgt.records import (OUTPUT_DIR_ENV, ResultRecord,
                              default_output_dir, estimate_payload, format_cell,
                              load_schema, safe_value, utc_now_iso, write_csv)
 
@@ -64,10 +65,20 @@ def test_created_utc_format():
 
 
 def test_safe_value_clamps():
+    # null exactly when exp(log) is not a normal double: the edges are
+    # ln(smallest normal) = -708.40 and ln(largest double) = 709.78.
     assert safe_value(0.0) == 1.0
     assert safe_value(-2.0) == pytest.approx(math.exp(-2.0))
-    assert safe_value(LOG_VALUE_LIMIT + 1.0) is None
-    assert safe_value(-LOG_VALUE_LIMIT - 1.0) is None
+    assert safe_value(LOG_MAX_DOUBLE) == pytest.approx(sys.float_info.max, rel=1e-13)
+    assert safe_value(LOG_MIN_NORMAL) >= sys.float_info.min
+    assert safe_value(LOG_MIN_NORMAL) == pytest.approx(sys.float_info.min, rel=1e-13)
+    for log_value in (705.0, -705.0):   # null up to the 700 cut of old
+        assert safe_value(log_value) == math.exp(log_value)
+    assert safe_value(math.nextafter(LOG_MAX_DOUBLE, math.inf)) is None
+    assert safe_value(math.nextafter(LOG_MIN_NORMAL, -math.inf)) is None
+    assert math.exp(math.nextafter(LOG_MIN_NORMAL, -math.inf)) < sys.float_info.min
+    for log_value in (1000.0, -745.0, -1000.0, math.nan):
+        assert safe_value(log_value) is None
 
 
 def test_estimate_payload_fields():
