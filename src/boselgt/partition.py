@@ -4,27 +4,47 @@ integrals.
 All Gaussian integrals use the measure with a factor (2 pi)^{-1/2} per real
 field component, so a decoupled site integrates to exactly 1 and the Bose
 partition value is det(Q)^{-1/2} per real flavor, with Q the quadratic form
-of the action.  Complex fields are handled through the standard embedding
-of C^N into R^{2N}: a unitary g becomes the orthogonal 2N x 2N block matrix
-[[Re g, -Im g], [Im g, Re g]], the determinant of the real form is the
-square of the Hermitian one, and a complex flavor contributes det^{-1}.
+of the action, S_Bose = phi^T Q phi / 2.  Complex fields are handled
+through the standard embedding of C^N into R^{2N}: a unitary g becomes the
+orthogonal 2N x 2N block matrix [[Re g, -Im g], [Im g, Re g]], the
+determinant of the real form is the square of the Hermitian one, and a
+complex flavor contributes det^{-1}.
 
-Quadratic forms are kept in LAPACK lower band storage, ab[k, c] = Q[c + k, c].
-Sites are ordered lexicographically, so a bond couples sites at most
-L^{d-1} apart and Q has lower bandwidth kd = (L^{d-1} + 1) * width - 1 with
-width = N (real) or 2 N (complex).  The banded Cholesky costs about M kd^2
-instead of M^3 / 3 and stores (kd + 1) M entries instead of M^2.
+Symmetric forms A are kept in LAPACK lower band storage, ab[k, c] =
+A[c + k, c].  Sites are ordered lexicographically, so a bond couples sites at most
+L^{d-1} apart and the full form Q has lower bandwidth kd = (L^{d-1} + 1) *
+width - 1 with width = N (real) or 2 N (complex), on M = n_sites * width
+columns.  The box with free boundaries is bipartite and every bond joins
+the two parity classes, so in parity order Q = [[1, -B], [-B^T, 1]], with B
+the kappa^2-scaled coupling from one class to the other.  Eliminating the
+second class exactly leaves the Schur complement S = 1 - B B^T on the
+first, and det Q = det S: the even-odd reduction of lattice QCD (T.
+DeGrand and P. Rossi, Comput. Phys. Commun. 60 (1990) 211).  The kept
+class is the sites whose 0-based coordinates sum to an odd number, never
+the larger class.  Two kept sites couple in S when they share a
+neighbour, so S has Q's bandwidth kd (for L >= 3; less at L = 2) on half
+the columns, and its banded Cholesky, about M_kept kd^2, does half the
+work.  The geometry of S (which bond products land on which band entries,
+in a fixed summation order) is a plan cached per (d, L, width).
 
 A stack of forms, one per gauge configuration in a bond array of shape
-lead + (n_bonds, N, N), is one array ab of shape (kd + 1,) + lead + (M,)
-with ab[k, ..., c] = Q[..., c + k, c].  The band axis comes first, so
-ab.reshape(kd + 1, -1) is, without a copy, the band of the block-diagonal
-matrix of all the forms: entries past the end of each form are zero, so
-neighbours do not couple, and one banded Cholesky factorises the stack.
-log_z_bose is the one Bose log-determinant path: bose-exact, the Bose
-check and the full model all take log Z_B from it, stacked over slices of
-about 2 MiB of band, and this module is the only place that lays out or
-factorises Q.
+lead + (n_bonds, N, N), is one array ab of shape (kd + 1,) + lead +
+(M_kept,) with ab[k, ..., c] = S[..., c + k, c].  The band axis comes
+first, so ab.reshape(kd + 1, -1) is, without a copy, the band of the
+block-diagonal matrix of all the forms: entries past the end of each form
+are zero, so neighbours do not couple, and one banded Cholesky factorises
+the stack.  The band memory runs form by form and column by column, so
+LAPACK factorises it in place.  log_z_bose is the one Bose log-determinant
+path: bose-exact, the Bose check and the full model all take log Z_B from
+it, stacked over slices of about 2 MiB of band and builder temporaries,
+and this module is the only place that lays out or factorises S.  Two
+consequences of the reduction to keep in mind:
+
+* z_bose_exact_unscaled still shifts by the full M = n_sites * width,
+  since Q_u = s_B^2 Q on every field, kept or eliminated;
+* a NotPositiveDefiniteError from log_z_bose names the smallest
+  eigenvalue of S, which is 1 - sigma_max^2 for the largest singular value
+  sigma_max of B, where Q's would be 1 - sigma_max.
 
 Values that can leave the double range are carried as logarithms; Estimate
 keeps both, with log_value authoritative, and carries its error on the log
@@ -36,6 +56,8 @@ the commands that never factorise a form start without loading it.
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -43,7 +65,7 @@ from . import mc
 from .actions import PlaquettePlan, wilson_action
 from .errors import NotPositiveDefiniteError, NumericError, UsageError
 from .haar import check_group, haar_sample, lead_slices, peaked_cue_integral
-from .lattice import require_positive
+from .lattice import Lattice, require_positive
 # weyl_integrate, su2_haar and su2_to_matrix are not called here:
 # perfbench/spans.py rebinds them in this module, and its Tracer.rebind
 # fails on a missing name.
@@ -67,7 +89,7 @@ class Estimate:
     """A partition value (or similar scalar) with provenance.
 
     log_value is always finite and authoritative; value is exp(log_value)
-    when that fits in a double and 0.0 / inf otherwise.  std_error_log is
+    when that is a normal double and 0.0 / inf otherwise.  std_error_log is
     the standard error of log_value: for Monte Carlo the relative standard
     error sigma / mean of the unscaled sample mean, 0 for deterministic
     methods.  A known scale, such as the gauge scale s_Y^{d(N) Lr}, shifts
@@ -90,9 +112,10 @@ class Estimate:
 
     @property
     def value(self):
+        """exp(log_value) when that is a normal double, else inf or 0.0."""
         if self.log_value > LOG_MAX_DOUBLE:
             return np.inf
-        if self.log_value < -745.0:
+        if self.log_value < LOG_MIN_NORMAL:
             return 0.0
         return float(np.exp(self.log_value))
 
@@ -125,57 +148,156 @@ class Estimate:
 
 # ----------------------------------------------------------- Bose sector
 
-def _bandwidth(tails, heads, width):
-    """Lower bandwidth kd of Q: the widest link, in fields, plus its block."""
-    return int((heads - tails).max()) * width + width - 1
-
-
 def _field_width(params):
     return params.n * (1 if params.field_kind == "real" else 2)
 
 
-def _banded_form(n_nodes, width, tails, heads, hops):
-    """Lower band of Q = 1 - (hopping blocks), stacked over the lead axes.
+def _padded_groups(keys, values, pad):
+    """Values grouped by key: a (depth, n_groups) table and the keys.
 
-    hops has shape lead + (n_links, width, width) and ab the module's layout
-    (kd + 1,) + lead + (n_nodes * width,).  Link i adds -hops[i] at block
-    (tails[i], heads[i]) and its transpose at the mirrored block; heads[i] >
-    tails[i], so only the transpose lies in the lower band.  The band is
-    kd = max(heads - tails) * width + width - 1 wide, and no two links share
-    an entry, so one scatter places them all.
+    Column g lists values[keys == groups[g]] in their given order and is
+    filled up with pad; groups are the distinct keys in increasing order.
     """
-    lead = hops.shape[:-3]
-    kd = _bandwidth(tails, heads, width)
-    ab = np.zeros((kd + 1,) + lead + (n_nodes * width,))
-    ab[0] = 1.0
-    # Entry [i, r, c] is Q[heads[i] w + r, tails[i] w + c]; the index arrays
-    # straddle the lead axes, so the values come as (n_links, w, w) + lead.
-    a = np.arange(width)
-    rows = (heads * width)[:, None, None] + a[:, None]
-    cols = (tails * width)[:, None, None] + a
-    ab[rows - cols, ..., cols] = -np.moveaxis(
-        np.swapaxes(hops, -1, -2), range(len(lead)), range(-len(lead), 0))
-    return ab
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+    group = np.cumsum(new) - 1
+    rank = np.arange(len(keys)) - np.flatnonzero(new)[group]
+    table = np.full((rank.max() + 1, group[-1] + 1), pad)
+    table[rank, group] = values[order]
+    return table, sorted_keys[new]
+
+
+@dataclass(frozen=True, eq=False)
+class _SchurPlan:
+    """Where the entries of S = 1 - B B^T come from and where they go.
+
+    The kept sites are those whose 0-based coordinates sum to an odd
+    number, never the larger parity class; S is indexed by their rank in
+    site order.  flip lists the bonds whose kept end is the head, where B
+    holds the transpose of the bond's coupling block.  Bond id n_bonds is a
+    zero block that pads every table.  diag (depth, n_kept) lists the bonds
+    at each kept site, whose products B_b B_b^T sum to its diagonal block;
+    left and right (2, n_off) list, for each lower off-diagonal block
+    (k1, k2) with k1 > k2, the bonds from k1 and from k2 to the one or two
+    eliminated sites next to both.  Every sum runs down a table column, so
+    its order is fixed.  diag_pos and off_pos (width, width, n_blocks) give
+    each block entry (i, j) its offset in a form's band laid out column by
+    column, c (kd + 1) + r - c; entries above the diagonal of a diagonal
+    block go to their mirror, which holds the same value.  form_entries
+    counts the band and the builder's temporaries per form, in doubles.
+    """
+
+    n_bonds: int
+    kd: int
+    m: int
+    flip: np.ndarray
+    diag: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    diag_pos: np.ndarray
+    off_pos: np.ndarray
+    identity: np.ndarray
+    form_entries: int
+
+
+@lru_cache(maxsize=None)
+def _schur_plan(d, L, width):
+    lat = Lattice(d, L)
+    tail, head, nb = lat.bond_tail, lat.bond_head, lat.n_bonds
+    kept = (lat.site_coords.sum(axis=1) - d) % 2 == 1
+    rank = np.cumsum(kept) - 1
+    n_kept = int(kept.sum())
+    tail_kept = kept[tail]
+    k_of = rank[np.where(tail_kept, tail, head)]
+    e_of = np.where(tail_kept, head, tail)
+
+    bond_ids = np.arange(nb)
+    diag = _padded_groups(k_of, bond_ids, pad=nb)[0]
+    # Ordered pairs of bonds at one eliminated site, from the later kept
+    # site to the earlier one: (slot i, slot j, eliminated site) in C order.
+    at_e = _padded_groups(e_of, bond_ids, pad=nb)[0]
+    x, y = np.broadcast_arrays(at_e[:, None], at_e[None, :])
+    k_pad = np.append(k_of, -1)
+    lower = (x < nb) & (y < nb) & (k_pad[x] > k_pad[y])
+    b1, b2 = x[lower], y[lower]
+    pairs, blocks = _padded_groups(k_of[b1] * n_kept + k_of[b2],
+                                   np.arange(len(b1)), pad=len(b1))
+    left = np.append(b1, nb)[pairs]
+    right = np.append(b2, nb)[pairs]
+    off_k1, off_k2 = blocks // n_kept, blocks % n_kept
+    kd = int((off_k1 - off_k2).max()) * width + width - 1
+
+    a = np.arange(width)[:, None, None]
+    b = np.arange(width)[None, :, None]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    diag_col = np.arange(n_kept) * width + lo
+    diag_pos = diag_col * (kd + 1) + hi - lo
+    row, col = off_k1 * width + a, off_k2 * width + b
+    off_pos = col * (kd + 1) + row - col
+    m = n_kept * width
+    # Doubles per form: the band; hops; the diagonal gather, its products
+    # and sums; the two off-diagonal gathers, their products and sums.
+    n_diag, n_off = len(diag) * n_kept, len(blocks)
+    form_entries = (kd + 1) * m + width**2 * (
+        nb + 1 + (width + 1) * n_diag + n_kept + (2 * width + 5) * n_off)
+    return _SchurPlan(nb, kd, m, np.flatnonzero(~tail_kept), diag, left, right,
+                      diag_pos.ravel(), off_pos.ravel(),
+                      np.eye(width)[:, :, None, None], form_entries)
+
+
+def _gram(left, right, start):
+    """start - sum over k and slots c of left[i, k, c] right[j, k, c].
+
+    left and right have shape (w, w, depth) + rest and the result (w, w) +
+    rest.  All products are formed at once and subtracted one by one, k
+    major, so every entry sums in the same order whatever rest is.
+    """
+    w, depth = left.shape[1], left.shape[2]
+    terms = (left[:, None] * right[None, :]).reshape((w, w, w * depth) + left.shape[3:])
+    acc = np.subtract(start, terms[:, :, 0])
+    for t in range(1, w * depth):
+        acc -= terms[:, :, t]
+    return acc
 
 
 def bose_quadratic_form(params, bonds):
-    """Real symmetric Q with S_Bose = phi^T Q phi / 2, in lower band storage.
+    """Lower band of the Schur complement S of the Bose form Q.
 
-    bonds has shape lead + (n_bonds, N, N) and ab has shape
-    (kd + 1,) + lead + (M,).  Fields are site-major blocks of width N for
-    real fields and 2 N for complex ones (the R^{2N} embedding of each
-    bond), so M = n_sites * width.  Diagonal blocks are the
-    identity; each bond contributes -kappa^2 times its coupling block and
-    the transpose on the mirrored position.
+    bonds has shape lead + (n_bonds, N, N) and ab has the module's layout
+    (kd + 1,) + lead + (M_kept,) with M_kept = n_kept * width.  Q = [[1,
+    -B], [-B^T, 1]] in parity order, with B the kappa^2-scaled coupling from
+    the kept sites to the eliminated ones, so det Q = det S with S = 1 -
+    B B^T.  Bond b between kept site k and eliminated site e has block
+    B_b = kappa^2 G_b (k the tail) or kappa^2 G_b^T (k the head), with
+    G_b = Re(g_b) for real fields and the R^{2N} embedding of g_b for
+    complex ones.  The band memory is ordered form by form and column by
+    column, so the stacked band is Fortran-ordered and LAPACK factorises it
+    in place.
     """
-    lat = params.lattice
-    if params.field_kind == "real":
-        blocks = np.real(bonds)
-    else:
-        re, im = np.real(bonds), np.imag(bonds)
-        blocks = np.block([[re, -im], [im, re]])
-    return _banded_form(lat.n_sites, blocks.shape[-1], lat.bond_tail,
-                        lat.bond_head, params.scaling.kappa_sq * blocks)
+    lat, n_, k2 = params.lattice, params.n, params.scaling.kappa_sq
+    width = _field_width(params)
+    plan = _schur_plan(lat.d, lat.L, width)
+    lead = bonds.shape[:-3]
+    n, nb = prod(lead), plan.n_bonds
+    # hops[i, k, b, f] = B_b[i, k] of form f; bond nb is the zero block.
+    g = bonds.reshape((n,) + bonds.shape[-3:]).transpose(2, 3, 1, 0)
+    hops = np.empty((width, width, nb + 1, n))
+    hops[:, :, nb] = 0.0
+    np.multiply(g.real, k2, out=hops[:n_, :n_, :nb])
+    if width > n_:   # the R^{2N} embedding [[Re g, -Im g], [Im g, Re g]]
+        np.multiply(g.imag, -k2, out=hops[:n_, n_:, :nb])
+        np.multiply(g.imag, k2, out=hops[n_:, :n_, :nb])
+        np.multiply(g.real, k2, out=hops[n_:, n_:, :nb])
+    hops[:, :, plan.flip] = hops[:, :, plan.flip].swapaxes(0, 1)
+
+    diag = np.take(hops, plan.diag, axis=2)
+    band = np.zeros((n, plan.m * (plan.kd + 1)))
+    band[:, plan.diag_pos] = _gram(diag, diag, plan.identity).reshape(-1, n).T
+    band[:, plan.off_pos] = _gram(np.take(hops, plan.left, axis=2),
+                                  np.take(hops, plan.right, axis=2), 0.0).reshape(-1, n).T
+    band = band.reshape(lead + (plan.m, plan.kd + 1))
+    return band.transpose((band.ndim - 1,) + tuple(range(band.ndim - 1)))
 
 
 def logdet_posdef(ab, context="quadratic form"):
@@ -183,47 +305,61 @@ def logdet_posdef(ab, context="quadratic form"):
 
     ab has the module's layout (kd + 1,) + lead + (M,), and the result is
     an array over lead, from one banded Cholesky of the block-diagonal
-    stack.  The Gershgorin bound says eigenvalues are at least
-    1 - 2 d kappa^2 times the largest coupling row sum, so well inside the
-    hopping range the factorization cannot fail; if it does (e.g. at the
-    massless edge with round-off), the smallest eigenvalue of the stack is
-    named in the error.
+    stack.  When the stack's columns are contiguous, the layout
+    bose_quadratic_form returns, LAPACK factorises ab in place and ab holds
+    the factor afterwards; any other layout is factorised on a copy.  The
+    Gershgorin bound says eigenvalues are at least 1 - 2 d kappa^2 times the
+    largest coupling row sum, so well inside the hopping range the
+    factorization cannot fail.  If it does (e.g. at the massless edge with
+    round-off), the error names the smallest eigenvalue of the stack, or
+    the first pivot that was not positive when ab itself was overwritten.
     """
     import scipy.linalg
 
     stacked = ab.reshape(ab.shape[0], -1)
-    try:
-        chol = scipy.linalg.cholesky_banded(stacked, lower=True)
-    except np.linalg.LinAlgError:
-        smallest = scipy.linalg.eigvals_banded(
-            stacked, lower=True, select="i", select_range=(0, 0))
-        raise NotPositiveDefiniteError(
-            f"{context} is not positive definite", float(smallest[0])) from None
-    return 2.0 * np.sum(np.log(chol[0].reshape(ab.shape[1:])), axis=-1)
+    chol, info = scipy.linalg.lapack.dpbtrf(stacked, lower=1, overwrite_ab=1)
+    if info > 0:
+        smallest = (chol[0, info - 1] if np.may_share_memory(chol, stacked) else
+                    scipy.linalg.eigvals_banded(stacked, lower=True, select="i",
+                                                select_range=(0, 0))[0])
+        raise NotPositiveDefiniteError(f"{context} is not positive definite",
+                                       float(smallest))
+    logdet = 2.0 * np.sum(np.log(chol[0].reshape(ab.shape[1:])), axis=-1)
+    if not np.all(np.isfinite(logdet)):
+        raise ValueError(f"{context} has entries that are not finite")
+    return logdet
 
 
 def log_z_bose(params, bonds):
-    """Scaled log Z_B = -(n_flavors / 2) log det Q(g) per configuration.
+    """Scaled log Z_B = -(n_flavors / 2) log det S(g) per configuration.
 
     bonds has shape lead + (n_bonds, N, N); the result has shape lead (a
     0-d array for one configuration).  The forms are built and factorised
-    as stacks over slices of about BOSE_SLICE_ENTRIES band entries
-    (haar.lead_slices), so memory stays near the bonds whatever the lead
-    size.  Forms in a stack do not couple, so each value equals that of
-    its form factorised alone (bit for bit in every case tested, LAPACK's
-    blocked kd >= 32 path too).  For complex fields Q is the real
-    embedding, giving det^{-n_flavors} of the Hermitian form.
+    as stacks over slices of about BOSE_SLICE_ENTRIES doubles of band and
+    builder temporaries (haar.lead_slices), so memory stays near the bonds
+    whatever the lead size.  Forms in a stack do not couple, and the
+    builder works entry by entry, so each value equals that of its form
+    factorised alone (bit for bit in every case tested, LAPACK's blocked
+    kd >= 32 path too).  For complex fields S comes from the real
+    embedding, giving det^{-n_flavors} of the Hermitian form.  A slice
+    that fails to factorise is built again, so that the error names the
+    smallest eigenvalue of S.
     """
     lat = params.lattice
-    width = _field_width(params)
-    kd = _bandwidth(lat.bond_tail, lat.bond_head, width)
-    per_form = (kd + 1) * lat.n_sites * width
+    plan = _schur_plan(lat.d, lat.L, _field_width(params))
     lead = bonds.shape[:-3]
     flat = bonds.reshape((-1,) + bonds.shape[-3:])
     out = np.empty(len(flat))
-    for s in lead_slices(len(flat), per_form, BOSE_SLICE_ENTRIES):
-        out[s] = -0.5 * params.n_flavors * logdet_posdef(
-            bose_quadratic_form(params, flat[s]), context="Bose quadratic form")
+    context = "Bose quadratic form"
+    for s in lead_slices(len(flat), plan.form_entries, BOSE_SLICE_ENTRIES):
+        try:
+            logdet = logdet_posdef(bose_quadratic_form(params, flat[s]), context)
+        except NotPositiveDefiniteError:
+            # LAPACK overwrote the band.  A rebuilt one in C order is
+            # factorised on a copy, so its error names the smallest eigenvalue.
+            logdet_posdef(bose_quadratic_form(params, flat[s]).copy(), context)
+            raise
+        out[s] = -0.5 * params.n_flavors * logdet
     return out.reshape(lead)
 
 

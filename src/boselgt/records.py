@@ -93,11 +93,16 @@ def safe_value(log_value):
 
 
 def estimate_payload(est):
-    """Serializable payload for a partition Estimate."""
+    """Serializable payload for a partition Estimate.
+
+    value and std_error are null together, when exp(log_value) is not a
+    normal double.
+    """
+    value = safe_value(est.log_value)
     return {
         "log_value": float(est.log_value),
-        "value": safe_value(est.log_value),
-        "std_error": float(est.std_error),
+        "value": value,
+        "std_error": None if value is None else float(est.std_error),
         "method": est.method,
         "n_samples": int(est.n_samples),
         "seed": est.seed,

@@ -5,16 +5,17 @@ arithmetic and the quaternion plaquette action (the independent route to
 actions.plaquette_actions), the Haar sampler's expressions with
 batch-sized temporaries (haar.haar_sample builds its matrices in place),
 lexicographic site indexing, the field-level Bose actions and gauge
-transformations (the definitions partition.bose_quadratic_form is checked
-against), the Gaussian chain and transfer kernels behind the Bose upper
-rate, and the d = 2 one-bond and L-independent rate bounds.
+transformations, the full Bose form Q in band storage (partition builds
+only its Schur complement on one parity class) and the closed form of
+log Z_B at identity bonds, the Gaussian chain and transfer kernels behind
+the Bose upper rate, and the d = 2 one-bond and L-independent rate bounds.
 """
 
 import numpy as np
 
 from boselgt.errors import NumericError, UsageError
 from boselgt.haar import cue_norm, gue_norm, lead_slices
-from boselgt.partition import _banded_form, logdet_posdef, z_single_bond
+from boselgt.partition import logdet_posdef, z_single_bond
 from boselgt.su2 import _sinc_ball, su2_angle
 
 # ------------------------------------------------------------------- SU(2)
@@ -199,6 +200,65 @@ def _check_field(params, field):
         raise ValueError("real model given a complex field")
 
 
+# ------------------------------------------------------------- Bose form Q
+
+def banded_form(n_nodes, width, tails, heads, hops):
+    """Lower band of Q = 1 - (hopping blocks), stacked over the lead axes.
+
+    hops has shape lead + (n_links, width, width) and ab the layout
+    (kd + 1,) + lead + (n_nodes * width,) with ab[k, ..., c] = Q[..., c + k, c].
+    Link i adds -hops[i] at block (tails[i], heads[i]) and its transpose at
+    the mirrored block; heads[i] > tails[i], so only the transpose lies in
+    the lower band.  The band is kd = max(heads - tails) * width + width - 1
+    wide, and no two links share an entry, so one scatter places them all.
+    """
+    lead = hops.shape[:-3]
+    kd = int((heads - tails).max()) * width + width - 1
+    ab = np.zeros((kd + 1,) + lead + (n_nodes * width,))
+    ab[0] = 1.0
+    # Entry [i, r, c] is Q[heads[i] w + r, tails[i] w + c]; the index arrays
+    # straddle the lead axes, so the values come as (n_links, w, w) + lead.
+    a = np.arange(width)
+    rows = (heads * width)[:, None, None] + a[:, None]
+    cols = (tails * width)[:, None, None] + a
+    ab[rows - cols, ..., cols] = -np.moveaxis(
+        np.swapaxes(hops, -1, -2), range(len(lead)), range(-len(lead), 0))
+    return ab
+
+
+def bose_form_band(params, bonds):
+    """Band of the full Bose form Q with S_Bose = phi^T Q phi / 2.
+
+    Fields are site-major blocks of width N (real) or 2 N (complex, the
+    R^{2N} embedding of each bond), so M = n_sites * width.  Diagonal blocks
+    are the identity; each bond contributes -kappa^2 times its coupling
+    block and the transpose on the mirrored position.
+    """
+    lat = params.lattice
+    if params.field_kind == "real":
+        blocks = np.real(bonds)
+    else:
+        re, im = np.real(bonds), np.imag(bonds)
+        blocks = np.block([[re, -im], [im, re]])
+    return banded_form(lat.n_sites, blocks.shape[-1], lat.bond_tail,
+                       lat.bond_head, params.scaling.kappa_sq * blocks)
+
+
+def log_z_bose_identity(params):
+    """Closed form of the scaled log Z_B at identity bonds.
+
+    With every bond the identity, Q = 1 - kappa^2 A (x) 1_w for the
+    adjacency A of the free-boundary box, whose eigenvalues are
+    2 sum_mu cos(pi k_mu / (L + 1)), k in [1, L]^d.  So log Z_B(1) =
+    -(n_f w / 2) sum_k log(1 - 2 kappa^2 sum_mu cos(pi k_mu / (L + 1))).
+    """
+    width = params.n * (1 if params.field_kind == "real" else 2)
+    c = np.cos(np.pi * np.arange(1, params.L + 1) / (params.L + 1))
+    grid = np.meshgrid(*[c] * params.d, indexing="ij")
+    lam = 2.0 * params.scaling.kappa_sq * sum(grid)
+    return -0.5 * params.n_flavors * width * float(np.sum(np.log1p(-lam)))
+
+
 # ------------------------------------------------------- chain and kernels
 
 def chain_partition(length, n, d, gauge_list=None, kappa_sq=None):
@@ -224,7 +284,7 @@ def chain_partition(length, n, d, gauge_list=None, kappa_sq=None):
             raise ValueError(f"gauge blocks must be {n} x {n}, got {np.shape(g)}")
     links = np.arange(length - 1)
     hops = d * kappa_sq * np.asarray(gauge_list, dtype=float)
-    ab = _banded_form(length, n, links, links + 1, hops[None])   # a stack of one
+    ab = banded_form(length, n, links, links + 1, hops[None])   # a stack of one
     logdet = logdet_posdef(ab, context="chain quadratic form")[0]
     return float(np.exp(-0.5 * logdet))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from boselgt import bounds, cli, partition
-from boselgt.actions import ModelParams
+from boselgt.actions import ModelParams, identity_bonds
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -55,8 +55,10 @@ def test_instrument_rebinds_and_restores(spans):
     assert ix.calls("su2.to_matrix") == 0
     assert ix.counted("actions.plaquette") == 64
     # The full-model verifier factorises its forms in slices of about 2 MiB
-    # of band; a 32-sample block is one slice, so one call per block.
+    # of band and builder temporaries; a 32-sample block is one slice, so
+    # one call per block, each on a band built where the tracer counts it.
     assert ix.calls("partition.logdet") == 2
+    assert ix.calls("partition.bose_form") == ix.calls("partition.logdet")
 
 
 @pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")
@@ -131,4 +133,24 @@ def test_bose_exact_factorises_once_per_record(spans, tmp_path):
     ix = spans.SpanIndex(tracer.spans)
     # The unscaled value is derived from the scaled one.
     assert ix.calls("partition.logdet") == 1
+    assert ix.calls("partition.bose_form") == 1
+    assert ix.busy("partition.bose_form") > 0.0
     assert ix.calls("partition.z_bose_exact") == 2
+
+
+@pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")
+def test_every_factorised_bose_band_is_built_where_it_is_counted(spans):
+    # Several slices per full-model block, and one z_bose_exact: each
+    # log-det call factorises one band from bose_quadratic_form.
+    p = ModelParams(d=3, L=3, n=2, kind="SU")
+    tracer = spans.Tracer()
+    try:
+        spans.instrument(tracer)
+        with tracer.recording("test"):
+            bounds.verify_full_model(p, 2048, seed=0, block_size=2048)
+            partition.z_bose_exact(p, identity_bonds(2, p.lattice.n_bonds))
+    finally:
+        tracer.restore()
+    ix = spans.SpanIndex(tracer.spans)
+    assert ix.calls("partition.logdet") > 2
+    assert ix.calls("partition.bose_form") == ix.calls("partition.logdet")

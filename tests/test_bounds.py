@@ -269,8 +269,8 @@ def test_each_estimator_and_check_builds_one_plaquette_plan_per_call(
 def test_full_model_slices_equal_one_unsliced_factorisation(monkeypatch, n_workers):
     p = ModelParams(d=3, L=2, n=2, kind="U", g_sq=2.0)
     count, block, seed = 96, 32, 5
-    one = haar_sample(np.random.default_rng(seed), p.n, size=p.lattice.n_bonds)
-    per_form = bose_quadratic_form(p, one).size
+    # Slices are sized by the band and the builder's temporaries per form.
+    per_form = partition._schur_plan(p.d, p.L, p.n).form_entries
     # Seven forms per slice: each 32-sample block runs as 7, 7, 7, 7, 4.
     monkeypatch.setattr(partition, "BOSE_SLICE_ENTRIES", 7 * per_form)
     assert [s.stop - s.start for s in lead_slices(
@@ -301,7 +301,7 @@ def test_full_model_slices_equal_one_unsliced_factorisation(monkeypatch, n_worke
     alone = [-0.5 * 3 * logdet_posdef(bose_quadratic_form(q, b[None]))[0]
              for b in bonds]
     monkeypatch.setattr(partition, "BOSE_SLICE_ENTRIES",
-                        7 * bose_quadratic_form(q, one).size)
+                        7 * partition._schur_plan(q.d, q.L, 2 * q.n).form_entries)
     assert np.array_equal(log_z_bose(q, bonds), alone)
     single = log_z_bose(q, bonds[3])
     assert single.shape == () and single == alone[3]

@@ -11,10 +11,13 @@ from boselgt.actions import ModelParams, identity_bonds
 from boselgt.errors import NotPositiveDefiniteError, NumericError, UsageError
 from boselgt.haar import haar_sample
 from boselgt.mc import Moments
-from boselgt.partition import (LOG_MAX_DOUBLE, MIN_MC_MEAN, Estimate,
-                               bose_quadratic_form, logdet_posdef, z_bose_exact, z_bose_exact_unscaled,
+from boselgt.partition import (LOG_MAX_DOUBLE, LOG_MIN_NORMAL, MIN_MC_MEAN, Estimate,
+                               bose_quadratic_form, log_z_bose, logdet_posdef,
+                               z_bose_exact, z_bose_exact_unscaled,
                                z_single_bond, z_wilson_d2_exact, z_wilson_mc)
-from oracles import chain_partition, gauge_transform, transfer_kernel_matrix
+from boselgt.records import estimate_payload
+from oracles import (bose_form_band, chain_partition, gauge_transform,
+                     log_z_bose_identity, transfer_kernel_matrix)
 
 
 def quad_z_4d(q, x_max=10.0, m=48):
@@ -113,6 +116,25 @@ def test_estimate_value_spans_the_whole_double_range():
     assert Estimate.exact(-746.0).value == 0.0
 
 
+def test_subnormal_values_and_their_errors_are_null_together():
+    # exp(-720) is subnormal: value and std_error both read 0.0 / null,
+    # where std_error used to come out as 1.016e-314 beside a null value.
+    est = Estimate(log_value=-720.0, std_error_log=0.05, method="monte-carlo")
+    assert est.value == 0.0 and est.std_error == 0.0
+    pay = estimate_payload(est)
+    assert pay["value"] is None and pay["std_error"] is None
+    assert pay["log_value"] == -720.0
+    below = np.nextafter(LOG_MIN_NORMAL, -np.inf)
+    assert Estimate.exact(below).value == 0.0
+    edge = Estimate(log_value=LOG_MIN_NORMAL, std_error_log=0.5, method="monte-carlo")
+    assert edge.value == pytest.approx(np.finfo(float).tiny, rel=1e-15)
+    pay = estimate_payload(edge)
+    assert pay["value"] == edge.value and pay["std_error"] == edge.std_error > 0.0
+    for log_value in (800.0, -800.0, below):
+        pay = estimate_payload(Estimate.exact(log_value))
+        assert pay["value"] is None and pay["std_error"] is None
+
+
 def test_mean_whose_squared_deviations_can_underflow_is_refused():
     # Weights near e^{-390} have squared deviations below the smallest
     # double, so m2 reads 0 and the error bar would be a false 0.
@@ -146,7 +168,8 @@ def test_underflowed_mean_is_named_as_underflow():
 def test_real_model_matches_brute_force_quadrature_identity_gauge():
     p = ModelParams(d=2, L=2, m_u=2.0, kappa_u_sq=1.0)  # kappa^2 = 1/8
     cfg = identity_bonds(1, p.lattice.n_bonds)
-    q = band_to_dense(bose_quadratic_form(p, cfg))
+    q = band_to_dense(bose_form_band(p, cfg))
+    assert np.array_equal(q, dense_bose_form(p, cfg))
     assert np.array_equal(q, q.T)
     assert np.all(np.diag(q) == 1.0)
     direct = quad_z_4d(q)
@@ -156,7 +179,8 @@ def test_real_model_matches_brute_force_quadrature_identity_gauge():
 def test_real_model_matches_brute_force_quadrature_random_gauge():
     p = ModelParams(d=2, L=2, m_u=1.0, kappa_u_sq=0.9)
     cfg = haar_sample(np.random.default_rng(21), 1, size=p.lattice.n_bonds)
-    q = band_to_dense(bose_quadratic_form(p, cfg))
+    q = band_to_dense(bose_form_band(p, cfg))
+    assert np.array_equal(q, dense_bose_form(p, cfg))
     direct = quad_z_4d(q)
     assert z_bose_exact(p, cfg).value == pytest.approx(direct, rel=1e-8)
 
@@ -246,11 +270,43 @@ def test_band_form_matches_dense_per_bond_build(d, L, field_kind, n):
                     m_u=0.5, kappa_u_sq=1.0)
     cfg = haar_sample(np.random.default_rng(10 * d + n), n, size=p.lattice.n_bonds)
     dense = dense_bose_form(p, cfg)
-    ab = bose_quadratic_form(p, cfg)
-    assert np.array_equal(band_to_dense(ab), dense)
+    q_band = bose_form_band(p, cfg)
+    assert np.array_equal(band_to_dense(q_band), dense)
     sign, expect = np.linalg.slogdet(dense)
     assert sign == 1.0
-    assert logdet_posdef(ab[:, None]) == pytest.approx([expect], rel=1e-10)
+    assert logdet_posdef(q_band[:, None]) == pytest.approx([expect], rel=1e-10)
+    # det S = det Q: the Schur complement carries the whole determinant.
+    assert logdet_posdef(bose_quadratic_form(p, cfg)[:, None]) == pytest.approx(
+        [expect], rel=1e-10)
+
+
+def odd_sites(lattice):
+    """Sites whose 0-based coordinates sum to an odd number, in site order."""
+    return np.flatnonzero((lattice.site_coords.sum(axis=1) - lattice.d) % 2 == 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("field_kind", ["real", "complex"])
+@pytest.mark.parametrize("d,L", [(2, 4), (2, 5), (3, 3), (4, 2)])
+def test_band_is_the_schur_complement_of_dense_q(d, L, field_kind, n):
+    # Q = [[1, -B], [-B^T, 1]] on (odd, even) sites, so S = 1 - B B^T.
+    p = ModelParams(d=d, L=L, n=n, field_kind=field_kind, m_u=0.5)
+    cfg = haar_sample(np.random.default_rng(7 * d + L), n, size=p.lattice.n_bonds)
+    w = n if field_kind == "real" else 2 * n
+    fields = (w * odd_sites(p.lattice)[:, None] + np.arange(w)).ravel()
+    others = np.setdiff1d(np.arange(p.lattice.n_sites * w), fields)
+    q = dense_bose_form(p, cfg)
+    assert np.array_equal(q[np.ix_(others, others)], np.eye(len(others)))
+    b = -q[np.ix_(fields, others)]
+    ab = bose_quadratic_form(p, cfg)
+    assert ab.shape[1] == len(fields) <= len(others)
+    # kd is Q's for L >= 3; at L = 2 no kept pair is two time steps apart.
+    assert ab.shape[0] == bose_form_band(p, cfg).shape[0] or L == 2
+    s = band_to_dense(ab)
+    assert np.allclose(s, np.eye(len(fields)) - b @ b.T, rtol=0.0, atol=1e-15)
+    # Entries outside the band are zero: the band holds all of S.
+    rows, cols = np.nonzero(np.abs(np.eye(len(fields)) - b @ b.T) > 1e-15)
+    assert np.max(np.abs(rows - cols)) <= ab.shape[0] - 1
 
 
 @pytest.mark.parametrize("field_kind,width", [("real", 2), ("complex", 4)])
@@ -259,9 +315,11 @@ def test_band_holds_every_nonzero(d, L, field_kind, width):
     p = ModelParams(d=d, L=L, n=2, field_kind=field_kind, m_u=0.5)
     cfg = haar_sample(np.random.default_rng(d), 2, size=p.lattice.n_bonds)
     rows, cols = np.nonzero(dense_bose_form(p, cfg))
-    kd = bose_quadratic_form(p, cfg).shape[0] - 1
+    kd = bose_form_band(p, cfg).shape[0] - 1
     assert kd == np.max(np.abs(rows - cols))
     assert kd == (L ** (d - 1) + 1) * width - 1
+    # The Schur complement keeps the bandwidth on half the columns.
+    assert bose_quadratic_form(p, cfg).shape[0] - 1 == kd
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -293,14 +351,75 @@ def test_stacked_band_failure_names_a_negative_eigenvalue():
     bonds = np.stack([haar_sample(rng, 2, size=p.lattice.n_bonds)
                       for _ in range(5)])
     ab = bose_quadratic_form(p, bonds)
-    # Flip the sign of the third form's diagonal: Q -> -I - H is indefinite
-    # by itself while the other four stay positive definite.
+    # Set the third form's diagonal to -1: that form is indefinite by
+    # itself while the other four stay positive definite.
     ab[0, 2] = -1.0
-    with pytest.raises(NotPositiveDefiniteError) as err:
-        logdet_posdef(ab)
     smallest = np.linalg.eigvalsh(band_to_dense(ab[:, 2]))[0]
     assert smallest < 0.0
+    # A C-ordered band is factorised on a copy, which leaves it to name.
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        logdet_posdef(ab.copy())
     assert err.value.smallest_pivot == pytest.approx(smallest, rel=1e-10)
+    # The builder's layout is factorised in place: the first pivot that is
+    # not positive is named, and the band now holds a partial factor.
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        logdet_posdef(ab)
+    assert err.value.smallest_pivot == -1.0
+
+
+def test_bose_failure_names_the_smallest_eigenvalue_of_s():
+    # Bonds twice the identity push the hopping past the positive range.
+    # Q's eigenvalues are 1 -+ sigma for the singular values sigma of B, and
+    # S's are 1 - sigma^2, so S names 1 - (1 - min eig Q)^2, not min eig Q.
+    p = ModelParams(d=2, L=3, n=1)
+    bonds = 2.0 * identity_bonds(1, p.lattice.n_bonds)
+    q_min = np.linalg.eigvalsh(dense_bose_form(p, bonds))[0]
+    assert q_min < 0.0
+    with pytest.raises(NotPositiveDefiniteError, match="Bose quadratic form") as err:
+        log_z_bose(p, bonds)
+    assert err.value.smallest_pivot == pytest.approx(1.0 - (1.0 - q_min) ** 2,
+                                                     rel=1e-10)
+
+
+def test_non_finite_bonds_are_refused():
+    p = ModelParams(d=2, L=3, n=1)
+    bonds = identity_bonds(1, p.lattice.n_bonds)
+    bonds[4] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        log_z_bose(p, bonds)
+
+
+@pytest.mark.parametrize("field_kind,n_flavors", [("real", 1), ("complex", 2)])
+@pytest.mark.parametrize("m_u", [0.0, 0.7])
+@pytest.mark.parametrize("d,L,n", [(2, 2, 1), (2, 7, 2), (3, 3, 1), (3, 6, 2),
+                                   (4, 3, 2), (4, 8, 1)])
+def test_identity_bonds_match_the_closed_form(d, L, n, field_kind, n_flavors, m_u):
+    # m_u = 0 is the massless edge kappa^2 = 1/(2d); d4 L8 is the benchmark's
+    # largest form, where a dense determinant is out of reach.
+    p = ModelParams(d=d, L=L, n=n, field_kind=field_kind, n_flavors=n_flavors,
+                    m_u=m_u)
+    if m_u == 0.0:
+        assert p.scaling.kappa_sq == 1.0 / (2 * d)
+    expect = log_z_bose_identity(p)
+    got = log_z_bose(p, identity_bonds(n, p.lattice.n_bonds))
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_exact_d4_l8_log_det_peaks_below_the_full_form_band():
+    # The Schur band has half Q's columns and is factorised in place, so
+    # one d4 L8 value needs less than Q's band alone (twice that when Q
+    # was built and LAPACK worked on a copy).
+    p = ModelParams(d=4, L=8, n=1)
+    bonds = haar_sample(np.random.default_rng(3), 1, size=p.lattice.n_bonds)
+    q_band_bytes = 8 * (p.lattice.L ** 3 + 1) * p.lattice.n_sites
+    log_z_bose(p, bonds)  # plan, tables and scipy, once
+    tracemalloc.start()
+    try:
+        log_z_bose(p, bonds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q_band_bytes, peak / q_band_bytes
 
 
 # ------------------------------------------------------------ gauge sector
