@@ -161,10 +161,6 @@ class BoundReport:
             return "fail"
         return "inconclusive"
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
 
 def _report_from_estimate(name, est, log_lower, log_upper):
     return BoundReport(

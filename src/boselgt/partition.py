@@ -185,7 +185,8 @@ class _SchurPlan:
     each block entry (i, j) its offset in a form's band laid out column by
     column, c (kd + 1) + r - c; entries above the diagonal of a diagonal
     block go to their mirror, which holds the same value.  form_entries
-    counts the band and the builder's temporaries per form, in doubles.
+    counts, per form in doubles, every array bose_quadratic_form allocates,
+    from the sizes of these tables.
     """
 
     n_bonds: int
@@ -197,7 +198,6 @@ class _SchurPlan:
     right: np.ndarray
     diag_pos: np.ndarray
     off_pos: np.ndarray
-    identity: np.ndarray
     form_entries: int
 
 
@@ -236,28 +236,32 @@ def _schur_plan(d, L, width):
     row, col = off_k1 * width + a, off_k2 * width + b
     off_pos = col * (kd + 1) + row - col
     m = n_kept * width
-    # Doubles per form: the band; hops; the diagonal gather, its products
-    # and sums; the two off-diagonal gathers, their products and sums.
-    n_diag, n_off = len(diag) * n_kept, len(blocks)
+    flip = np.flatnonzero(~tail_kept)
+    # Doubles per form: the band, hops, the flip's gathered copy, the three
+    # gathers, the two block outputs and one product (the larger).
+    n_off = len(blocks)
     form_entries = (kd + 1) * m + width**2 * (
-        nb + 1 + (width + 1) * n_diag + n_kept + (2 * width + 5) * n_off)
-    return _SchurPlan(nb, kd, m, np.flatnonzero(~tail_kept), diag, left, right,
-                      diag_pos.ravel(), off_pos.ravel(),
-                      np.eye(width)[:, :, None, None], form_entries)
+        nb + 1 + len(flip) + diag.size + left.size + right.size
+        + n_kept + n_off + max(n_kept, n_off))
+    return _SchurPlan(nb, kd, m, flip, diag, left, right,
+                      diag_pos.ravel(), off_pos.ravel(), form_entries)
 
 
 def _gram(left, right, start):
     """start - sum over k and slots c of left[i, k, c] right[j, k, c].
 
     left and right have shape (w, w, depth) + rest and the result (w, w) +
-    rest.  All products are formed at once and subtracted one by one, k
-    major, so every entry sums in the same order whatever rest is.
+    rest.  One product at a time is formed, in one reused array, and
+    subtracted from the result, k major and slot minor, so every entry sums
+    in the same order whatever rest is.
     """
     w, depth = left.shape[1], left.shape[2]
-    terms = (left[:, None] * right[None, :]).reshape((w, w, w * depth) + left.shape[3:])
-    acc = np.subtract(start, terms[:, :, 0])
-    for t in range(1, w * depth):
-        acc -= terms[:, :, t]
+    acc = np.empty((w, w) + left.shape[3:])
+    acc[...] = start
+    term = np.empty_like(acc)
+    for k in range(w):
+        for c in range(depth):
+            acc -= np.multiply(left[:, None, k, c], right[None, :, k, c], out=term)
     return acc
 
 
@@ -293,7 +297,8 @@ def bose_quadratic_form(params, bonds):
 
     diag = np.take(hops, plan.diag, axis=2)
     band = np.zeros((n, plan.m * (plan.kd + 1)))
-    band[:, plan.diag_pos] = _gram(diag, diag, plan.identity).reshape(-1, n).T
+    identity = np.eye(width)[:, :, None, None]
+    band[:, plan.diag_pos] = _gram(diag, diag, identity).reshape(-1, n).T
     band[:, plan.off_pos] = _gram(np.take(hops, plan.left, axis=2),
                                   np.take(hops, plan.right, axis=2), 0.0).reshape(-1, n).T
     band = band.reshape(lead + (plan.m, plan.kd + 1))
@@ -308,8 +313,10 @@ def logdet_posdef(ab, context="quadratic form"):
     stack.  When the stack's columns are contiguous, the layout
     bose_quadratic_form returns, LAPACK factorises ab in place and ab holds
     the factor afterwards; any other layout is factorised on a copy.  The
-    Gershgorin bound says eigenvalues are at least 1 - 2 d kappa^2 times the
-    largest coupling row sum, so well inside the hopping range the
+    eigenvalues of the Schur band S = 1 - B B^T are 1 - sigma^2 over the
+    singular values sigma of B, and sigma <= 2 d kappa^2 (at most 2 d bonds
+    per site, each block of norm at most kappa^2), so they are at least
+    1 - (2 d kappa^2)^2 and well inside the hopping range the
     factorization cannot fail.  If it does (e.g. at the massless edge with
     round-off), the error names the smallest eigenvalue of the stack, or
     the first pivot that was not positive when ab itself was overwritten.

@@ -99,11 +99,11 @@ def test_rates_do_not_depend_on_spacing_or_coupling():
 
 def test_deterministic_verdicts():
     ok = BoundReport(name="x", log_value=0.5, log_lower=0.0, log_upper=1.0)
-    assert ok.verdict == "pass" and ok.passed
+    assert ok.verdict == "pass"
     edge = BoundReport(name="x", log_value=1.0 + 1e-10, log_lower=0.0, log_upper=1.0)
     assert edge.verdict == "pass"  # inside the relative tolerance band
     bad = BoundReport(name="x", log_value=1.1, log_lower=0.0, log_upper=1.0)
-    assert bad.verdict == "fail" and not bad.passed
+    assert bad.verdict == "fail"
 
 
 def test_stochastic_verdicts():
@@ -112,7 +112,7 @@ def test_stochastic_verdicts():
     assert mid.verdict == "pass"
     straddle = BoundReport(name="x", log_value=0.9, log_lower=0.0, log_upper=1.0,
                            std_error_log=0.1, n_samples=100, method="monte-carlo")
-    assert straddle.verdict == "inconclusive" and not straddle.passed
+    assert straddle.verdict == "inconclusive"
     outside = BoundReport(name="x", log_value=2.0, log_lower=0.0, log_upper=1.0,
                           std_error_log=0.1, n_samples=100, method="monte-carlo")
     assert outside.verdict == "fail"
@@ -194,7 +194,7 @@ def test_gauge_verifier_d2_is_exact():
     rep = verify_gauge_bounds(ModelParams(d=2, L=4, a=0.01))
     assert rep.method == "quadrature"
     assert rep.std_error_log == 0.0
-    assert rep.passed
+    assert rep.verdict == "pass"
 
 
 @pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")
@@ -204,13 +204,13 @@ def test_gauge_verifier_d3_monte_carlo():
     p = ModelParams(d=3, L=2, n=2, kind="SU")
     rep = verify_gauge_bounds(p, n_samples=20_000, seed=0, n_workers=2)
     assert rep.method == "monte-carlo"
-    assert rep.passed
+    assert rep.verdict == "pass"
 
 
 def test_full_model_verifier():
     p = ModelParams(d=2, L=2, m_u=0.0, kappa_u_sq=1.0)
     rep = verify_full_model(p, n_samples=4000, seed=1, block_size=1000)
-    assert rep.passed
+    assert rep.verdict == "pass"
     with pytest.raises(UsageError):
         verify_full_model(replace(p, field_kind="complex"), n_samples=10, seed=0)
     with pytest.raises(UsageError):

@@ -458,6 +458,30 @@ def test_verify_bounds_bose_line_shows_the_worst_margin(tmp_path, capsys):
             f"worst margin {bose['worst_margin']:.3g})") in stdout
 
 
+def test_verify_bounds_without_gauge_constants(tmp_path, capsys):
+    # SU(3) has Bose bounds but no gauge constants: a Bose check writes its
+    # record with null gauge rates, and a check that needs them exits 2
+    # before any check runs.
+    su3 = ["--kind", "SU", "--n", 3, "--d", 2, "--L", 3]
+    out = tmp_path / "rec.json"
+    code, stdout, _ = run_cli(["verify-bounds", "--which", "bose", *su3,
+                               "--configs", 4, "--output", out], capsys)
+    assert code == 0
+    payload = read_record(out).payload
+    assert payload["checks"]["bose"]["verdict"] == payload["overall"] == "pass"
+    assert payload["rates"]["gauge_lower"] is None
+    assert payload["rates"]["gauge_upper"] is None
+    assert payload["rates"]["bose_upper"] > 0.0
+    assert "bose-sector bounds: pass" in stdout
+    for which in ("gauge", "full", "all"):
+        out = tmp_path / f"{which}.json"
+        code, stdout, stderr = run_cli(["verify-bounds", "--which", which, *su3,
+                                        "--samples", 100, "--output", out], capsys)
+        assert code == 2
+        assert "gauge bound constants for SU(N) exist only for N = 2" in stderr
+        assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("which,d,verify", [
     ("full", 2, verify_full_model),
     ("gauge", 3, verify_gauge_bounds),

@@ -11,10 +11,11 @@ from boselgt.actions import ModelParams, identity_bonds
 from boselgt.errors import NotPositiveDefiniteError, NumericError, UsageError
 from boselgt.haar import haar_sample
 from boselgt.mc import Moments
-from boselgt.partition import (LOG_MAX_DOUBLE, LOG_MIN_NORMAL, MIN_MC_MEAN, Estimate,
-                               bose_quadratic_form, log_z_bose, logdet_posdef,
-                               z_bose_exact, z_bose_exact_unscaled,
-                               z_single_bond, z_wilson_d2_exact, z_wilson_mc)
+from boselgt.partition import (BOSE_SLICE_ENTRIES, LOG_MAX_DOUBLE, LOG_MIN_NORMAL,
+                               MIN_MC_MEAN, Estimate, bose_quadratic_form,
+                               log_z_bose, logdet_posdef, z_bose_exact,
+                               z_bose_exact_unscaled, z_single_bond,
+                               z_wilson_d2_exact, z_wilson_mc)
 from boselgt.records import estimate_payload
 from oracles import (bose_form_band, chain_partition, gauge_transform,
                      log_z_bose_identity, transfer_kernel_matrix)
@@ -420,6 +421,28 @@ def test_exact_d4_l8_log_det_peaks_below_the_full_form_band():
     finally:
         tracemalloc.stop()
     assert peak < q_band_bytes, peak / q_band_bytes
+
+
+@pytest.mark.parametrize("count, d, L, n, kind, field_kind, n_flavors", [
+    (8192, 3, 2, 2, "SU", "real", 1), (8192, 2, 3, 1, "U", "real", 1),
+    (256, 3, 4, 2, "U", "real", 1), (4096, 2, 3, 2, "U", "complex", 3)])
+def test_stacked_log_z_bose_peaks_within_its_slice_budget(count, d, L, n, kind,
+                                                          field_kind, n_flavors):
+    # Slices hold form_entries doubles per form, so a count that misses an
+    # array of the builder shows as a peak above the budget.
+    p = ModelParams(d=d, L=L, n=n, kind=kind, field_kind=field_kind,
+                    n_flavors=n_flavors)
+    bonds = haar_sample(np.random.default_rng(3), n, kind=kind,
+                        size=(count, p.lattice.n_bonds))
+    log_z_bose(p, bonds[:1])  # plan, tables and scipy, once
+    tracemalloc.start()
+    try:
+        log_z_bose(p, bonds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = 8 * BOSE_SLICE_ENTRIES + 8 * count
+    assert peak <= budget, peak / budget
 
 
 # ------------------------------------------------------------ gauge sector
