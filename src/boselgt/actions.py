@@ -131,13 +131,6 @@ class ScalingFactors:
         )
 
 
-# ------------------------------------------------------------ gauge configs
-
-def identity_bonds(n, size):
-    """Identity bond matrices of shape size + (n, n), complex and writable."""
-    return np.ones(size)[..., None, None] * np.eye(n, dtype=complex)
-
-
 # ------------------------------------------------------------------ actions
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,11 @@ option names (dashes or underscores both work), e.g.
 Exit codes: 0 success (and pass verdicts), 1 a verification verdict failed,
 2 usage errors, 3 numeric failures (quadrature not converging, a quadratic
 form losing positivity) or I/O failures.
+
+The argparse parser is built once per process, on the first main call, and
+reused by every later call in the process: each parse fills a new
+namespace, and no option has a default there (argparse.SUPPRESS), so
+nothing carries over from one call to the next.
 """
 
 import argparse
@@ -24,12 +29,13 @@ import itertools
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import mc
-from .actions import ModelParams, identity_bonds
+from .actions import ModelParams
 from .bounds import (BoundConstants, bose_upper_rate, verify_bose_bounds,
                      verify_full_model, verify_gauge_bounds)
 from .errors import NumericError, UsageError
@@ -155,12 +161,10 @@ def run_z_bond(cfg):
 
 def run_bose_exact(cfg):
     params = _params_from_cfg(cfg)
-    n_bonds = params.lattice.n_bonds
-    if cfg["gauge"] == "identity":
-        bonds = identity_bonds(params.n, n_bonds)
-    else:
+    bonds = None  # the identity, summed in closed form
+    if cfg["gauge"] == "random":
         bonds = haar_sample(mc.block_rng(cfg["seed"], 0), params.n,
-                            kind=params.kind, size=n_bonds)
+                            kind=params.kind, size=params.lattice.n_bonds)
     scaled = z_bose_exact(params, bonds)
     unscaled = z_bose_exact_unscaled(params, scaled)
     payload = {"gauge": cfg["gauge"], "seed": cfg["seed"],
@@ -278,6 +282,16 @@ def run_su2_check(cfg):
     return payload, 0 if chk.passed else 1
 
 
+def _name_float(x):
+    """x as a file name part: :g when that reads back to x, else repr.
+
+    :g keeps six significant digits, so two grid values that agree to six
+    digits would otherwise share a record.
+    """
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def run_sweep(cfg):
     out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else (
         default_output_dir() / "sweep")
@@ -286,7 +300,8 @@ def run_sweep(cfg):
     points = list(itertools.product(
         cfg["a_values"], cfg["g_sq_values"], cfg["L_values"], cfg["n_values"]))
     for a, g_sq, L, n in points:
-        name = f"point_a{a:g}_g{g_sq:g}_L{L}_n{n}_{cfg['kind']}.json"
+        name = (f"point_a{_name_float(a)}_g{_name_float(g_sq)}_L{L}_n{n}_"
+                f"{cfg['kind']}.json")
         path = out_dir / name
         if path.exists() and not cfg["force"]:
             skipped += 1
@@ -296,7 +311,7 @@ def run_sweep(cfg):
         params = ModelParams(d=2, L=L, n=n, kind=cfg["kind"], a=a, g_sq=g_sq,
                              g0_sq=max(cfg["g0_sq"], g_sq))
         gauge = z_wilson_d2_exact(params)
-        bose = z_bose_exact(params, identity_bonds(n, params.lattice.n_bonds))
+        bose = z_bose_exact(params)
         point_payload = {
             "gauge": estimate_payload(gauge),
             "bose_identity": estimate_payload(bose),
@@ -416,6 +431,12 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The process's one parser, from build_parser looked up at first use."""
+    return build_parser()
+
+
 def _coerce(opt, raw, origin):
     raw = raw.strip()
     try:
@@ -461,8 +482,7 @@ def resolve_config(command, given, opts):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     given = vars(args)
     command = given.pop("command")
     spec = COMMANDS[command]

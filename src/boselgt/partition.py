@@ -34,11 +34,14 @@ first, so ab.reshape(kd + 1, -1) is, without a copy, the band of the
 block-diagonal matrix of all the forms: entries past the end of each form
 are zero, so neighbours do not couple, and one banded Cholesky factorises
 the stack.  The band memory runs form by form and column by column, so
-LAPACK factorises it in place.  log_z_bose is the one Bose log-determinant
-path: bose-exact, the Bose check and the full model all take log Z_B from
-it, stacked over slices of about 2 MiB of band and builder temporaries,
-and this module is the only place that lays out or factorises S.  Two
-consequences of the reduction to keep in mind:
+LAPACK factorises it in place.  Drawn configurations have one factorisation
+path, log_z_bose: bose-exact --gauge random, the Bose check and the full
+model all take log Z_B from it, stacked over slices of about 2 MiB of band
+and builder temporaries, and this module is the only place that lays out
+or factorises S.  Identity bonds need no factorisation: there Q is the
+free hopping form of the box, whose spectrum is known, and
+log_z_bose_identity sums it in closed form (the sweep and bose-exact
+--gauge identity).  Two consequences of the reduction to keep in mind:
 
 * z_bose_exact_unscaled still shifts by the full M = n_sites * width,
   since Q_u = s_B^2 Q on every field, kept or eliminated;
@@ -51,7 +54,8 @@ keeps both, with log_value authoritative, and carries its error on the log
 scale, where a known scale factor does not touch it.
 
 scipy is imported inside logdet_posdef, the one function that uses it, so
-the commands that never factorise a form start without loading it.
+the commands that never factorise a form, the sweep and bose-exact
+--gauge identity among them, run without loading it.
 """
 
 import warnings
@@ -370,8 +374,40 @@ def log_z_bose(params, bonds):
     return out.reshape(lead)
 
 
-def z_bose_exact(params, bonds):
-    """Exact scaled Bose partition value det(Q)^{-n_flavors/2} as an Estimate."""
+def log_z_bose_identity(params):
+    """Scaled log Z_B at identity bonds, in closed form.
+
+    With every bond the identity, Q = 1 - kappa^2 A (x) 1_width for the
+    adjacency A of the free-boundary box.  A is the sum over directions of
+    the path graph on L sites, whose eigenvalues are 2 cos(pi k / (L + 1)),
+    k = 1..L, so Q has the eigenvalues 1 - 2 kappa^2 sum_mu cos(pi k_mu /
+    (L + 1)), k in [1, L]^d, each width times, and log Z_B(1) =
+    -(n_flavors width / 2) sum_k log(1 - 2 kappa^2 sum_mu cos(pi k_mu /
+    (L + 1))).  Raises NotPositiveDefiniteError naming the smallest
+    eigenvalue, 1 - 2 kappa^2 max_k sum_mu cos(pi k_mu / (L + 1)), when it
+    is not positive.
+    """
+    c = np.cos(np.pi * np.arange(1, params.L + 1) / (params.L + 1))
+    grid = np.meshgrid(*[c] * params.d, indexing="ij")
+    lam = 2.0 * params.scaling.kappa_sq * sum(grid)
+    smallest = 1.0 - float(lam.max())
+    if not smallest > 0.0:
+        raise NotPositiveDefiniteError(
+            "Bose quadratic form at identity bonds is not positive definite",
+            smallest)
+    return -0.5 * params.n_flavors * _field_width(params) * float(
+        np.sum(np.log1p(-lam)))
+
+
+def z_bose_exact(params, bonds=None):
+    """Exact scaled Bose partition value det(Q)^{-n_flavors/2} as an Estimate.
+
+    bonds None stands for every bond the identity, whose value comes from
+    the closed form log_z_bose_identity; given bonds are factorised by
+    log_z_bose.
+    """
+    if bonds is None:
+        return Estimate.exact(log_z_bose_identity(params))
     return Estimate.exact(log_z_bose(params, bonds))
 
 

@@ -5,9 +5,10 @@ arithmetic and the quaternion plaquette action (the independent route to
 actions.plaquette_actions), the Haar sampler's expressions with
 batch-sized temporaries (haar.haar_sample builds its matrices in place),
 lexicographic site indexing, the field-level Bose actions and gauge
-transformations, the full Bose form Q in band storage (partition builds
-only its Schur complement on one parity class) and the closed form of
-log Z_B at identity bonds, the Gaussian chain and transfer kernels behind
+transformations, identity bond arrays (no command builds one: the
+package takes identity-bond Bose values from a closed form), the full Bose
+form Q in band storage (partition builds only its Schur complement on one
+parity class), the Gaussian chain and transfer kernels behind
 the Bose upper rate, and the d = 2 one-bond and L-independent rate bounds.
 """
 
@@ -135,6 +136,13 @@ def haar_sample_with_temporaries(rng, n, kind="U", size=()):
     return q.reshape(shape + (n, n))
 
 
+# ---------------------------------------------------------- gauge configs
+
+def identity_bonds(n, size):
+    """Identity bond matrices of shape size + (n, n), complex and writable."""
+    return np.ones(size)[..., None, None] * np.eye(n, dtype=complex)
+
+
 # ----------------------------------------------------------------- lattice
 
 def site_index(lattice, coords):
@@ -242,21 +250,6 @@ def bose_form_band(params, bonds):
         blocks = np.block([[re, -im], [im, re]])
     return banded_form(lat.n_sites, blocks.shape[-1], lat.bond_tail,
                        lat.bond_head, params.scaling.kappa_sq * blocks)
-
-
-def log_z_bose_identity(params):
-    """Closed form of the scaled log Z_B at identity bonds.
-
-    With every bond the identity, Q = 1 - kappa^2 A (x) 1_w for the
-    adjacency A of the free-boundary box, whose eigenvalues are
-    2 sum_mu cos(pi k_mu / (L + 1)), k in [1, L]^d.  So log Z_B(1) =
-    -(n_f w / 2) sum_k log(1 - 2 kappa^2 sum_mu cos(pi k_mu / (L + 1))).
-    """
-    width = params.n * (1 if params.field_kind == "real" else 2)
-    c = np.cos(np.pi * np.arange(1, params.L + 1) / (params.L + 1))
-    grid = np.meshgrid(*[c] * params.d, indexing="ij")
-    lam = 2.0 * params.scaling.kappa_sq * sum(grid)
-    return -0.5 * params.n_flavors * width * float(np.sum(np.log1p(-lam)))
 
 
 # ------------------------------------------------------- chain and kernels

@@ -19,7 +19,7 @@ import scipy.linalg
 from scipy.special import ive
 
 from boselgt import mc
-from boselgt.actions import ModelParams, identity_bonds
+from boselgt.actions import ModelParams
 from boselgt.bounds import (BoundConstants, check_plaquette_quadratic,
                             elementary_inequality_suite, verify_bose_bounds,
                             verify_gauge_bounds)
@@ -29,7 +29,8 @@ from boselgt.partition import (z_bose_exact, z_bose_exact_unscaled,
                                z_wilson_d2_exact, z_wilson_mc)
 from boselgt.rmt import cue_gue_target, d2_free_energy, d2_limit_target, w_ratio
 from boselgt.su2 import su2_to_matrix, su2_z_gluon
-from oracles import bose_action_unscaled, su2_exp, su2_log, transfer_kernel_norm
+from oracles import (bose_action_unscaled, identity_bonds, su2_exp, su2_log,
+                     transfer_kernel_norm)
 
 # ------------------------------------------------------------------ plumbing
 

@@ -9,14 +9,14 @@ import pytest
 
 from boselgt import haar
 from boselgt.actions import (FIELD_KINDS, ModelParams, PlaquettePlan,
-                             ScalingFactors, identity_bonds,
-                             plaquette_actions, wilson_action)
+                             ScalingFactors, plaquette_actions,
+                             wilson_action)
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample
 from boselgt.su2 import su2_to_matrix
 from oracles import (bose_action, bose_action_unscaled, field_transform,
-                     gauge_transform, su2_exp, su2_inverse, su2_mul,
-                     su2_plaquette_action)
+                     gauge_transform, identity_bonds, su2_exp, su2_inverse,
+                     su2_mul, su2_plaquette_action)
 
 RNG = np.random.default_rng(2024)
 

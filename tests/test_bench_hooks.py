@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from boselgt import bounds, cli, partition
-from boselgt.actions import ModelParams, identity_bonds
+from boselgt.actions import ModelParams
+from oracles import identity_bonds
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -126,6 +127,7 @@ def test_bose_exact_factorises_once_per_record(spans, tmp_path):
         spans.instrument(tracer)
         with tracer.recording("test"):
             code = cli.main(["bose-exact", "--d", "2", "--L", "2",
+                             "--gauge", "random",
                              "--output", str(tmp_path / "bose.json")])
     finally:
         tracer.restore()

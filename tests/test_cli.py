@@ -6,6 +6,9 @@ exercised the way a shell user hits them.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +25,8 @@ from boselgt.mc import block_rng
 from boselgt.partition import z_bose_exact, z_single_bond
 from boselgt.records import ResultRecord, load_schema
 from boselgt.su2 import su2_bound_constants, su2_haar, su2_to_matrix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, capsys):
@@ -538,6 +543,67 @@ def test_sweep_writes_then_resumes_then_forces(tmp_path, capsys):
     code, stdout, _ = run_cli(argv + ["--force"], capsys)
     assert code == 0
     assert read_record(tmp_path / "s3.json").payload["computed"] == 1
+
+
+def test_sweep_names_values_that_agree_to_six_digits_apart(tmp_path, capsys):
+    grid = tmp_path / "grid"
+    code, stdout, _ = run_cli(
+        ["sweep", "--a-values", "0.5,0.5000001", "--L-values", 2, "--out-dir",
+         grid, "--output", tmp_path / "s.json"], capsys)
+    assert code == 0
+    assert "2 computed, 0 skipped" in stdout
+    names = sorted(p.name for p in grid.iterdir())
+    assert names == ["point_a0.5000001_g1_L2_n1_U.json",
+                     "point_a0.5_g1_L2_n1_U.json"]
+    assert sorted(read_record(grid / n).config["a"] for n in names) == [
+        0.5, 0.5000001]
+
+
+@pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")
+def test_one_parser_per_process_leaks_nothing_between_calls(tmp_path, capsys,
+                                                             monkeypatch):
+    # Each pair runs with and then without a flag (or after a command line
+    # that exits 2 part way through its options); every record must echo
+    # the config a fresh interpreter gives for the same argv.
+    grid = tmp_path / "grid"
+    sweep = ["sweep", "--a-values", 1, "--L-values", 2, "--out-dir", grid]
+    wilson = ["wilson-mc", "--d", 2, "--L", 2, "--samples", 512,
+              "--block-size", 256]
+    runs = [sweep + ["--force"], sweep, wilson + ["--gauge-fixed"], wilson,
+            ["z-bond", "--n", 2, "--bogus"], ["z-bond", "--coupling", 2.5]]
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or original())
+    cli._parser.cache_clear()
+    try:
+        in_process = {}
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"in-{i}.json"
+            if "--bogus" in argv:
+                with pytest.raises(SystemExit) as excinfo:
+                    run_cli(argv + ["--output", out], capsys)
+                assert excinfo.value.code == 2
+                continue
+            assert run_cli(argv + ["--output", out], capsys)[0] == 0
+            in_process[i] = read_record(out).config
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+    env = dict(os.environ, BOSELGT_OUTPUT_DIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    for i, config in in_process.items():
+        out = tmp_path / f"fresh-{i}.json"
+        subprocess.run([sys.executable, "-m", "boselgt.cli",
+                        *map(str, runs[i]), "--output", str(out)],
+                       env=env, cwd=tmp_path, check=True, capture_output=True,
+                       timeout=120)
+        assert read_record(out).config == config, runs[i]
+    assert in_process[0]["force"] and not in_process[1]["force"]
+    assert in_process[2]["gauge_fixed"] and not in_process[3]["gauge_fixed"]
+    assert in_process[5]["n"] == 1
 
 
 def test_cue_gue_writes_csv(tmp_path, capsys):

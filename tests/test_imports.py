@@ -54,9 +54,14 @@ def test_building_the_parser_leaves_scipy_unloaded(tmp_path):
     (["cue-gue", "--n", "1"], False),
     (["d2-limit", "--n", "1"], False),
     (["z-bond", "--kind", "U"], False),
-    (["bose-exact", "--d", "2", "--L", "2"], True),
+    (["bose-exact", "--d", "2", "--L", "2", "--gauge", "random"], True),
     (["z-bond", "--kind", "SU", "--n", "2", "--coupling", "2.5"], False),
     (["su2-check", "--d", "3"], False),
+    # Identity-bond Bose values come from the closed form, not a factorisation.
+    (["bose-exact", "--d", "2", "--L", "2"], False),
+    (["sweep", "--L-values", "2"], False),
+    (["verify-bounds", "--which", "bose", "--d", "2", "--L", "2",
+      "--configs", "4"], True),
 ])
 def test_only_the_commands_that_need_scipy_load_it(tmp_path, argv,
                                                    loads_scipy):

@@ -7,18 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boselgt.actions import ModelParams, identity_bonds
+from boselgt.actions import ModelParams, ScalingFactors
 from boselgt.errors import NotPositiveDefiniteError, NumericError, UsageError
 from boselgt.haar import haar_sample
 from boselgt.mc import Moments
 from boselgt.partition import (BOSE_SLICE_ENTRIES, LOG_MAX_DOUBLE, LOG_MIN_NORMAL,
                                MIN_MC_MEAN, Estimate, bose_quadratic_form,
-                               log_z_bose, logdet_posdef, z_bose_exact,
-                               z_bose_exact_unscaled, z_single_bond,
-                               z_wilson_d2_exact, z_wilson_mc)
+                               log_z_bose, log_z_bose_identity, logdet_posdef,
+                               z_bose_exact, z_bose_exact_unscaled,
+                               z_single_bond, z_wilson_d2_exact, z_wilson_mc)
 from boselgt.records import estimate_payload
 from oracles import (bose_form_band, chain_partition, gauge_transform,
-                     log_z_bose_identity, transfer_kernel_matrix)
+                     identity_bonds, transfer_kernel_matrix)
 
 
 def quad_z_4d(q, x_max=10.0, m=48):
@@ -404,6 +404,31 @@ def test_identity_bonds_match_the_closed_form(d, L, n, field_kind, n_flavors, m_
     expect = log_z_bose_identity(p)
     got = log_z_bose(p, identity_bonds(n, p.lattice.n_bonds))
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_z_bose_exact_without_bonds_is_the_closed_form():
+    p = ModelParams(d=3, L=3, n=2, field_kind="complex", m_u=0.3)
+    est = z_bose_exact(p)
+    assert est.method == "exact-determinant"
+    assert est.log_value == log_z_bose_identity(p)
+    factorised = z_bose_exact(p, identity_bonds(2, p.lattice.n_bonds))
+    assert est.log_value == pytest.approx(factorised.log_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,L", [(2, 2), (2, 3), (3, 2)])
+def test_closed_form_names_the_smallest_eigenvalue_of_q(d, L, monkeypatch):
+    # kappa^2 = 0.6 > 1/(2d) puts the identity form outside the positive range.
+    original = ScalingFactors.from_params
+    monkeypatch.setattr(ScalingFactors, "from_params", classmethod(
+        lambda cls, p: replace(original(p), kappa_sq=0.6)))
+    p = ModelParams(d=d, L=L, n=1)
+    q_min = np.linalg.eigvalsh(
+        dense_bose_form(p, identity_bonds(1, p.lattice.n_bonds)))[0]
+    assert q_min < 0.0
+    with pytest.raises(NotPositiveDefiniteError,
+                       match="Bose quadratic form at identity bonds") as err:
+        log_z_bose_identity(p)
+    assert err.value.smallest_pivot == pytest.approx(q_min, rel=1e-12)
 
 
 def test_exact_d4_l8_log_det_peaks_below_the_full_form_band():
