@@ -35,9 +35,12 @@ multiplied.  The kernel (plaquette_actions) takes the flattened lead
 entries (128 KiB) and the memory it needs beyond its output stays the same
 whatever the batch size.
 
-A gauge configuration is a complex array lead + (k, N, N) of the matrices
-on the k bonds its plan lists (all n_bonds unless it lists fewer); each
-other bond is the identity.  Random matrices come from haar.haar_sample.
+A gauge configuration is logically a complex array lead + (k, N, N) of the
+matrices on the k bonds its plan lists (all n_bonds unless it lists fewer);
+each other bond is the identity.  Random matrices come from
+haar.haar_sample, which stores them bond-major in entry planes, memory
+(N, N, k) + reversed(lead); the kernel reads those rows in place, and it
+accepts any layout with the same result, bit for bit.
 The field-level actions and the gauge transformations that check the Bose
 quadratic form live with the tests (tests/oracles.py).
 """
@@ -190,31 +193,33 @@ def plaquette_actions(plan, bonds):
     Only drawn corners are gathered and multiplied: a one-corner half is
     that matrix, an identity half subtracts 1 from the diagonal, and two
     identity halves give 0.  x * 1 and x + 0 are exact, so each action is
-    bit for bit the one of the full product.  The drawn matrices are moved
-    to entry planes (N, N, samples, k), and the products are formed entry
-    by entry over samples and plaquettes, with no per-matrix matmul.  The
-    lead axes are flattened and taken in slices of about _SLICE_ENTRIES //
-    plan.width samples (haar.lead_slices), so a group's gathered planes
-    hold about _SLICE_ENTRIES entries.  At d3 L3 U(1) a slice has a fixed
-    cost of about 40 us (three groups, 2-vCPU Xeon), and sizing by the
-    widest group (18) rather than n_plaq (36) halves the slices of an
-    8192-sample block from 37 to 19.  Each slice's group columns are put
-    back in plaquette order by one gather into the preallocated output, so
-    sums over plaquettes keep their order.
+    bit for bit the one of the full product.  The lead axes are flattened
+    and the bonds read as rows (N, N, k, samples), which is how
+    haar_sample stores a one-axis lead, so its draws are read in place
+    with no copy; each corner is gathered on the bond axis, and the
+    products are formed entry by entry over plaquettes and samples, with
+    no per-matrix matmul.  Any other layout gives the same values (a
+    multi-axis lead of haar_sample's is copied by the flattening).  The
+    samples are taken in slices of about _SLICE_ENTRIES // plan.width
+    (haar.lead_slices), so a group's gathered planes hold about
+    _SLICE_ENTRIES entries.  At d3 L3 U(1) a slice has a fixed cost of
+    about 40 us (three groups, 2-vCPU Xeon), and sizing by the widest
+    group (18) rather than n_plaq (36) halves the slices of an 8192-sample
+    block from 37 to 19.  Each slice's groups are put back in plaquette
+    order by one gather, transposed into the preallocated (samples,
+    n_plaq) output, so sums over plaquettes keep their order.
     """
     n, drawn = bonds.shape[-1], bonds.shape[-3]
     if drawn != plan.n_drawn:
         raise ValueError(f"plan of {plan.n_drawn} drawn bonds given {drawn} bond matrices")
     n_plaq = len(plan.back)
     flat = bonds.reshape((int(np.prod(bonds.shape[:-3])),) + bonds.shape[-3:])
+    rows = flat.transpose(2, 3, 1, 0)   # (N, N, k, samples)
     out = np.empty((len(flat), n_plaq))
     for s in lead_slices(len(flat), plan.width):
-        # Contiguous, so each gathered g[i, j] is too.
-        planes = np.empty((n, n, s.stop - s.start, drawn), dtype=complex)
-        np.copyto(planes, np.moveaxis(flat[s], (-2, -1), (0, 1)))
-        grouped = np.empty((s.stop - s.start, n_plaq))
+        grouped = np.empty((n_plaq, s.stop - s.start))
         for first, stop, *corners in plan.groups:
-            a, b = ([np.take(planes, c, axis=-1) for c in h] for h in corners)
+            a, b = ([rows[:, :, c, s] for c in h] for h in corners)
             total = 0.0   # stays 0 for two identity halves
             for i in range(n if a else 0):
                 for k in range(n):
@@ -224,8 +229,8 @@ def plaquette_actions(plan, bonds):
                     elif i == k:
                         x = x - 1.0
                     total = total + (x.real * x.real + x.imag * x.imag)
-            grouped[:, first:stop] = total
-        np.take(grouped, plan.back, axis=1, out=out[s])
+            grouped[first:stop] = total
+        out[s] = np.take(grouped, plan.back, axis=0).T
     return out.reshape(bonds.shape[:-3] + (n_plaq,))
 
 

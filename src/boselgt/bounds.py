@@ -257,9 +257,11 @@ def verify_bose_bounds(params, n_configs, seed, n_workers=1):
     name = "bose-sector bounds"
 
     def block(rng, count):
-        log_z = log_z_bose(params, np.stack(
-            [haar_sample(rng, params.n, kind=params.kind, size=lat.n_bonds)
-             for _ in range(count)]))
+        rows = np.stack(
+            [haar_sample(rng, params.n, kind=params.kind,
+                         size=lat.n_bonds).transpose(1, 2, 0)
+             for _ in range(count)], axis=-1)   # (N, N, n_bonds, count)
+        log_z = log_z_bose(params, rows.transpose(3, 2, 0, 1))
         # log_z >= 0 is both "Z_B >= 1" and "det Q <= 1" (flavors > 0).
         return {name: [np.minimum(log_z, log_cap - log_z)]}
 

@@ -15,27 +15,34 @@ matrices (lead_slices, shared with the plaquette kernel
 actions.plaquette_actions, which sizes its slices by the widest group of
 its plan, and the stacked Bose bands of partition.log_z_bose), so no
 per-matrix LAPACK call is made.
-The matrices are built in the output array: the real parts of the batch's
-Gaussian entries are drawn into one float buffer and copied into the
-output, then the imaginary parts (all real parts first, as two separate
-draws would take them); each slice is then orthonormalised on a contiguous
-copy of its entry planes.  The arithmetic is that of the complex-temporary
-route tests/oracles.py keeps, so the matrices are bit for bit the same.  Beyond
-its output a batch needs that one float plane (half the output): under
-tracemalloc 0.5x for U(1), U(2), U(3) and SU(3) at 16384 x 54, where
-separate real and imaginary draws and their complex sum needed 1.0-1.5x
-(numpy 2.4, 2-vCPU Xeon).  One whole-batch draw per part rather than one
-per slice keeps two worker threads from contending for the interpreter
-lock on many small calls.  SU(2) samples are uniform points on the unit
-3-sphere (su2.su2_haar), normalised in place and written into the matrix
-entries part by part, with no complex temporaries and no determinant
-(0.625x beyond the output).  SU(N >= 3) samples divide the determinant out
-of one row, which pushes Haar on U(N) forward to Haar on SU(N) because
-right translation by special unitaries commutes with the map; for N = 3
-the determinant is the triple product of the entry planes, for N >= 4 one
-LU per matrix.  haar_sample is the one
-sampler of bond matrices for every group, and angle_norm_sq reads the
-eigenvalue angles of its matrices back (the plaquette-bound checks use it).
+A batch is logically size + (N, N), as every caller indexes it, but it
+is stored bond-major in entry planes (su2.entry_planes): memory (N, N) +
+reversed(size), so plane (i, k) holds entry (i, k) of every matrix with the
+samples running fastest.  The plaquette kernel (actions.plaquette_actions)
+and the Bose builder (partition.bose_quadratic_form) read those rows in
+place, and both accept any layout, bit for bit.  The matrices are built in
+the output: the real parts of the batch's Gaussian entries are drawn into
+one C-ordered float buffer (the random stream fills the logical order) and
+copied into the output's planes, then the imaginary
+parts (all real parts first, as two separate draws would take them); each
+slice is then orthonormalised in place on its entry planes.  The
+arithmetic is that of the complex-temporary route tests/oracles.py keeps,
+so the matrices are bit for bit the same.  Beyond its output a batch needs
+that one float plane (half the output): under tracemalloc 0.5x for U(1),
+U(2), U(3), SU(2) and SU(3) at 16384 x 54, where separate real and
+imaginary draws and their complex sum needed 1.0-1.5x (numpy 2.4, 2-vCPU
+Xeon).  One whole-batch draw per part rather than one per slice keeps two
+worker threads from contending for the interpreter lock on many small
+calls.  SU(2) samples are uniform points on the unit 3-sphere
+(su2.su2_haar), normalised before the planes are allocated and written
+into them part by part, with no complex temporaries and no determinant.
+SU(N >= 3) samples divide the determinant out of one row, which pushes
+Haar on U(N) forward to Haar on SU(N) because right translation by special
+unitaries commutes with the map; for N = 3 the determinant is the triple
+product of the entry planes, for N >= 4 one LU per matrix.  haar_sample is
+the one sampler of bond matrices for every group, and angle_norm_sq reads
+the eigenvalue angles of its matrices back (the plaquette-bound checks use
+it).
 
 Class-function integrals reduce to the eigenvalue angles.  For U(N) the
 joint angle density is prod_{j<k} 2(1 - cos(l_j - l_k)) on (-pi, pi]^N with
@@ -64,10 +71,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericError, QuadratureError, UsageError
-from .su2 import su2_angle_norm_sq, su2_haar, su2_to_matrix
+from .su2 import entry_planes, su2_angle_norm_sq, su2_haar, su2_to_matrix
 
-# Entries per temporary plane of the sliced gauge kernels (128 KiB complex),
-# the largest that stayed fast: 16384 ran U(2)/SU(2) plaquettes ~1.5x slower.
+# Entries per temporary plane of the sliced gauge kernels (128 KiB complex).
+# Measured with perfbench/run.py (--seed 19 --seconds 8, two workers, three
+# runs each, 2-vCPU Xeon): 16384 cut gauge-mc wall_s 0.154 -> 0.132 s but
+# raised bound-verify wall_s 0.109 -> 0.114 s and its peak_rss_mb 89 ->
+# 97 MB; 4096 raised gauge-mc to 0.190 s and bound-verify to 0.116 s.
 _SLICE_ENTRIES = 8192
 
 MAX_ANGLE_AXES_N = 3  # eigenvalue quadrature refuses N >= 4 (cost blows up)
@@ -116,30 +126,31 @@ def lead_slices(m, width, entries=None):
 def haar_sample(rng, n, kind="U", size=()):
     """Haar-distributed matrices of shape size + (n, n).
 
-    kind "U" or "SU".  SU(2) comes from quaternion points (su2.su2_haar).
+    kind "U" or "SU".  The output is stored bond-major in entry planes
+    (su2.entry_planes).  SU(2) comes from quaternion points (su2.su2_haar).
     Otherwise the output is allocated once and the matrices are built in
     it: the real parts of the batch's Gaussian entries are drawn into one
     float buffer and copied into the output, then the imaginary parts; U(1)
     divides by the modulus, and the other groups orthonormalise the columns
-    by Gram-Schmidt with one re-orthogonalisation pass, entry by entry on a
-    contiguous copy of each slice of the batch (lead_slices).
+    by Gram-Schmidt with one re-orthogonalisation pass, entry by entry in
+    place on each slice of the planes (lead_slices).
     """
     check_group(kind, n)
     if kind == "SU" and n == 2:
         return su2_to_matrix(su2_haar(rng, size))
     shape = (size,) if np.isscalar(size) else tuple(size)
-    out = np.empty(shape + (n, n), dtype=complex)
+    out = entry_planes(shape, n)
     buf = np.empty(out.shape)
     for part in (out.real, out.imag):
         rng.standard_normal(out=buf)
         part[...] = buf
+    del buf   # freed first: the peak stays out + one float plane
     if n == 1:
-        out /= np.abs(out, out=buf)
+        out /= np.abs(out)   # a float plane in out's memory order
         return out
-    del buf   # freed before the Gram-Schmidt planes: the peak stays out + buf
-    q = out.reshape(-1, n, n)
-    for s in lead_slices(len(q), n):
-        planes = np.moveaxis(q[s], 0, -1).copy()   # entry (i, k) is planes[i, k]
+    q = out.base.reshape(n, n, -1)   # entry (i, k) of every matrix is q[i, k]
+    for s in lead_slices(q.shape[-1], n):
+        planes = q[..., s]
         done = []   # finished columns and their conjugates, one plane per row
         for k in range(n):
             col = [planes[i, k] for i in range(n)]
@@ -161,7 +172,6 @@ def haar_sample(rng, n, kind="U", size=()):
             else:
                 det = np.linalg.det(np.moveaxis(planes, -1, 0))
             planes[0] *= np.conj(det)
-        q[s] = np.moveaxis(planes, -1, 0)
     return out
 
 

@@ -5,7 +5,9 @@ representing the matrix w0*1 + i(w1*s1 + w2*s2 + w3*s3) with s_i the Pauli
 matrices.  An algebra point is a real 3-vector A representing A.s, whose
 exponential e^{iA.s} has rotation angle |A|; the Haar density is written on
 that ball.  All functions broadcast over leading axes; points live in
-arrays of shape (..., 4) and algebra vectors in (..., 3).  The package
+arrays of shape (..., 4) and algebra vectors in (..., 3).  Matrices are
+logically (..., 2, 2) but stored bond-major in entry planes (entry_planes,
+which haar.haar_sample shares), memory (2, 2) + reversed(...).  The package
 samples points, turns them into matrices and reads their angle back; the
 exp, log and product maps are test references (tests/oracles.py), and the
 plaquette action of every group is actions.plaquette_actions.
@@ -45,16 +47,30 @@ def _sinc_ball(r):
     return np.where(small, series, np.sin(safe) / safe)
 
 
+def entry_planes(lead, n):
+    """Empty complex matrices of logical shape lead + (n, n), stored bond-major.
+
+    The memory is (n, n) + reversed(lead): plane (i, k) holds entry (i, k)
+    of every matrix, the first lead axis (the samples) running fastest and
+    the bond axis next.  The return value is the logical view; its base is
+    that array.
+    """
+    base = np.empty((n, n) + tuple(lead)[::-1], dtype=complex)
+    return base.transpose(tuple(range(base.ndim - 1, 1, -1)) + (0, 1))
+
+
 def su2_to_matrix(p):
-    """Points (..., 4) -> complex matrices (..., 2, 2)."""
+    """Points (..., 4) -> complex matrices (..., 2, 2), stored as entry_planes."""
     p = np.asarray(p, dtype=float)
     w0, w1, w2, w3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    m = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
+    m = entry_planes(p.shape[:-1], 2)
     re, im = m.real, m.imag   # entries written part by part: no complex temporaries
     re[..., 0, 0], im[..., 0, 0] = w0, w3
     re[..., 0, 1], im[..., 0, 1] = w2, w1
-    re[..., 1, 0], im[..., 1, 0] = -w2, w1
-    re[..., 1, 1], im[..., 1, 1] = w0, -w3
+    np.negative(w2, out=re[..., 1, 0])
+    im[..., 1, 0] = w1
+    re[..., 1, 1] = w0
+    np.negative(w3, out=im[..., 1, 1])
     return m
 
 

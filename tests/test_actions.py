@@ -13,6 +13,7 @@ from boselgt.actions import (FIELD_KINDS, ModelParams, PlaquettePlan,
                              wilson_action)
 from boselgt.errors import UsageError
 from boselgt.haar import haar_sample
+from boselgt.partition import log_z_bose
 from boselgt.su2 import su2_to_matrix
 from oracles import (bose_action, bose_action_unscaled, field_transform,
                      gauge_transform, identity_bonds, su2_exp, su2_inverse,
@@ -132,6 +133,35 @@ def test_plaquette_kernel_matches_matmul_chain(n, kind, lead):
     assert got.shape == lead + (lat.n_plaquettes,)
     assert np.max(np.abs(got - expect)) < 1e-13
 
+
+@pytest.mark.parametrize("n,kind", [(1, "U"), (2, "U"), (3, "U"),
+                                    (2, "SU"), (3, "SU")])
+@pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
+def test_kernels_read_any_layout_bit_for_bit(n, kind, lead):
+    # haar_sample stores its draws bond-major in entry planes, memory
+    # (N, N) + reversed(lead + (k,)); the kernels and the Bose builder read
+    # them in place, and a C-ordered copy gives the same bytes.
+    params = ModelParams(d=3, L=2, n=n, kind=kind, m_u=0.5)
+    rng = np.random.default_rng(40 * n + len(lead))
+    for fixed in (False, True):
+        plan = PlaquettePlan.for_bonds(
+            params.lattice, params.gauge_fixing.retained_bonds if fixed else None)
+        size = lead + (plan.n_drawn,)
+        draws = haar_sample(rng, n, kind=kind, size=size)
+        rows = draws.transpose((draws.ndim - 2, draws.ndim - 1)
+                               + tuple(range(draws.ndim - 3, -1, -1)))
+        assert draws.base.shape == rows.shape == (n, n) + size[::-1]
+        assert draws.base.flags.c_contiguous and rows.flags.c_contiguous
+        assert np.shares_memory(rows, draws.base)
+        copy = np.array(draws, order="C")
+        got, expect = plaquette_actions(plan, draws), plaquette_actions(plan, copy)
+        assert got.shape == lead + (len(plan.back),)
+        assert got.tobytes() == expect.tobytes()
+        got, expect = wilson_action(params, plan, draws), wilson_action(params, plan, copy)
+        assert got.shape == lead and got.tobytes() == expect.tobytes()
+        if not fixed:
+            got, expect = log_z_bose(params, draws), log_z_bose(params, copy)
+            assert got.shape == lead and got.tobytes() == expect.tobytes()
 
 
 def _drawn_bond_ids(params, which, rng):

@@ -1,6 +1,8 @@
 """Partition values: exact determinants, Monte Carlo, one-bond, kernels."""
 
 import math
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -261,6 +263,68 @@ def test_logdet_posdef_routes_and_failure():
         logdet_posdef(dense_to_band(np.array([[1.0, 2.0], [2.0, 1.0]]))[:, None])
     assert err.value.smallest_pivot < 0.0  # the offending pivot is reported
     assert err.value.smallest_pivot == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("params,lead", [
+    (ModelParams(d=3, L=2, n=2, kind="SU"), (64,)),   # a stacked slice
+    (ModelParams(d=4, L=8), ()),                       # one d4 L8 band
+])
+def test_logdet_posdef_is_scipy_dpbtrf_bit_for_bit(params, lead):
+    import scipy.linalg
+
+    bonds = haar_sample(np.random.default_rng(29), params.n, kind=params.kind,
+                        size=lead + (params.lattice.n_bonds,))
+    ab = bose_quadratic_form(params, bonds)
+    c_ordered = ab.copy()
+    kept = c_ordered.copy()
+    chol, info = scipy.linalg.lapack.dpbtrf(ab.reshape(ab.shape[0], -1), lower=1)
+    assert info == 0
+    expect = 2.0 * np.sum(np.log(chol[0].reshape(ab.shape[1:])), axis=-1)
+    # The builder's band is factorised in place, into scipy's factor.
+    assert logdet_posdef(ab).tobytes() == expect.tobytes()
+    assert ab.reshape(ab.shape[0], -1).tobytes() == chol.tobytes()
+    # Any other layout is factorised on a copy and left as it was.
+    assert logdet_posdef(c_ordered).tobytes() == expect.tobytes()
+    assert np.array_equal(c_ordered, kept)
+
+
+def test_logdet_posdef_releases_the_interpreter_lock():
+    # While a worker thread factorises a band of 50 ms or more, the main
+    # thread keeps running Python: its longest gap between loop iterations
+    # stays below half the factorisation.  A call that held the lock would
+    # stop it for the whole factorisation.
+    def band(m, kd=767):
+        ab = np.full((kd + 1, 1, m), -1.0, order="F")
+        ab[0] = 2.0 * kd + 1.0   # diagonally dominant, so positive definite
+        return ab
+
+    logdet_posdef(band(8))   # scipy loaded
+    m, alone = 512, 0.0
+    while alone < 0.08:   # columns doubled until a factorisation takes 80 ms
+        m *= 2
+        ab = band(m)
+        start = time.perf_counter()
+        logdet_posdef(ab)
+        alone = time.perf_counter() - start
+    ab = band(m)
+    took = []
+
+    def worker():
+        start = time.perf_counter()
+        logdet_posdef(ab)
+        took.append(time.perf_counter() - start)
+
+    thread = threading.Thread(target=worker)
+    longest, last = 0.0, time.perf_counter()
+    deadline = last + 60.0
+    thread.start()
+    while thread.is_alive() and last < deadline:
+        now = time.perf_counter()
+        longest, last = max(longest, now - last), now
+    thread.join(timeout=1.0)
+    assert not thread.is_alive() and len(took) == 1
+    assert took[0] >= 0.05, took
+    assert longest < 0.5 * took[0], (longest, took[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
