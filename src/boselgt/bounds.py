@@ -247,9 +247,8 @@ def verify_bose_bounds(params, n_configs, seed, n_workers=1):
     Z_B for n_f flavors is the n_f-th power of the one-flavor value, so the
     one-flavor cap rate * n_sites is multiplied by n_f.  The slack of a
     configuration is min(log Z_B, log cap - log Z_B), so a configuration
-    violating any of the three inequalities counts once.  A block draws
-    its configurations one at a time, the order the random stream has
-    always had, and takes log Z_B of the whole stack from log_z_bose.
+    violating any of the three inequalities counts once.  Each block takes
+    log Z_B of one haar_sample batch from log_z_bose.
     """
     lat = params.lattice
     log_cap = (params.n_flavors * lat.n_sites
@@ -257,11 +256,8 @@ def verify_bose_bounds(params, n_configs, seed, n_workers=1):
     name = "bose-sector bounds"
 
     def block(rng, count):
-        rows = np.stack(
-            [haar_sample(rng, params.n, kind=params.kind,
-                         size=lat.n_bonds).transpose(1, 2, 0)
-             for _ in range(count)], axis=-1)   # (N, N, n_bonds, count)
-        log_z = log_z_bose(params, rows.transpose(3, 2, 0, 1))
+        bonds = haar_sample(rng, params.n, kind=params.kind, size=(count, lat.n_bonds))
+        log_z = log_z_bose(params, bonds)
         # log_z >= 0 is both "Z_B >= 1" and "det Q <= 1" (flavors > 0).
         return {name: [np.minimum(log_z, log_cap - log_z)]}
 

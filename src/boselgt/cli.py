@@ -28,6 +28,7 @@ import configparser
 import itertools
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -487,34 +488,36 @@ def main(argv=None):
     command = given.pop("command")
     spec = COMMANDS[command]
     opts = COMMON_OPTS + spec.opts
-    try:
-        cfg = resolve_config(command, given, opts)
-        if "seed" in cfg:  # echoed in the record even where nothing is drawn
-            mc.check_seed(cfg["seed"])
-        start = time.perf_counter()
-        payload, code = spec.run(cfg)
-        wall = time.perf_counter() - start
-        echo = {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in cfg.items() if k not in ("config", "output")}
-        record = ResultRecord(command=command, config=echo, payload=payload,
-                              wall_time_s=wall)
-        if cfg.get("output"):
-            path = record.write(cfg["output"])
-        else:  # the name holds the second: runs within one must not collide
-            stamp = utc_now_iso().replace(":", "").replace("+0000", "Z")
-            path = record.write(default_output_dir() / f"{command}-{stamp}.json",
-                                exclusive=True)
-        print(f"record: {path}")
-        return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():   # the filters in force decide what prints
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            cfg = resolve_config(command, given, opts)
+            if "seed" in cfg:  # echoed in the record even where nothing is drawn
+                mc.check_seed(cfg["seed"])
+            start = time.perf_counter()
+            payload, code = spec.run(cfg)
+            wall = time.perf_counter() - start
+            echo = {k: (list(v) if isinstance(v, tuple) else v)
+                    for k, v in cfg.items() if k not in ("config", "output")}
+            record = ResultRecord(command=command, config=echo, payload=payload,
+                                  wall_time_s=wall)
+            if cfg.get("output"):
+                path = record.write(cfg["output"])
+            else:  # the name holds the second: runs within one must not collide
+                stamp = utc_now_iso().replace(":", "").replace("+0000", "Z")
+                path = record.write(default_output_dir() / f"{command}-{stamp}.json",
+                                    exclusive=True)
+            print(f"record: {path}")
+            return code
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except NumericError as exc:
+            print(f"numeric error: {exc}", file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

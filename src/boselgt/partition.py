@@ -404,7 +404,7 @@ def log_z_bose(params, bonds):
             # factorised on a copy, so its error names the smallest eigenvalue.
             logdet_posdef(bose_quadratic_form(params, flat[s]).copy(), context)
             raise
-        out[s] = -0.5 * params.n_flavors * logdet
+        out[s] = 0.0 - 0.5 * params.n_flavors * logdet   # +0.0, not -0.0, at kappa = 0
     return out.reshape(lead)
 
 
@@ -429,7 +429,7 @@ def log_z_bose_identity(params):
         raise NotPositiveDefiniteError(
             "Bose quadratic form at identity bonds is not positive definite",
             smallest)
-    return -0.5 * params.n_flavors * _field_width(params) * float(
+    return 0.0 - 0.5 * params.n_flavors * _field_width(params) * float(
         np.sum(np.log1p(-lam)))
 
 

@@ -89,20 +89,23 @@ def test_u2_sampler_and_plaquettes_are_counted(spans):
 
 @pytest.mark.parametrize("n,kind", [(2, "U"), (2, "SU")])
 def test_bose_verifier_draws_are_counted_as_haar_samples(spans, n, kind):
+    # One haar_sample call per block of BOSE_BLOCK_SIZE = 32 configurations
+    # and one factorisation per slice of stacked forms: a block of d2 L3
+    # forms fits in one slice.  Forty configurations make two blocks.
     p = ModelParams(d=2, L=3, n=n, kind=kind)
-    tracer = spans.Tracer()
-    try:
-        spans.instrument(tracer)
-        with tracer.recording("test"):
-            bounds.verify_bose_bounds(p, 5, seed=0)
-    finally:
-        tracer.restore()
-    ix = spans.SpanIndex(tracer.spans)
-    # One haar_sample call per configuration and one factorisation per
-    # slice of stacked forms: five d2 L3 forms fit in one slice.
-    assert ix.calls("haar.sample") == 5
-    assert ix.counted("haar.sample") == 5 * p.lattice.n_bonds
-    assert ix.calls("partition.logdet") == 1
+    assert bounds.BOSE_BLOCK_SIZE == 32
+    for configs, blocks in [(5, 1), (40, 2)]:
+        tracer = spans.Tracer()
+        try:
+            spans.instrument(tracer)
+            with tracer.recording("test"):
+                bounds.verify_bose_bounds(p, configs, seed=0)
+        finally:
+            tracer.restore()
+        ix = spans.SpanIndex(tracer.spans)
+        assert ix.calls("haar.sample") == blocks
+        assert ix.counted("haar.sample") == configs * p.lattice.n_bonds
+        assert ix.calls("partition.logdet") == blocks
 
 
 def test_single_bond_values_are_counted_as_quadrature(spans):

@@ -166,16 +166,17 @@ def test_bose_verifier_complex_fields():
 
 
 def test_bose_verifier_margin_matches_per_configuration_values():
-    # The check's one block draws from block_rng(seed, 0); redraw its
-    # configurations one at a time and take each log Z_B from z_bose_exact.
+    # The check's one block draws its configurations in one haar_sample
+    # call from block_rng(seed, 0); redraw that batch and take each
+    # configuration's log Z_B from z_bose_exact.
     p = ModelParams(d=2, L=3, n=2, field_kind="complex", n_flavors=3,
                     m_u=0.0, kappa_u_sq=1.0)
     count, seed = 20, 6
     chk = verify_bose_bounds(p, count, seed)
-    rng = mc.block_rng(seed, 0)
-    log_z = np.array([z_bose_exact(p, haar_sample(
-        rng, p.n, kind=p.kind, size=p.lattice.n_bonds)).log_value
-        for _ in range(count)])
+    bonds = haar_sample(mc.block_rng(seed, 0), p.n, kind=p.kind,
+                        size=(count, p.lattice.n_bonds))
+    log_z = np.array([z_bose_exact(p, bonds[j]).log_value
+                      for j in range(count)])
     log_cap = p.n_flavors * p.lattice.n_sites * bose_upper_rate(p.n, p.L, "complex")
     margins = np.minimum(log_z, log_cap - log_z)
     assert chk.worst_margin == np.min(margins)

@@ -559,6 +559,27 @@ def test_sweep_names_values_that_agree_to_six_digits_apart(tmp_path, capsys):
         0.5, 0.5000001]
 
 
+def test_warnings_print_as_one_line_each(tmp_path, capsys):
+    # 50 SU(2) samples miss the 10% error target; stderr gets the message
+    # alone, not Python's "file:line: UserWarning:" and the source line.
+    argv = ["wilson-mc", "--d", 3, "--L", 2, "--n", 2, "--kind", "SU",
+            "--samples", 50, "--seed", 0, "--output", tmp_path / "w.json"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: gauge Monte Carlo relative error ")
+    assert lines[0].endswith("exceeds 10%; increase n_samples")
+
+
+@pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")
+def test_ignored_warnings_stay_silent(tmp_path, capsys):
+    # The filters in force still decide which warnings print.
+    argv = ["wilson-mc", "--d", 3, "--L", 2, "--n", 2, "--kind", "SU",
+            "--samples", 50, "--seed", 0, "--output", tmp_path / "w.json"]
+    assert run_cli(argv, capsys)[::2] == (0, "")
+
+
 @pytest.mark.filterwarnings("ignore:gauge Monte Carlo relative error")
 def test_one_parser_per_process_leaks_nothing_between_calls(tmp_path, capsys,
                                                              monkeypatch):

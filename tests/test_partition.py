@@ -479,6 +479,19 @@ def test_z_bose_exact_without_bonds_is_the_closed_form():
     assert est.log_value == pytest.approx(factorised.log_value, rel=1e-12)
 
 
+def test_exact_zero_log_z_bose_is_positive_zero():
+    # kappa^2 = 0 makes S the identity, so log Z_B is exactly 0; both routes
+    # return +0.0, so no record or printout reads -0.
+    p = ModelParams(d=2, L=3, n=2, field_kind="complex", n_flavors=3,
+                    m_u=1.0, kappa_u_sq=0.0)
+    assert p.scaling.kappa_sq == 0.0
+    bonds = haar_sample(np.random.default_rng(0), 2, size=(4, p.lattice.n_bonds))
+    values = [log_z_bose_identity(p), float(log_z_bose(p, bonds[0])),
+              *log_z_bose(p, bonds)]
+    assert [math.copysign(1.0, v) for v in values] == [1.0] * 6
+    assert values == [0.0] * 6
+
+
 @pytest.mark.parametrize("d,L", [(2, 2), (2, 3), (3, 2)])
 def test_closed_form_names_the_smallest_eigenvalue_of_q(d, L, monkeypatch):
     # kappa^2 = 0.6 > 1/(2d) puts the identity form outside the positive range.
