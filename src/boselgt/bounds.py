@@ -16,8 +16,8 @@ and in g^2 <= g0^2:
            upper = ln[ (pi/(2 sqrt 2))^{N^2} * I(inf) ]
     SU(2): from the radial construction, exponent 3 = dim SU(2)
 
-with I the truncated Gaussian Vandermonde integral (gue_integral) and
-I(inf) = gue_norm(N).  The upper constants are not the sharpest available,
+with I the truncated Gaussian Vandermonde integral (gue_integral gives
+ln I) and I(inf) = gue_norm(N).  The upper constants are not the sharpest available,
 but they are valid and are the ones asserted.
 
 Monte Carlo verdicts use a three-sigma window: pass when the window lies
@@ -94,11 +94,10 @@ def gauge_rate_bounds(kind, n, d, g0_sq=4.0):
         return float(np.log(lo)), float(np.log(up))
     upper = n * n * np.log(np.pi / (2.0 * np.sqrt(2.0))) + np.log(gue_norm(n))
     alpha0 = 8.0 * n * (d - 1) / g0_sq  # smallest admissible peak scale
-    trunc = gue_integral(np.sqrt(alpha0) * np.pi / 2.0, n)
     lower = (-np.log(cue_norm(n))
              + (n * (n - 1) / 2.0) * np.log(4.0 / np.pi**2)
              - (n * n / 2.0) * np.log(8.0 * n * (d - 1))
-             + np.log(trunc))
+             + gue_integral(np.sqrt(alpha0) * np.pi / 2.0, n))
     return float(lower), float(upper)
 
 

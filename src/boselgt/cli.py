@@ -15,7 +15,7 @@ option names (dashes or underscores both work), e.g.
 
 Exit codes: 0 success (and pass verdicts), 1 a verification verdict failed,
 2 usage errors, 3 numeric failures (quadrature not converging, a quadratic
-form losing positivity) or I/O failures.
+form losing positivity, a warning raised under -W error) or I/O failures.
 
 The argparse parser is built once per process, on the first main call, and
 reused by every later call in the process: each parse fills a new
@@ -33,8 +33,6 @@ from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
 from . import mc
 from .actions import ModelParams
 from .bounds import (BoundConstants, bose_upper_rate, verify_bose_bounds,
@@ -45,7 +43,7 @@ from .lattice import GaugeFixing, Lattice, coupling
 from .partition import (z_bose_exact, z_bose_exact_unscaled, z_single_bond,
                         z_wilson_d2_exact, z_wilson_mc)
 from .records import (ResultRecord, default_output_dir, estimate_payload,
-                      utc_now_iso, write_csv)
+                      safe_value, utc_now_iso, write_csv)
 from .rmt import sweep_cue_gue, sweep_d2_limit
 from .su2 import su2_bounds_check
 
@@ -153,10 +151,10 @@ def run_z_bond(cfg):
         c = cfg["coupling"]
     else:
         c = coupling(cfg["a"], cfg["g_sq"], cfg["d"])
-    z = z_single_bond(c, cfg["n"], kind=cfg["kind"])
+    log_z = z_single_bond(c, cfg["n"], kind=cfg["kind"]).log_value
     payload = {"coupling": float(c), "n": cfg["n"], "kind": cfg["kind"],
-               "value": float(z), "log_value": float(np.log(z))}
-    print(f"z({cfg['kind']}({cfg['n']}), c={c:g}) = {z:.12g}")
+               "value": safe_value(log_z), "log_value": log_z}
+    print(f"log z({cfg['kind']}({cfg['n']}), c={c:g}) = {log_z:.12g}")
     return payload, 0
 
 
@@ -512,7 +510,7 @@ def main(argv=None):
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except NumericError as exc:
+        except (NumericError, Warning) as exc:   # a Warning raised under -W error
             print(f"numeric error: {exc}", file=sys.stderr)
             return 3
         except OSError as exc:

@@ -58,14 +58,15 @@ integral of prod_j w(x_j) |det[p_a(x_j)]|^2 is N! det[integral of w p_a
 conj(p_b)], an N x N determinant of 1-D integrals (_gram_det) at any N.
 
 legendre_integral, Gauss-Legendre on a symmetric window checked against half
-as many nodes, is the one 1-D rule: U(N) Gram entries, the Gaussian box and
-the SU(2) radial and angle integrals (su2 imports it inside functions).  It
-refuses a value below the smallest normal double as an underflow, so a
-subnormal value, with its lost digits, never passes as a result.
+as many nodes, is the one 1-D rule, in logs: U(N) Gram determinants, the
+Gaussian box and the SU(2) angle integral (su2 imports it inside functions).
+The one-bond integrals run in the peak variable x = s lam (peak_stretch),
+where every integrand is O(1), so log z is exact even where z ~ c^{-d(N)/2}
+is far outside the double range.
 """
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, log, sqrt
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -90,8 +91,8 @@ _WEYL_NODES_N3 = 96
 PEAK_MAX_HALF_WIDTH = 13.5
 
 # Gauss-Legendre nodes of every 1-D integral; the convergence check of
-# legendre_integral repeats the integral on half as many and demands this
-# relative agreement.
+# legendre_integral repeats the integral on half as many and demands the
+# logs to agree to this.
 _GRAM_NODES = 256
 PEAK_QUAD_RTOL = 1e-9
 
@@ -307,74 +308,77 @@ _legendre = lru_cache(maxsize=None)(leggauss)  # nodes on [-1, 1], once per m
 
 
 def _gram_det(points, weights, basis, n):
-    """det of the N x N Gram matrix sum_i w_i p_a(x_i) conj(p_b(x_i)), p_a = basis^a.
+    """log det of the N x N Gram matrix sum_i w_i p_a(x_i) conj(p_b(x_i)), p_a = basis^a.
 
-    basis maps x to a monic degree-1 polynomial (in x or in e^{ix}), so
-    det[p_a(x_j)] is the Vandermonde determinant; by Andreief's identity the
-    result is 1/N! times the N-fold integral of prod_j w(x_j) times the
-    squared Vandermonde under the 1-D rule (x_i, w_i).  The matrix is
-    Hermitian, so its determinant is real.
+    basis maps x to a degree-1 polynomial (in x or in e^{ix}), so
+    det[p_a(x_j)] is the Vandermonde determinant of the basis values; by
+    Andreief's identity det is 1/N! times the N-fold integral of prod_j
+    w(x_j) times its square under the 1-D rule (x_i, w_i).  The matrix is
+    Hermitian, so det is real; a det that is not > 0 is a NumericError.
     """
     if n < 1:
         raise UsageError(f"matrix size must be >= 1, got {n}")
     p = basis(points)[None, :] ** np.arange(n)[:, None]
-    return float(np.linalg.det((p * weights) @ p.conj().T).real)
+    det = float(np.linalg.det((p * weights) @ p.conj().T).real)
+    if not det > 0.0:
+        raise NumericError(f"Gram determinant of size {n} came out {det:g}, not > 0")
+    return log(det)
 
 
-def legendre_integral(node_value, half_width, what):
-    """node_value(x, w) for the Gauss-Legendre rule (x, w) on [-half_width, half_width].
+def legendre_integral(node_log, half_width, what):
+    """node_log(x, w), a log, for the Gauss-Legendre rule (x, w) on [-half_width, half_width].
 
-    Run at _GRAM_NODES and at half as many nodes: a relative gap above
-    PEAK_QUAD_RTOL is a QuadratureError, and a value below the smallest
-    normal double a NumericError; both name `what`.  Every integrand here
-    is positive, so such a value has underflowed: 0, or a subnormal that
-    has lost digits.
+    Run at _GRAM_NODES and at half as many nodes: logs more than
+    PEAK_QUAD_RTOL apart (to first order, that relative gap of the values)
+    are a QuadratureError naming `what`.  Returns the fine log.
     """
-    fine, coarse = (node_value(half_width * x, half_width * w) for x, w in
+    fine, coarse = (node_log(half_width * x, half_width * w) for x, w in
                     (_legendre(_GRAM_NODES), _legendre(_GRAM_NODES // 2)))
-    achieved = abs(fine - coarse) / max(abs(fine), 1e-300)
-    if achieved > PEAK_QUAD_RTOL:
+    achieved = abs(fine - coarse)
+    if not achieved <= PEAK_QUAD_RTOL:
         raise QuadratureError(f"{what} did not converge", achieved)
-    if not fine >= np.finfo(float).tiny:
-        raise NumericError(f"{what} underflows to {fine}")
     return fine
 
 
-def peak_half_width(peak_scale):
-    """Integration half-width min(pi, PEAK_MAX_HALF_WIDTH / sqrt(peak_scale))."""
-    return min(np.pi, PEAK_MAX_HALF_WIDTH / np.sqrt(peak_scale))
+def peak_stretch(peak_scale):
+    """s = max(1, pi sqrt(peak_scale) / PEAK_MAX_HALF_WIDTH): the peak variable
+    x = s lam on |x| <= pi spans |lam| <= min(pi, PEAK_MAX_HALF_WIDTH /
+    sqrt(peak_scale))."""
+    return max(1.0, np.pi * sqrt(peak_scale) / PEAK_MAX_HALF_WIDTH)
 
 
 def peaked_cue_integral(action_of_angles, n, peak_scale):
-    """(1/cue_norm) integral over (-pi, pi]^N of e^{-action} * cue density.
+    """log of (1/cue_norm) integral over (-pi, pi]^N of e^{-action} * cue density.
 
     Precondition: the action is a sum of per-angle terms sum_j phi(lam_j);
     it is called on angles of shape (m, 1) to get the 1-D weight e^{-phi}.
-    The value is the Gram determinant of that weight in the basis
-    (e^{i lam} - 1)^a, which vanishes at the peak, so the matrix stays well
-    conditioned at any peak_scale.  A peak of curvature ~ peak_scale has
-    width 1/sqrt(peak_scale); Gauss-Legendre on |lam| <= peak_half_width
-    resolves it, and the truncation is safe whenever the action dominates
-    (4/pi^2) * peak_scale * |lam|^2.
+    The rule runs in the peak variable x = s lam on |x| <= pi, s =
+    peak_stretch(peak_scale); the truncation is safe whenever the action
+    dominates (4/pi^2) * peak_scale * |lam|^2.  The Gram basis s (e^{ix/s} -
+    1)^a vanishes at the peak and is O(1) on the window, so every entry is
+    O(1) at any peak_scale.  In lam entry (a, b) carries s^{-(a+b+1)}, so
+    the determinant carries s^{-N^2}: log z = log det - N^2 log s.
     """
-    def gram(lam, w):
-        weights = (w / (2.0 * np.pi)) * np.exp(-action_of_angles(lam[:, None]))
-        return _gram_det(lam, weights, lambda l: np.expm1(1j * l), n)
+    s = peak_stretch(peak_scale)
 
-    return legendre_integral(gram, peak_half_width(peak_scale),
-                             f"one-bond angle integral at peak scale {peak_scale:g}")
+    def gram(x, w):
+        weights = (w / (2.0 * np.pi)) * np.exp(-action_of_angles(x[:, None] / s))
+        return _gram_det(x, weights, lambda v: s * np.expm1(1j * v / s), n)
+
+    return legendre_integral(gram, np.pi, f"one-bond angle integral at peak scale "
+                             f"{peak_scale:g}") - n * n * log(s)
 
 
 def gue_integral(u, n):
-    """integral over [-u, u]^N of e^{-|y|^2} prod_{j<k}(y_j - y_k)^2.
+    """log of the integral over [-u, u]^N of e^{-|y|^2} prod_{j<k}(y_j - y_k)^2.
 
     N! times the Gram determinant of the monomials y^a, with the Gaussian
     folded into the Gauss-Legendre weights.  The box is clipped at
     PEAK_MAX_HALF_WIDTH, past which the Gaussian mass is below double
-    precision, so u = inf is that box and gives gue_norm(N).
+    precision, so u = inf is that box and gives log gue_norm(N).
     """
     if not u > 0.0:
         raise UsageError(f"integration half-width must be positive, got {u}")
     return legendre_integral(
-        lambda y, w: factorial(n) * _gram_det(y, w * np.exp(-y * y), lambda v: v, n),
+        lambda y, w: _gram_det(y, w * np.exp(-y * y), lambda v: v, n) + log(factorial(n)),
         min(float(u), PEAK_MAX_HALF_WIDTH), f"Gaussian box integral at u = {u:g}")

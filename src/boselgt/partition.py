@@ -487,11 +487,12 @@ def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
 # -------------------------------------------------------- one-bond values
 
 def z_single_bond(c, n=1, kind="U"):
-    """One-bond gauge partition value at coupling c = a^{d-4} / g^2.
+    """One-bond gauge partition value at coupling c = a^{d-4} / g^2, an exact Estimate.
 
     The Haar average of e^{-c |1 - g|_HS^2} written over eigenvalue angles:
     U(N) for every N through the Gram determinant of peaked_cue_integral,
-    SU(2) through its radial angle integral.
+    SU(2) through its radial angle integral.  Both return log z, exact
+    where z itself leaves the double range (z ~ c^{-d(N)/2} as c -> inf).
     """
     require_positive(c, "coupling")
     check_group(kind, n)
@@ -501,7 +502,7 @@ def z_single_bond(c, n=1, kind="U"):
         # Angles (lam, -lam) with density 4 sin^2(lam).  Imported here so
         # that a rebinding of su2.su2_z_weyl_coupling is seen.
         from .su2 import su2_z_weyl_coupling
-        return su2_z_weyl_coupling(c)
+        return Estimate.exact(su2_z_weyl_coupling(c), method="quadrature")
 
     # The angle action 2c sum(1 - cos lam) is evaluated as 4c sum sin^2(lam/2):
     # same number, but free of the 1 - cos cancellation that otherwise floods
@@ -511,7 +512,7 @@ def z_single_bond(c, n=1, kind="U"):
         half = np.sin(lam / 2.0)
         return 4.0 * c * np.sum(half * half, axis=-1)
 
-    return peaked_cue_integral(action, n, peak_scale=c)
+    return Estimate.exact(peaked_cue_integral(action, n, c), method="quadrature")
 
 
 def z_wilson_d2_exact(params):
@@ -522,7 +523,5 @@ def z_wilson_d2_exact(params):
     """
     if params.d != 2:
         raise UsageError(f"exact factorization requires d = 2, got {params.d}")
-    z = z_single_bond(params.scaling.coupling, params.n, params.kind)
-    n_ret = params.gauge_fixing.n_retained
-    return Estimate.exact(n_ret * float(np.log(z)), method="quadrature")
-
+    log_z = z_single_bond(params.scaling.coupling, params.n, params.kind).log_value
+    return Estimate.exact(params.gauge_fixing.n_retained * log_z, method="quadrature")

@@ -1,12 +1,12 @@
 """Small-coupling limits that connect the one-bond value to Gaussian ensembles.
 
-Two families of scalar functions of a peaking parameter:
+Two families of scalar functions of a peaking parameter, from log values:
 
-  * w_of_beta(beta, n): the one-bond integral with inverse-coupling beta,
+  * w_ratio(beta, n): the one-bond integral w with inverse-coupling beta,
     either with the cosine action (2/beta) sum (1 - cos l) or the exact
-    quadratic action |l|^2 / beta.  As beta -> 0 both behave like
-    beta^{n^2/2} * gue_norm(n) / cue_norm(n); the normalized ratio
-    w / beta^{n^2/2} is what the sweeps tabulate.
+    quadratic action |l|^2 / beta, over beta^{n^2/2}.  As beta -> 0 both
+    w behave like beta^{n^2/2} * gue_norm(n) / cue_norm(n), so the ratio
+    tends to gue_norm / cue_norm.
 
   * d2_free_energy(a, n, g_sq): per-retained-bond normalized log of the
     two-dimensional gauge value, ln z(c) + (n^2/2) ln c with c = 1/(a^2 g^2).
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NumericError, UsageError
 from .haar import cue_norm, gue_norm, peaked_cue_integral
 from .lattice import coupling, require_positive
-from .partition import z_single_bond
+from .partition import LOG_MAX_DOUBLE, LOG_MIN_NORMAL, z_single_bond
 
 ACTIONS = ("cosine", "quadratic")
 
@@ -34,10 +34,12 @@ def cue_gue_target(n):
     return float(gue_norm(n) / cue_norm(n))
 
 
-def w_of_beta(beta, n, action="cosine"):
-    """One-bond unitary-group integral at inverse coupling beta > 0.
+def w_ratio(beta, n, action="cosine"):
+    """w(beta) / beta^{n^2/2} = exp(log w - (n^2/2) log beta) -> cue_gue_target(n).
 
-    NumericError naming beta when the coupling 1/beta overflows.
+    log w at inverse coupling beta > 0 is z_single_bond at c = 1/beta (cosine
+    action) or peaked_cue_integral (quadratic).  NumericError naming beta
+    when 1/beta overflows or the ratio is not a normal double.
     """
     require_positive(beta, "beta")
     if action not in ACTIONS:
@@ -46,15 +48,15 @@ def w_of_beta(beta, n, action="cosine"):
     if c == inf:
         raise NumericError(f"coupling 1/beta overflows at beta = {beta}")
     if action == "cosine":
-        return z_single_bond(c, n, kind="U")
-    return peaked_cue_integral(lambda lam: np.sum(lam * lam, axis=-1) / beta, n,
-                               peak_scale=c)
-
-
-def w_ratio(beta, n, action="cosine"):
-    """w(beta) / beta^{n^2/2}, which tends to cue_gue_target(n)."""
-    w = w_of_beta(beta, n, action=action)
-    return float(w / beta ** (n * n / 2.0))
+        log_w = z_single_bond(c, n, kind="U").log_value
+    else:
+        log_w = peaked_cue_integral(lambda lam: np.sum(lam * lam, axis=-1) / beta, n,
+                                    peak_scale=c)
+    log_ratio = log_w - (n * n / 2.0) * np.log(beta)
+    if not LOG_MIN_NORMAL <= log_ratio <= LOG_MAX_DOUBLE:
+        raise NumericError(f"w / beta^(n^2/2) = exp({log_ratio:.6g}) is not a "
+                           f"normal double at beta = {beta}")
+    return float(np.exp(log_ratio))
 
 
 def d2_free_energy(a, n=1, g_sq=1.0):
@@ -64,8 +66,7 @@ def d2_free_energy(a, n=1, g_sq=1.0):
     removes the leading power so the a -> 0 limit is finite.
     """
     c = coupling(a, g_sq, 2)
-    z = z_single_bond(c, n, kind="U")
-    return float(np.log(z) + (n * n / 2.0) * np.log(c))
+    return float(z_single_bond(c, n, kind="U").log_value + (n * n / 2.0) * np.log(c))
 
 
 def d2_limit_target(n):

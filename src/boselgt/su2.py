@@ -13,9 +13,9 @@ exp, log and product maps are test references (tests/oracles.py), and the
 plaquette action of every group is actions.plaquette_actions.
 
 The one-bond gluon integral at the end is the SU(2) counterpart of the
-CUE eigenvalue integrals, one integral over the eigenvalue angle with
-haar.legendre_integral on the U(N) one-bond window; the test suite checks
-it against the closed form ive(1, 4c)/(2c).  The bound constants use
+CUE eigenvalue integrals: log z from one angle integral with
+haar.legendre_integral in the U(N) peak variable, checked in the tests
+against the closed form ive(1, 4c)/(2c).  The bound constants use
 math.erf: numpy is the only library this module loads.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import UsageError
 from .lattice import check_dimension, coupling, require_positive
 
 # Series switch for sin(r)/r: below this radius the direct
@@ -126,28 +126,32 @@ def capital_e(gamma):
 
 
 def su2_z_weyl_coupling(c):
-    """One-bond value over the eigenvalue-angle measure at coupling c.
+    """log z of the one-bond value over the eigenvalue-angle measure at coupling c.
 
     z = (1/(4 pi)) * integral over lam in (-pi, pi] of
         e^{-4c(1-cos lam)} * 4 sin^2(lam),
     the 4 sin^2 factor being the squared eigenvalue-difference density of
     the angle pair (lam, -lam).  The action is written as 8c sin^2(lam/2),
-    stable for peaked c, and haar's rule runs on the window of the U(N)
-    one-bond values.
+    stable for peaked c.  As for the U(N) one-bond values the rule runs in
+    x = s lam on |x| <= pi, s = haar.peak_stretch(c): the density
+    4 (s sin(x/s))^2 is O(1), and the s^3 it and dx carry leaves as
+    -3 log s.  One angle: a dot product, no Gram matrix.
     """
     require_positive(c, "coupling")
-    from .haar import legendre_integral, peak_half_width  # haar imports su2
+    from .haar import legendre_integral, peak_stretch  # haar imports su2
+    s = peak_stretch(c)
 
-    def node_value(x, w):
-        density = 4.0 * np.sin(x) ** 2
-        return float(np.dot(w, np.exp(-8.0 * c * np.sin(x / 2.0) ** 2) * density))
+    def node_log(x, w):
+        density = 4.0 * (s * np.sin(x / s)) ** 2
+        weight = np.exp(-8.0 * c * np.sin(x / (2.0 * s)) ** 2)
+        return math.log(np.dot(w, weight * density) / (4.0 * np.pi))
 
-    return legendre_integral(node_value, peak_half_width(c),
-                             f"one-bond SU(2) integral at c = {c:g}") / (4.0 * np.pi)
+    return legendre_integral(node_log, np.pi, f"one-bond SU(2) integral at c = {c:g}") \
+        - 3.0 * math.log(s)
 
 
 def su2_z_gluon(a, g_sq, d):
-    """One-bond gluon partition value at c = a^{d-4}/g^2.
+    """log z of the one-bond gluon partition value at c = a^{d-4}/g^2.
 
     The radial form (2/pi) * integral over r in [0, pi] of
     e^{-4c(1-cos r)} sin^2 r is the eigenvalue-angle integral of
@@ -194,10 +198,5 @@ def su2_bounds_check(a, g_sq, d, g0_sq=4.0):
     lower, upper = su2_bound_constants(d, g0_sq)
     if g_sq > g0_sq:
         raise UsageError(f"g^2 must be <= g0^2 = {g0_sq}, got {g_sq}")
-    c = coupling(a, g_sq, d)
-    # Checked first: where c^(3/2) overflows, z is below the normal range.
-    scale = c * math.sqrt(c)
-    if not scale < math.inf:
-        raise NumericError(f"c^(3/2) overflows at c = {c:g}")
-    scaled = scale * su2_z_gluon(a, g_sq, d)
-    return Su2BoundCheck(scaled_value=float(scaled), lower=lower, upper=upper)
+    scaled = math.exp(1.5 * math.log(coupling(a, g_sq, d)) + su2_z_gluon(a, g_sq, d))
+    return Su2BoundCheck(scaled_value=scaled, lower=lower, upper=upper)

@@ -381,7 +381,7 @@ def d2_bond_upper_checks(params):
             "su2_bounds_check covers SU(2)")
     n = params.n
     c = params.scaling.coupling
-    z = z_single_bond(c, n, kind=params.kind)
+    z = z_single_bond(c, n, kind=params.kind).value
     scaled = c ** (n * n / 2.0) * z
     ratio = gue_norm(n) / cue_norm(n)
     literal = (np.pi**2 / 2.0) ** (n * n) * ratio

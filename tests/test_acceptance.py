@@ -291,7 +291,7 @@ def test_criterion_09_su2_parametrization():
         for g_sq in (4.0, 1.0, 0.25):
             c = 1.0 / (a * g_sq)
             closed = ive(1, 4.0 * c) / (2.0 * c)
-            zg = su2_z_gluon(a, g_sq, 3)
+            zg = np.exp(su2_z_gluon(a, g_sq, 3))
             worst_z = max(worst_z, abs(zg - closed) / closed)
 
     ok = worst_exp < 1e-12 and worst_log < 1e-10 and worst_z < 1e-9

@@ -6,6 +6,7 @@ exercised the way a shell user hits them.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from boselgt.cli import main
 from boselgt.mc import block_rng
 from boselgt.partition import z_bose_exact, z_single_bond
 from boselgt.records import ResultRecord, load_schema
+from boselgt.rmt import d2_limit_target
 from boselgt.su2 import su2_bound_constants, su2_haar, su2_to_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -95,8 +97,8 @@ def test_z_bond_matches_library_value(tmp_path, capsys):
         ["z-bond", "--coupling", 1.0, "--n", 1, "--output", out], capsys)
     assert code == 0
     payload = read_record(out).payload
-    assert payload["value"] == z_single_bond(1.0, 1)
-    assert payload["log_value"] == np.log(payload["value"])
+    assert payload["log_value"] == z_single_bond(1.0, 1).log_value
+    assert payload["value"] == math.exp(payload["log_value"])
 
 
 def test_z_bond_u4_matches_the_toeplitz_determinant(tmp_path, capsys):
@@ -322,14 +324,16 @@ def assert_no_bare_non_finite(directory):
 
 
 @pytest.mark.parametrize("argv,message", [
-    # c = a^{d-4}/g^2 overflows; the one-bond values underflow to 0.
+    # c = a^{d-4}/g^2 overflows.
     (["z-bond", "--a", 1e-160], "at a = 1e-160, g^2 = 1.0"),
     (["d2-limit", "--n", 1, "--a-values", 1e-160], "at a = 1e-160, g^2 = 1.0"),
     (["sweep", "--a-values", 1e-160, "--L-values", 2, "--force"],
      "at a = 1e-160, g^2 = 1.0"),
-    (["z-bond", "--n", 2, "--coupling", 1e300],
-     "at peak scale 1e+300 underflows to 0.0"),
-    (["su2-check", "--d", 3, "--a", 1e-210], "overflows at c = 1e+210"),
+    # The ratio w / beta^{n^2/2} is below the normal range.
+    (["cue-gue", "--n", 2, "--betas", 1e300],
+     "exp(-1381.55) is not a normal double at beta = 1e+300"),
+    (["cue-gue", "--n", 3, "--betas", 1e200],
+     "exp(-2072.33) is not a normal double at beta = 1e+200"),
     # 1/beta overflows: the message names beta, not the derived coupling.
     (["cue-gue", "--n", 1, "--betas", 5e-324], "overflows at beta = 5e-324"),
     # Weights in e^{-493}..e^{-380}: their squared deviations underflow, and
@@ -337,12 +341,6 @@ def assert_no_bare_non_finite(directory):
     (["verify-bounds", "--d", 3, "--L", 4, "--n", 2, "--which", "full",
       "--samples", 5000, "--seed", 3],
      "came out 2.127427e-170, below 1.492e-154"),
-    # A subnormal one-bond value has lost digits: at a = 1e-5 it passed as a
-    # d2-limit value 2.1e-3 off its target.
-    (["z-bond", "--n", 8, "--coupling", 1e10],
-     "at peak scale 1e+10 underflows to 1.9e-322"),
-    (["d2-limit", "--n", 8, "--a-values", 1e-5],
-     "at peak scale 1e+10 underflows to 1.9e-322"),
 ])
 def test_out_of_range_numbers_exit_3_naming_the_value(tmp_path, capsys,
                                                       monkeypatch, argv,
@@ -354,6 +352,61 @@ def test_out_of_range_numbers_exit_3_naming_the_value(tmp_path, capsys,
     assert "Traceback" not in stderr
     assert not (tmp_path / "rec.json").exists()
     assert_no_bare_non_finite(tmp_path)
+
+
+@pytest.mark.parametrize("argv,n", [
+    (["d2-limit", "--n", 8, "--a-values", "1e-5,1e-8"], 8),
+    (["d2-limit", "--n", 4, "--a-values", 1e-75], 4),
+    (["z-bond", "--n", 10, "--coupling", 1e10], 10),
+    (["z-bond", "--n", 2, "--coupling", 1e300], 2),
+    (["z-bond", "--n", 8, "--coupling", 1e10], 8),
+])
+def test_one_bond_values_below_the_double_range_meet_the_d2_target(
+        tmp_path, capsys, monkeypatch, argv, n):
+    # z ~ c^{-n^2/2} is far below the smallest normal double here (e^{-1146}
+    # at n = 10, c = 1e10), and log z + (n^2/2) log c still meets the
+    # a -> 0 target.
+    monkeypatch.setenv("BOSELGT_OUTPUT_DIR", str(tmp_path))
+    out = tmp_path / "rec.json"
+    code, _, _ = run_cli(argv + ["--output", out], capsys)
+    assert code == 0
+    payload = read_record(out).payload
+    if argv[0] == "z-bond":
+        assert payload["value"] is None
+        results = [payload["log_value"] + n * n / 2.0 * np.log(payload["coupling"])]
+    else:
+        results = payload["results"]
+    for f in results:
+        assert abs(f - d2_limit_target(n)) < 1e-9
+
+
+def test_su2_check_at_a_coupling_whose_cube_overflows(tmp_path, capsys):
+    # c = 1e210: c^{3/2} is past the double range and z below it; the scaled
+    # value c^{3/2} ive(1, 4c) / (2c) in mpmath.
+    import mpmath
+    out = tmp_path / "rec.json"
+    code, _, _ = run_cli(["su2-check", "--d", 3, "--a", 1e-210, "--output", out],
+                         capsys)
+    assert code == 0
+    c = mpmath.mpf(10) ** 210
+    with mpmath.workdps(30):
+        expected = c ** 1.5 * mpmath.besseli(1, 4 * c) * mpmath.exp(-4 * c) / (2 * c)
+    payload = read_record(out).payload
+    assert payload["verdict"] == "pass"
+    assert payload["scaled_value"] == pytest.approx(float(expected), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_a_warning_raised_as_an_error_exits_3(tmp_path, capsys, monkeypatch):
+    # 50 samples give a relative error far above 10%, whose warning -W error
+    # turns into an exception.
+    monkeypatch.setenv("BOSELGT_OUTPUT_DIR", str(tmp_path))
+    code, _, stderr = run_cli(["wilson-mc", "--d", 3, "--L", 2, "--n", 2,
+                               "--kind", "SU", "--samples", 50], capsys)
+    assert code == 3
+    assert "numeric error: gauge Monte Carlo relative error" in stderr
+    assert "Traceback" not in stderr
+    assert not list(tmp_path.rglob("*.json"))
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -631,16 +684,18 @@ def test_cue_gue_writes_csv(tmp_path, capsys):
     csv_path = tmp_path / "ratios.csv"
     out = tmp_path / "rec.json"
     code, _, _ = run_cli(
-        ["cue-gue", "--betas", "0.5,0.1", "--n", 1, "--csv", csv_path,
+        ["cue-gue", "--betas", "0.5,0.1,1e300", "--n", 1, "--csv", csv_path,
          "--output", out], capsys)
     assert code == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "beta,value,target,abs_err"
-    assert len(lines) == 3
+    assert len(lines) == 4
     payload = read_record(out).payload
     assert payload["csv"] == str(csv_path)
-    assert payload["betas"] == [0.5, 0.1]
+    assert payload["betas"] == [0.5, 0.1, 1e300]
     assert all(np.isfinite(r) for r in payload["results"])
+    # w -> 1 as beta -> inf: the U(1) ratio at beta = 1e300 is 1e-150.
+    assert payload["results"][2] == pytest.approx(1e-150, rel=1e-15)
 
 
 def test_cue_gue_u3_reaches_small_beta(tmp_path, capsys):

@@ -219,7 +219,7 @@ def test_norm_constants():
     assert gue_norm(1) == pytest.approx(np.sqrt(np.pi), rel=1e-14)
     # Higher N pinned by the quadrature route instead of a rewritten formula:
     for n in (1, 2, 3):
-        assert gue_integral(np.inf, n) == pytest.approx(gue_norm(n), rel=1e-12)
+        assert np.exp(gue_integral(np.inf, n)) == pytest.approx(gue_norm(n), rel=1e-12)
 
 
 @pytest.mark.parametrize("n,kind", [(1, "U"), (2, "U"), (3, "U"), (2, "SU"), (3, "SU")])
@@ -266,7 +266,7 @@ def test_peaked_route_matches_weyl_at_crossover():
     for n in (1, 2, 3):
         def action(lam):
             return 2.0 * c * np.sum(1.0 - np.cos(lam), axis=-1)
-        a = peaked_cue_integral(action, n, peak_scale=c)
+        a = np.exp(peaked_cue_integral(action, n, peak_scale=c))
         b = weyl_integrate(lambda lam: np.exp(-action(lam)), n, kind="U")
         assert a == pytest.approx(b, rel=1e-8)
 
@@ -282,19 +282,19 @@ def test_peaked_route_handles_extreme_peaks():
         half = np.sin(lam / 2.0)
         return 4.0 * c * np.sum(half * half, axis=-1)
 
-    val = peaked_cue_integral(action, 1, peak_scale=c)
+    val = np.exp(peaked_cue_integral(action, 1, peak_scale=c))
     gaussian = np.sqrt(np.pi / c) / (2.0 * np.pi)
     assert val == pytest.approx(gaussian, rel=1e-4)
 
 
 def test_gue_integral_monotone_and_bounded():
     for n in (1, 2, 3):
-        vals = [gue_integral(u, n) for u in (0.5, 1.0, 2.0, 4.0)]
+        vals = [np.exp(gue_integral(u, n)) for u in (0.5, 1.0, 2.0, 4.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < gue_norm(n) * (1.0 + 1e-12)
-        assert gue_integral(4.0, n) == pytest.approx(gue_norm(n), rel=1e-4)
+        assert np.exp(gue_integral(4.0, n)) == pytest.approx(gue_norm(n), rel=1e-4)
         # A box far wider than the Gaussian holds all of its mass.
-        assert gue_integral(133.0, n) == pytest.approx(gue_norm(n), rel=1e-12)
+        assert np.exp(gue_integral(133.0, n)) == pytest.approx(gue_norm(n), rel=1e-12)
 
 
 def test_quadrature_usage_errors():
@@ -310,7 +310,7 @@ def test_quadrature_usage_errors():
         gue_integral(1.0, 0)
     with pytest.raises(UsageError):
         peaked_cue_integral(lambda lam: np.sum(lam * lam, axis=-1), 0, 10.0)
-    assert gue_integral(np.inf, 4) == pytest.approx(gue_norm(4), rel=1e-12)
+    assert np.exp(gue_integral(np.inf, 4)) == pytest.approx(gue_norm(4), rel=1e-12)
     with pytest.raises(UsageError):
         haar_sample(RNG, 0)
     with pytest.raises(UsageError):

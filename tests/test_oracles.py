@@ -52,17 +52,17 @@ Z_SU2 = [
 
 @pytest.mark.parametrize("c,expected", Z_U1)
 def test_z_single_bond_u1_bessel(c, expected):
-    assert z_single_bond(c, 1, kind="U") == pytest.approx(expected, rel=1e-9)
+    assert z_single_bond(c, 1, kind="U").value == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("c,expected", Z_U2)
 def test_z_single_bond_u2_toeplitz(c, expected):
-    assert z_single_bond(c, 2, kind="U") == pytest.approx(expected, rel=1e-9)
+    assert z_single_bond(c, 2, kind="U").value == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("c,expected", Z_U3)
 def test_z_single_bond_u3_toeplitz(c, expected):
-    assert z_single_bond(c, 3, kind="U") == pytest.approx(expected, rel=1e-8)
+    assert z_single_bond(c, 3, kind="U").value == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -72,13 +72,13 @@ def test_z_single_bond_un_toeplitz_closed_form(c, n):
     # to 1.4e-11 relative.
     j = np.arange(n)
     expected = np.linalg.det(ive(j[:, None] - j[None, :], 2.0 * c))
-    assert z_single_bond(c, n, kind="U") == pytest.approx(expected, rel=1e-10)
+    assert z_single_bond(c, n, kind="U").value == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("c,expected", Z_SU2)
 def test_z_single_bond_su2_bessel(c, expected):
-    assert z_single_bond(c, 2, kind="SU") == pytest.approx(expected, rel=1e-9)
-    assert su2_z_weyl_coupling(c) == pytest.approx(expected, rel=1e-9)
+    assert z_single_bond(c, 2, kind="SU").value == pytest.approx(expected, rel=1e-9)
+    assert np.exp(su2_z_weyl_coupling(c)) == pytest.approx(expected, rel=1e-9)
 
 
 def su2_bessel(c):
@@ -90,8 +90,8 @@ def su2_bessel(c):
 def test_su2_one_bond_matches_bessel_closed_form(c):
     # Computed live; the Legendre rule reaches round-off at every c.
     expected = su2_bessel(c)
-    assert z_single_bond(c, 2, kind="SU") == pytest.approx(expected, rel=1e-13)
-    assert su2_z_weyl_coupling(c) == pytest.approx(expected, rel=1e-13)
+    assert z_single_bond(c, 2, kind="SU").value == pytest.approx(expected, rel=1e-13)
+    assert np.exp(su2_z_weyl_coupling(c)) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("a,g_sq,d", [
@@ -102,7 +102,30 @@ def test_su2_one_bond_matches_bessel_closed_form(c):
 def test_su2_gluon_matches_bessel_closed_form(a, g_sq, d):
     # c = a^{d-4}/g^2 runs from 1e-3 to 1e8.
     expected = su2_bessel(a ** (d - 4) / g_sq)
-    assert su2_z_gluon(a, g_sq, d) == pytest.approx(expected, rel=1e-13)
+    assert np.exp(su2_z_gluon(a, g_sq, d)) == pytest.approx(expected, rel=1e-13)
+
+
+def test_z_single_bond_u8_matches_the_toeplitz_determinant_in_mpmath():
+    # z = e^{-225.03}: det[ive(j - k, 2c)] at 120 digits, compared on the log.
+    import mpmath
+    n, c = 8, 1000
+    with mpmath.workdps(120):
+        ive_k = [mpmath.besseli(k, 2 * c) * mpmath.exp(-2 * c) for k in range(n)]
+        toeplitz = mpmath.matrix([[ive_k[abs(j - k)] for k in range(n)]
+                                  for j in range(n)])
+        expected = float(mpmath.log(mpmath.det(toeplitz)))
+    assert abs(z_single_bond(c, n, kind="U").log_value - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [1e10, 1e210, 1e300])
+def test_su2_one_bond_log_matches_mpmath_below_the_double_range(c):
+    # log(ive(1, 4c) / (2c)) is -727.6 at c = 1e210, where z is not a double.
+    import mpmath
+    with mpmath.workdps(30):
+        cm = mpmath.mpf(c)
+        expected = float(mpmath.log(mpmath.besseli(1, 4 * cm) * mpmath.exp(-4 * cm)
+                                    / (2 * cm)))
+    assert su2_z_weyl_coupling(c) == pytest.approx(expected, rel=1e-14)
 
 
 def test_ensemble_norms():
@@ -116,9 +139,9 @@ def test_ensemble_norms():
 
 def test_gue_integral_saturates_to_norm():
     for n in range(1, 9):
-        assert gue_integral(np.inf, n) == pytest.approx(gue_norm(n), rel=1e-13)
+        assert np.exp(gue_integral(np.inf, n)) == pytest.approx(gue_norm(n), rel=1e-13)
         # Generous truncation already carries the full mass.
-        assert gue_integral(9.0, n) == pytest.approx(gue_norm(n), rel=1e-10)
+        assert np.exp(gue_integral(9.0, n)) == pytest.approx(gue_norm(n), rel=1e-10)
 
 
 def test_limit_targets():

@@ -635,8 +635,8 @@ def test_single_bond_usage_errors():
 def test_single_bond_is_continuous_at_the_method_switch():
     # No method switch remains: c = 4, where two quadratures used to meet,
     # must show no jump.
-    below = z_single_bond(4.0 - 1e-9, n=2)
-    above = z_single_bond(4.0 + 1e-9, n=2)
+    below = z_single_bond(4.0 - 1e-9, n=2).value
+    above = z_single_bond(4.0 + 1e-9, n=2).value
     assert below == pytest.approx(above, rel=1e-7)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from boselgt.errors import UsageError
 from boselgt.rmt import (cue_gue_target, d2_free_energy, d2_limit_target,
-                         sweep_cue_gue, sweep_d2_limit, w_of_beta, w_ratio)
+                         sweep_cue_gue, sweep_d2_limit, w_ratio)
 
 # Frozen targets: gue_norm(n) / cue_norm(n) and its log.
 TARGET_1 = 0.28209479177387814
@@ -54,14 +54,15 @@ def test_quadratic_ratio_approaches_target():
 def test_quadratic_action_closed_form_at_unit_beta():
     # (1/2pi) integral of e^{-lam^2} over the angle box = erf(pi)/(2 sqrt pi).
     from scipy.special import erf
-    assert w_of_beta(1.0, 1, action="quadratic") == pytest.approx(
+    # At beta = 1 the ratio is w itself.
+    assert w_ratio(1.0, 1, action="quadratic") == pytest.approx(
         float(erf(np.pi)) / (2.0 * np.sqrt(np.pi)), rel=1e-10)
 
 
 def test_two_actions_agree_only_in_the_limit():
     # At beta = 1 the cosine and quadratic actions differ visibly; by
     # beta = 1e-4 they agree to the anharmonic correction O(beta).
-    assert abs(w_of_beta(1.0, 1) - w_of_beta(1.0, 1, action="quadratic")) > 1e-3
+    assert abs(w_ratio(1.0, 1) - w_ratio(1.0, 1, action="quadratic")) > 1e-3
     a = w_ratio(1e-4, 1)
     b = w_ratio(1e-4, 1, action="quadratic")
     assert a == pytest.approx(b, rel=1e-3)
@@ -82,9 +83,9 @@ def test_d2_free_energy_depends_on_c_only():
 
 def test_usage_errors():
     with pytest.raises(UsageError):
-        w_of_beta(0.0, 1)
+        w_ratio(0.0, 1)
     with pytest.raises(UsageError):
-        w_of_beta(1.0, 1, action="quartic")
+        w_ratio(1.0, 1, action="quartic")
     with pytest.raises(UsageError):
         d2_free_energy(0.0)
     with pytest.raises(UsageError):

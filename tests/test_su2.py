@@ -131,7 +131,7 @@ def test_gluon_value_matches_bessel_closed_form():
         for g_sq in (4.0, 1.0, 0.25):
             c = 1.0 / (a * g_sq)  # a^{d-4}/g^2 at d = 3
             closed = ive(1, 4.0 * c) / (2.0 * c)
-            assert su2_z_gluon(a, g_sq, 3) == pytest.approx(closed, rel=1e-9)
+            assert np.exp(su2_z_gluon(a, g_sq, 3)) == pytest.approx(closed, rel=1e-9)
 
 
 def test_bounds_check_passes_across_admissible_couplings():
