@@ -96,6 +96,15 @@ PEAK_MAX_HALF_WIDTH = 13.5
 _GRAM_NODES = 256
 PEAK_QUAD_RTOL = 1e-9
 
+# Peak scales below which the one-bond Gram basis is Fourier, e^{ia lam};
+# above it is the shifted (e^{i lam} - 1)^a.  Measured against mpmath's
+# det[ive(j - k, 2c)] at 43 couplings in [1e-3, 18.5]: with the switch at 4
+# every U(N <= 12) value converges, the worst 8.8e-11 off on the log; the
+# shifted basis alone fails U(12) at nearly every coupling, Fourier alone
+# fails U(6) and U(8) near c = 12, and a switch at 3, 5 or 6 leaves a U(8)
+# or U(12) failure.
+FOURIER_MAX_PEAK_SCALE = 4.0
+
 
 def wrap_angle(lam):
     """Wrap angles into (-pi, pi]; the branch value -pi maps to +pi."""
@@ -307,21 +316,22 @@ def weyl_integrate(f, n, kind="U", rtol=1e-8, atol=0.0):
 _legendre = lru_cache(maxsize=None)(leggauss)  # nodes on [-1, 1], once per m
 
 
-def _gram_det(points, weights, basis, n):
+def _gram_det(points, weights, basis, n, what):
     """log det of the N x N Gram matrix sum_i w_i p_a(x_i) conj(p_b(x_i)), p_a = basis^a.
 
     basis maps x to a degree-1 polynomial (in x or in e^{ix}), so
     det[p_a(x_j)] is the Vandermonde determinant of the basis values; by
     Andreief's identity det is 1/N! times the N-fold integral of prod_j
     w(x_j) times its square under the 1-D rule (x_i, w_i).  The matrix is
-    Hermitian, so det is real; a det that is not > 0 is a NumericError.
+    Hermitian, so det is real; a det that is not > 0 is a NumericError
+    naming `what`, the integral.
     """
     if n < 1:
         raise UsageError(f"matrix size must be >= 1, got {n}")
     p = basis(points)[None, :] ** np.arange(n)[:, None]
     det = float(np.linalg.det((p * weights) @ p.conj().T).real)
     if not det > 0.0:
-        raise NumericError(f"Gram determinant of size {n} came out {det:g}, not > 0")
+        raise NumericError(f"{what}: Gram determinant of size {n} came out {det:g}, not > 0")
     return log(det)
 
 
@@ -358,15 +368,22 @@ def peaked_cue_integral(action_of_angles, n, peak_scale):
     1)^a vanishes at the peak and is O(1) on the window, so every entry is
     O(1) at any peak_scale.  In lam entry (a, b) carries s^{-(a+b+1)}, so
     the determinant carries s^{-N^2}: log z = log det - N^2 log s.
+    Below FOURIER_MAX_PEAK_SCALE (where s = 1) the weight spreads over the
+    whole circle, (e^{ix} - 1)^a grows to 2^a and the Gram matrix loses the
+    digits of its small eigenvalues, so the basis is the Fourier one,
+    e^{iax}: its Vandermonde determinant is the same, so is the integral,
+    and its Gram matrix is the well-conditioned Toeplitz one.
     """
     s = peak_stretch(peak_scale)
+    what = f"one-bond angle integral at peak scale {peak_scale:g}"
+    basis = ((lambda v: np.exp(1j * v)) if peak_scale < FOURIER_MAX_PEAK_SCALE
+             else (lambda v: s * np.expm1(1j * v / s)))
 
     def gram(x, w):
         weights = (w / (2.0 * np.pi)) * np.exp(-action_of_angles(x[:, None] / s))
-        return _gram_det(x, weights, lambda v: s * np.expm1(1j * v / s), n)
+        return _gram_det(x, weights, basis, n, what)
 
-    return legendre_integral(gram, np.pi, f"one-bond angle integral at peak scale "
-                             f"{peak_scale:g}") - n * n * log(s)
+    return legendre_integral(gram, np.pi, what) - n * n * log(s)
 
 
 def gue_integral(u, n):
@@ -379,6 +396,7 @@ def gue_integral(u, n):
     """
     if not u > 0.0:
         raise UsageError(f"integration half-width must be positive, got {u}")
+    what = f"Gaussian box integral at u = {u:g}"
     return legendre_integral(
-        lambda y, w: _gram_det(y, w * np.exp(-y * y), lambda v: v, n) + log(factorial(n)),
-        min(float(u), PEAK_MAX_HALF_WIDTH), f"Gaussian box integral at u = {u:g}")
+        lambda y, w: _gram_det(y, w * np.exp(-y * y), lambda v: v, n, what) + log(factorial(n)),
+        min(float(u), PEAK_MAX_HALF_WIDTH), what)

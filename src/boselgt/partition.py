@@ -55,12 +55,22 @@ Values that can leave the double range are carried as logarithms; Estimate
 keeps both, with log_value authoritative, and carries its error on the log
 scale, where a known scale factor does not touch it.
 
-scipy is imported inside logdet_posdef, the one function that uses it, so
+scipy is loaded inside logdet_posdef, the one function that uses it, so
 the commands that never factorise a form, the sweep and bose-exact
---gauge identity among them, run without loading it.
+--gauge identity among them, run without loading it.  The commands that do
+load only scipy's Cython LAPACK module, not scipy.linalg (whose import
+costs 28 MB and a quarter of a second), and only for LAPACK's dpbtrf.
+While more than one Monte Carlo worker runs, mc holds the OpenBLAS behind
+that module to one thread, so workers and BLAS threads do not
+oversubscribe the cores.
 """
 
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -332,25 +342,54 @@ def logdet_posdef(ab, context="quadratic form"):
     of the stack, or the first pivot that was not positive when ab itself
     was overwritten.  Entries that are not finite raise ValueError.
 
-    LAPACK's dpbtrf is called through scipy's Cython LAPACK capsule with
-    ctypes, which releases the interpreter lock for the call, so two
-    Monte Carlo worker threads factorise at once.  scipy's f2py wrapper of
-    the same routine holds the lock throughout: a d4 L8 band took 7.39 ms
-    per block on one thread and 7.73 on two through it, and 4.03 on two
-    through the capsule (2-vCPU Xeon, one BLAS thread).
+    LAPACK's dpbtrf comes from scipy's Cython LAPACK module, loaded from its
+    file on the first call (once, under a lock, since that call may come
+    from a worker thread) or taken from sys.modules when it is loaded
+    already.  Loading it runs scipy's package __init__ but not
+    scipy.linalg's: 3.7 MB and 23 ms against 28 MB and 274 ms for
+    scipy.linalg (2-vCPU Xeon, numpy loaded).  scipy.linalg is imported
+    only on the error path, for the smallest eigenvalue.  dpbtrf is called
+    through the module's capsule with ctypes, which releases the
+    interpreter lock for the call, so two Monte Carlo worker threads
+    factorise at once.  scipy's f2py wrapper of the same routine holds the
+    lock throughout: a d4 L8 band took 7.39 ms per block on one thread and
+    7.73 on two through it, and 4.03 on two through the capsule (one BLAS
+    thread).  Where the OpenBLAS behind the module exports its thread-count
+    functions, mc holds it to one thread while workers run; another BLAS
+    keeps its own threads, which is slower on two workers but gives the
+    same factors.
     """
-    import scipy.linalg
-
-    dpbtrf = _capsule_function(scipy.linalg.cython_lapack.__pyx_capi__["dpbtrf"])
+    global _LAPACK
+    if _LAPACK is None:
+        with _LAPACK_LOCK:
+            if _LAPACK is None:
+                module = sys.modules.get("scipy.linalg.cython_lapack")
+                if module is None:
+                    import scipy
+                    spec = importlib.machinery.PathFinder.find_spec(
+                        "scipy.linalg.cython_lapack",
+                        [os.path.join(scipy.__path__[0], "linalg")])
+                    module = importlib.util.module_from_spec(spec)
+                    spec.loader.exec_module(module)
+                    # The module enters itself in sys.modules.  Left there, a
+                    # later import of scipy.linalg would find it and not bind
+                    # it as scipy.linalg.cython_lapack; imported anew, it is
+                    # this same module.
+                    if sys.modules.get(spec.name) is module:
+                        del sys.modules[spec.name]
+                _LAPACK = _lapack_of(module)
     stacked = ab.reshape(ab.shape[0], -1)
     chol = np.require(stacked, dtype=float, requirements="FAW")
     info = ctypes.c_int()
-    dpbtrf(b"L", ctypes.c_int(chol.shape[1]), ctypes.c_int(chol.shape[0] - 1),
-           chol.ctypes.data, ctypes.c_int(chol.shape[0]), ctypes.byref(info))
+    _LAPACK(b"L", ctypes.c_int(chol.shape[1]), ctypes.c_int(chol.shape[0] - 1),
+            chol.ctypes.data, ctypes.c_int(chol.shape[0]), ctypes.byref(info))
     if info.value > 0:
-        smallest = (chol[0, info.value - 1] if np.may_share_memory(chol, stacked) else
-                    scipy.linalg.eigvals_banded(stacked, lower=True, select="i",
-                                                select_range=(0, 0))[0])
+        if np.may_share_memory(chol, stacked):
+            smallest = chol[0, info.value - 1]
+        else:
+            import scipy.linalg
+            smallest = scipy.linalg.eigvals_banded(stacked, lower=True, select="i",
+                                                   select_range=(0, 0))[0]
         raise NotPositiveDefiniteError(f"{context} is not positive definite",
                                        float(smallest))
     logdet = 2.0 * np.sum(np.log(chol[0].reshape(ab.shape[1:])), axis=-1)
@@ -359,7 +398,37 @@ def logdet_posdef(ab, context="quadratic form"):
     return logdet
 
 
-@lru_cache(maxsize=None)
+# (get, set) names of the BLAS thread count: scipy's bundled OpenBLAS since
+# scipy 1.13, plain OpenBLAS before.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _lapack_of(cython_lapack):
+    """dpbtrf as a ctypes caller.
+
+    Where the library behind dpbtrf exports a pair of _BLAS_THREAD_SYMBOLS,
+    they go to mc.limit_blas_threads.
+    """
+    dpbtrf = _capsule_function(cython_lapack.__pyx_capi__["dpbtrf"])
+    # A library handle finds the symbols of everything the module links.
+    lib = ctypes.CDLL(cython_lapack.__file__)
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            mc.limit_blas_threads(get_threads, set_threads)
+            break
+    return dpbtrf
+
+
+_LAPACK = None   # dpbtrf, once logdet_posdef has loaded LAPACK
+_LAPACK_LOCK = threading.Lock()
+
+
 def _capsule_function(capsule):
     """ctypes caller of a void (char *, int *, int *, double *, int *, int *) capsule.
 

@@ -431,6 +431,22 @@ def test_wilson_mc_worker_count_leaves_the_record_unchanged(tmp_path, capsys):
     assert payloads[0]["n_samples"] == 4096
 
 
+@pytest.mark.parametrize("which,count", [("bose", "--configs"), ("full", "--samples")])
+def test_verify_bounds_records_equal_at_one_two_and_four_workers(tmp_path, capsys,
+                                                                 which, count):
+    # The Bose check factorises in the workers, at 3 blocks of 32 forms.
+    payloads = []
+    for workers in (1, 2, 4):
+        out = tmp_path / f"{which}-{workers}.json"
+        code, _, _ = run_cli(
+            ["verify-bounds", "--which", which, "--d", 3, "--L", 3, "--n", 2,
+             count, 96, "--block-size", 32, "--seed", 3, "--workers", workers,
+             "--output", out], capsys)
+        assert code == 0
+        payloads.append(read_record(out).payload)
+    assert payloads[0] == payloads[1] == payloads[2]
+
+
 def test_bose_exact_random_su2_bonds_have_det_one(tmp_path, capsys,
                                                   monkeypatch):
     # The bonds never reach the record, so catch them on their way in.

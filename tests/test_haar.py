@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boselgt import haar
-from boselgt.errors import UsageError
+from boselgt.errors import NumericError, UsageError
 from boselgt.haar import (angle_norm_sq, cue_density, cue_density_vandermonde,
                           cue_norm, gue_density, gue_integral, gue_norm,
                           haar_sample, peaked_cue_integral, weyl_integrate,
@@ -295,6 +295,12 @@ def test_gue_integral_monotone_and_bounded():
         assert np.exp(gue_integral(4.0, n)) == pytest.approx(gue_norm(n), rel=1e-4)
         # A box far wider than the Gaussian holds all of its mass.
         assert np.exp(gue_integral(133.0, n)) == pytest.approx(gue_norm(n), rel=1e-12)
+
+
+def test_gram_determinant_error_names_the_integral():
+    x = np.linspace(-1.0, 1.0, 8)
+    with pytest.raises(NumericError, match="the test integral: Gram determinant"):
+        haar._gram_det(x, -np.ones(8), lambda v: v, 1, "the test integral")
 
 
 def test_quadrature_usage_errors():

@@ -2,7 +2,9 @@
 
 pytest has already imported scipy in this process, so sys.modules is only
 meaningful in a child.  The child prints one JSON line last: the exit code
-of the command and whether scipy was loaded by then.
+of the command and whether scipy, and scipy.linalg, were loaded by then.
+The commands that factorise a Bose form load scipy's Cython LAPACK module,
+never scipy.linalg.
 
 The last test reads the import graph statically: every public function,
 class, method and property of the package needs a caller outside the tests.
@@ -35,7 +37,8 @@ def run_command(argv, tmp_path):
         "import json, sys\n"
         "from boselgt.cli import main\n"
         f"code = main({argv!r})\n"
-        "print(json.dumps({'code': code, 'scipy': 'scipy' in sys.modules}))\n",
+        "print(json.dumps({'code': code, 'scipy': 'scipy' in sys.modules,\n"
+        "                  'scipy.linalg': 'scipy.linalg' in sys.modules}))\n",
         tmp_path)
 
 
@@ -65,11 +68,42 @@ def test_building_the_parser_leaves_scipy_unloaded(tmp_path):
 ])
 def test_only_the_commands_that_need_scipy_load_it(tmp_path, argv,
                                                    loads_scipy):
-    assert run_command(argv, tmp_path) == {"code": 0, "scipy": loads_scipy}
+    assert run_command(argv, tmp_path) == {"code": 0, "scipy": loads_scipy,
+                                           "scipy.linalg": False}
+
+
+def test_scipy_linalg_imported_after_a_factorisation_binds_the_same_module(tmp_path):
+    # The LAPACK module the factorisation loaded stays out of sys.modules,
+    # and scipy.linalg imported later binds it, at the same dpbtrf.
+    out = run_fresh(
+        "import ctypes, json, sys\n"
+        "from boselgt.cli import main\n"
+        "from boselgt import partition\n"
+        "code = main(['bose-exact', '--d', '2', '--L', '2', '--gauge', 'random'])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.linalg'))\n"
+        "import scipy.linalg\n"
+        "capsule = scipy.linalg.cython_lapack.__pyx_capi__['dpbtrf']\n"
+        "address = [ctypes.cast(f, ctypes.c_void_p).value for f in\n"
+        "           (partition._capsule_function(capsule), partition._LAPACK)]\n"
+        "print(json.dumps({'code': code, 'loaded': loaded,\n"
+        "                  'same': address[0] == address[1]}))\n", tmp_path)
+    assert out == {"code": 0, "loaded": [], "same": True}
+
+
+IMPORT_CALLS = ("__import__", "import_module", "find_spec", "spec_from_file_location")
+
+
+def is_scipy(name):
+    return isinstance(name, str) and (name == "scipy" or name.startswith("scipy."))
 
 
 def scipy_import_sites(node, where):
-    """Dotted names of the scopes in `node` that import scipy."""
+    """Dotted names of the scopes in `node` that import scipy.
+
+    An import statement counts, and so does a call of one of IMPORT_CALLS
+    (by plain or attribute name) whose first argument is a literal name in
+    scipy.
+    """
     for child in ast.iter_child_nodes(node):
         inner = where
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
@@ -78,18 +112,34 @@ def scipy_import_sites(node, where):
             modules = [alias.name for alias in child.names]
         elif isinstance(child, ast.ImportFrom):
             modules = [child.module or ""]
+        elif (isinstance(child, ast.Call) and child.args
+              and isinstance(child.args[0], ast.Constant)
+              and getattr(child.func, "id", getattr(child.func, "attr", None))
+              in IMPORT_CALLS):
+            modules = [child.args[0].value]
         else:
             modules = []
-        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+        if any(is_scipy(m) for m in modules):
             yield inner
         yield from scipy_import_sites(child, inner)
+
+
+def test_scipy_import_sites_sees_statements_and_calls():
+    code = ("import importlib\n"
+            "def a():\n    import scipy.linalg\n"
+            "def b():\n    importlib.import_module('scipy.special')\n"
+            "def c():\n    importlib.util.find_spec('scipy')\n"
+            "def d():\n    __import__('numpy')\n    find_spec('scipyx')\n")
+    assert list(scipy_import_sites(ast.parse(code), "m")) == ["m.a", "m.b", "m.c"]
 
 
 def test_only_the_bose_log_determinant_imports_scipy():
     sites = [site for path in sorted((SRC / "boselgt").glob("*.py"))
              for site in scipy_import_sites(ast.parse(path.read_text()),
                                             path.stem)]
-    assert sites == ["partition.logdet_posdef"]
+    # The loader's import of scipy and its find_spec of the Cython LAPACK
+    # module, and the error path's scipy.linalg, all in the one function.
+    assert sites == ["partition.logdet_posdef"] * 3
 
 
 def test_first_scipy_import_in_worker_threads_keeps_results(tmp_path):

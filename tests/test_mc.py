@@ -1,8 +1,11 @@
 """Deterministic blocked Monte Carlo driver."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from boselgt import mc
 from boselgt.mc import Moments, block_moments, block_rng, map_blocks, sample_mean
 
 
@@ -77,3 +80,66 @@ def test_sample_mean_estimates_the_mean():
                       n_total=200_000, seed=5, n_workers=4)
     assert abs(mom.mean - 2.0) < 4.0 * mom.std_error
     assert mom.std_error == pytest.approx(3.0 / np.sqrt(200_000), rel=0.05)
+
+
+def test_map_blocks_raises_the_first_failed_block_for_any_worker_count():
+    # A block's first draw tells which block it is.
+    firsts = [block_rng(0, i).integers(1 << 62) for i in range(8)]
+
+    def block(rng, m):
+        i = firsts.index(rng.integers(1 << 62))
+        if i in (2, 5):
+            raise RuntimeError(f"block {i}")
+        return i
+
+    for workers in (1, 2, 4):
+        with pytest.raises(RuntimeError, match="block 2"):
+            map_blocks(block, n_total=8, seed=0, n_workers=workers, block_size=1)
+
+
+def test_one_worker_or_one_block_runs_in_the_callers_thread():
+    def thread_name(rng, m):
+        return threading.current_thread().name
+
+    main = threading.current_thread().name
+    assert map_blocks(thread_name, n_total=4, seed=0, n_workers=4, block_size=4) == [main]
+    assert map_blocks(thread_name, n_total=4, seed=0, n_workers=1, block_size=1) == [main] * 4
+    assert main not in map_blocks(thread_name, n_total=4, seed=0, n_workers=2, block_size=1)
+
+
+def test_a_running_call_holds_blas_to_one_thread_and_restores_it(monkeypatch):
+    threads = [3]
+    log = []
+
+    def set_threads(n):
+        log.append(n)
+        threads[0] = n
+
+    monkeypatch.setattr(mc._BLAS, "blas", None)
+    mc.limit_blas_threads(lambda: threads[0], set_threads)
+    seen = map_blocks(lambda rng, m: threads[0], n_total=6, seed=0, n_workers=2,
+                      block_size=1)
+    assert seen == [1] * 6 and threads == [3] and log == [1, 3]
+    assert map_blocks(lambda rng, m: threads[0], n_total=6, seed=0,
+                      block_size=1) == [3] * 6
+    assert log == [1, 3]   # one worker: BLAS keeps its threads
+    with pytest.raises(ZeroDivisionError):
+        map_blocks(lambda rng, m: 1 / 0 if threads[0] == 1 else None, n_total=6,
+                   seed=0, n_workers=2, block_size=1)
+    assert threads == [3] and mc._BLAS.saved is None   # restored after a failure
+
+
+def test_a_blas_given_during_a_call_is_held_at_once(monkeypatch):
+    # The first factorisation loads LAPACK in a worker, mid-call.
+    threads = [3]
+    monkeypatch.setattr(mc._BLAS, "blas", None)
+
+    def block(rng, m):
+        if mc._BLAS.blas is None:
+            mc.limit_blas_threads(lambda: threads[0],
+                                  lambda n: threads.__setitem__(0, n))
+        return threads[0]
+
+    # The block that gave it reads one thread.
+    assert 1 in map_blocks(block, n_total=2, seed=0, n_workers=2, block_size=1)
+    assert threads == [3]

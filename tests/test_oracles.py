@@ -117,6 +117,20 @@ def test_z_single_bond_u8_matches_the_toeplitz_determinant_in_mpmath():
     assert abs(z_single_bond(c, n, kind="U").log_value - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_z_single_bond_on_the_whole_circle_matches_the_toeplitz_determinant(n):
+    # At c = 0.5 the peak variable is the angle itself (s = 1), where the
+    # Fourier basis keeps the Gram matrix well conditioned.
+    import mpmath
+    c = 0.5
+    with mpmath.workdps(60):
+        ive_k = [mpmath.besseli(k, 2 * c) * mpmath.exp(-2 * c) for k in range(n)]
+        toeplitz = mpmath.matrix([[ive_k[abs(j - k)] for k in range(n)]
+                                  for j in range(n)])
+        expected = float(mpmath.log(mpmath.det(toeplitz)))
+    assert abs(z_single_bond(c, n, kind="U").log_value - expected) <= 1e-10
+
+
 @pytest.mark.parametrize("c", [1e10, 1e210, 1e300])
 def test_su2_one_bond_log_matches_mpmath_below_the_double_range(c):
     # log(ive(1, 4c) / (2c)) is -727.6 at c = 1e210, where z is not a double.

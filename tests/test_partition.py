@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from boselgt import mc, partition
 from boselgt.actions import ModelParams, ScalingFactors
 from boselgt.errors import NotPositiveDefiniteError, NumericError, UsageError
 from boselgt.haar import haar_sample
@@ -325,6 +326,39 @@ def test_logdet_posdef_releases_the_interpreter_lock():
     assert not thread.is_alive() and len(took) == 1
     assert took[0] >= 0.05, took
     assert longest < 0.5 * took[0], (longest, took[0])
+
+
+def small_band(kd=40, m=200):
+    ab = np.full((kd + 1, 1, m), -1.0, order="F")
+    ab[0] = 2.0 * kd + 1.0   # diagonally dominant, so positive definite
+    return ab
+
+
+def test_two_workers_factorise_on_one_blas_thread_which_is_restored():
+    logdet_posdef(small_band())   # the LAPACK module loaded
+    if mc._BLAS.blas is None:
+        pytest.skip("this BLAS exports no thread-count functions")
+    get_threads, set_threads = mc._BLAS.blas
+    before = get_threads()
+    set_threads(2)
+    try:
+        threads = get_threads()
+        seen = mc.map_blocks(lambda rng, m: (logdet_posdef(small_band()), get_threads())[1],
+                             4, 0, 2, 1)
+        assert seen == [1] * 4
+        assert get_threads() == threads
+    finally:
+        set_threads(before)
+
+
+def test_without_blas_thread_functions_two_workers_keep_the_factors(monkeypatch):
+    monkeypatch.setattr(partition, "_BLAS_THREAD_SYMBOLS", (("no_get", "no_set"),))
+    monkeypatch.setattr(partition, "_LAPACK", None)
+    monkeypatch.setattr(mc._BLAS, "blas", None)
+    expect = logdet_posdef(small_band())   # loads again, without the symbols
+    assert mc._BLAS.blas is None
+    got = mc.map_blocks(lambda rng, m: logdet_posdef(small_band()), 6, 0, 2, 1)
+    assert all(np.array_equal(g, expect) for g in got)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
