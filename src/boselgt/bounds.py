@@ -122,10 +122,10 @@ class BoundConstants:
         """Exact per-site rates for the full model on this lattice.
 
         (lower, upper) with upper = bose_upper + gauge_upper * Lr/Ls and the
-        same shape for lower (whose Bose part is 0); a spanning tree leaves
-        Lr = n_bonds - (n_sites - 1) retained bonds.
+        same shape for lower (whose Bose part is 0), with Lr =
+        lattice.n_retained.
         """
-        ratio = (lattice.n_bonds - lattice.n_sites + 1) / lattice.n_sites
+        ratio = lattice.n_retained / lattice.n_sites
         return (self.bose_lower + self.gauge_lower * ratio,
                 self.bose_upper + self.gauge_upper * ratio)
 
@@ -171,7 +171,7 @@ def _report_from_estimate(name, est, log_lower, log_upper):
 
 def _gauge_scaled(params, est):
     """est times the gauge scale s_Y^{d(N) Lr}: a shift of log_value only."""
-    log_scale = (group_dim(params.kind, params.n) * params.gauge_fixing.n_retained
+    log_scale = (group_dim(params.kind, params.n) * params.lattice.n_retained
                  * np.log(params.scaling.gauge_scale))
     return replace(est, log_value=est.log_value + log_scale)
 
@@ -275,7 +275,7 @@ def verify_gauge_bounds(params, n_samples=200_000, seed=0, n_workers=1,
     Monte Carlo over gauge-fixed Haar configurations.
     """
     consts = BoundConstants.for_params(params)
-    n_ret = params.gauge_fixing.n_retained
+    n_ret = params.lattice.n_retained
     if params.d == 2:
         est = z_wilson_d2_exact(params)
     else:

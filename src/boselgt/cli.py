@@ -137,7 +137,7 @@ def run_lattice_info(cfg):
         "n_bonds": lat.n_bonds,
         "n_plaquettes": lat.n_plaquettes,
         "n_tree_bonds": int(len(fixing.tree_bonds)),
-        "n_retained_bonds": fixing.n_retained,
+        "n_retained_bonds": lat.n_retained,
         "spanning_tree": bool(fixing.is_spanning_tree()),
     }
     print(f"lattice d={lat.d} L={lat.L} a={lat.a}")
@@ -315,7 +315,7 @@ def run_sweep(cfg):
             "gauge": estimate_payload(gauge),
             "bose_identity": estimate_payload(bose),
             "log_gauge_per_retained_bond":
-                gauge.log_value / params.gauge_fixing.n_retained,
+                gauge.log_value / params.lattice.n_retained,
             "log_bose_per_site": bose.log_value / params.lattice.n_sites,
         }
         point_cfg = {"a": a, "g_sq": g_sq, "L": L, "n": n,

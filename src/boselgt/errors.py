@@ -30,8 +30,10 @@ class QuadratureError(NumericError):
 class NotPositiveDefiniteError(NumericError):
     """A quadratic form expected to be positive definite is not.
 
-    The smallest diagonal pivot (or eigenvalue) found is reported so the
-    caller can see how far from positive the form is.
+    smallest_pivot is the first pivot of the Cholesky factorisation that
+    LAPACK found not positive, or the exact smallest eigenvalue where a
+    closed form gives it (identity bonds), so the caller can see that, and
+    roughly how far, the form is from positive.
     """
 
     def __init__(self, message, smallest_pivot):

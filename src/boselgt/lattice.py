@@ -15,7 +15,7 @@ Direction 0 plays the role of time.  The gauge-fixing tree is the enhanced
 temporal one: all time bonds, plus for each spatial direction k >= 1 the
 direction-k bonds in the slice where all earlier coordinates equal 1.  That
 is a spanning tree (checked by union-find), so L^d - 1 bonds are fixed and
-the rest are retained.
+the rest, Lattice.n_retained, are retained.
 """
 
 from dataclasses import dataclass
@@ -84,6 +84,11 @@ class Lattice:
     @property
     def n_plaquettes(self):
         return comb(self.d, 2) * self.L ** (self.d - 2) * (self.L - 1) ** 2
+
+    @property
+    def n_retained(self):
+        """Bonds outside a spanning tree, which has n_sites - 1 of them."""
+        return self.n_bonds - self.n_sites + 1
 
     # ---- sites ----
 
@@ -196,7 +201,3 @@ class GaugeFixing:
     @property
     def retained_bonds(self):
         return np.nonzero(~self.tree_mask)[0]
-
-    @property
-    def n_retained(self):
-        return int(np.sum(~self.tree_mask))

@@ -47,9 +47,10 @@ log_z_bose_identity sums it in closed form (the sweep and bose-exact
 
 * z_bose_exact_unscaled still shifts by the full M = n_sites * width,
   since Q_u = s_B^2 Q on every field, kept or eliminated;
-* a NotPositiveDefiniteError from log_z_bose names the smallest
-  eigenvalue of S, which is 1 - sigma_max^2 for the largest singular value
-  sigma_max of B, where Q's would be 1 - sigma_max.
+* a NotPositiveDefiniteError from log_z_bose names the first pivot of
+  S's Cholesky factor that was not positive, not an eigenvalue of S or Q;
+  with unitary bonds and kappa^2 <= 1/(2d) S is positive definite, so only
+  bonds that are not unitary reach it.
 
 Values that can leave the double range are carried as logarithms; Estimate
 keeps both, with log_value authoritative, and carries its error on the log
@@ -58,7 +59,7 @@ scale, where a known scale factor does not touch it.
 scipy is loaded inside logdet_posdef, the one function that uses it, so
 the commands that never factorise a form, the sweep and bose-exact
 --gauge identity among them, run without loading it.  The commands that do
-load only scipy's Cython LAPACK module, not scipy.linalg (whose import
+load only scipy's Cython LAPACK module, never scipy.linalg (whose import
 costs 28 MB and a quarter of a second), and only for LAPACK's dpbtrf.
 While more than one Monte Carlo worker runs, mc holds the OpenBLAS behind
 that module to one thread, so workers and BLAS threads do not
@@ -325,7 +326,7 @@ def bose_quadratic_form(params, bonds):
     return band.transpose((band.ndim - 1,) + tuple(range(band.ndim - 1)))
 
 
-def logdet_posdef(ab, context="quadratic form"):
+def logdet_posdef(ab):
     """log det of a stack of symmetric positive definite band matrices.
 
     ab has the module's layout (kd + 1,) + lead + (M,), and the result is
@@ -333,22 +334,22 @@ def logdet_posdef(ab, context="quadratic form"):
     stack.  When the stack's columns are contiguous, the layout
     bose_quadratic_form returns, LAPACK factorises ab in place and ab holds
     the factor afterwards; any band that is not Fortran-contiguous is
-    factorised on a copy.  The eigenvalues of the Schur band S = 1 - B B^T
-    are 1 - sigma^2 over the singular values sigma of B, and sigma <= 2 d
-    kappa^2 (at most 2 d bonds per site, each block of norm at most
-    kappa^2), so they are at least 1 - (2 d kappa^2)^2 and well inside the
-    hopping range the factorization cannot fail.  If it does (e.g. at the
-    massless edge with round-off), the error names the smallest eigenvalue
-    of the stack, or the first pivot that was not positive when ab itself
-    was overwritten.  Entries that are not finite raise ValueError.
+    factorised on a copy, with the same result.  The Schur band S = 1 -
+    B B^T of unitary bonds at kappa^2 <= 1/(2d) is positive definite: its
+    bond blocks have norm at most kappa^2, so by the diamagnetic inequality
+    (B. Simon, J. Funct. Anal. 32 (1979) 97) its smallest eigenvalue is at
+    least that of identity bonds at the massless edge, sin^2(pi / (L + 1))
+    > 0.  A band that is not positive definite raises
+    NotPositiveDefiniteError with the first pivot that was not positive, the
+    value LAPACK leaves in its diagonal, whichever layout ab has.  Entries
+    that are not finite raise ValueError.
 
     LAPACK's dpbtrf comes from scipy's Cython LAPACK module, loaded from its
     file on the first call (once, under a lock, since that call may come
     from a worker thread) or taken from sys.modules when it is loaded
     already.  Loading it runs scipy's package __init__ but not
     scipy.linalg's: 3.7 MB and 23 ms against 28 MB and 274 ms for
-    scipy.linalg (2-vCPU Xeon, numpy loaded).  scipy.linalg is imported
-    only on the error path, for the smallest eigenvalue.  dpbtrf is called
+    scipy.linalg (2-vCPU Xeon, numpy loaded).  dpbtrf is called
     through the module's capsule with ctypes, which releases the
     interpreter lock for the call, so two Monte Carlo worker threads
     factorise at once.  scipy's f2py wrapper of the same routine holds the
@@ -378,23 +379,23 @@ def logdet_posdef(ab, context="quadratic form"):
                     if sys.modules.get(spec.name) is module:
                         del sys.modules[spec.name]
                 _LAPACK = _lapack_of(module)
-    stacked = ab.reshape(ab.shape[0], -1)
-    chol = np.require(stacked, dtype=float, requirements="FAW")
+    chol = np.require(ab.reshape(ab.shape[0], -1), dtype=float, requirements="FAW")
     info = ctypes.c_int()
     _LAPACK(b"L", ctypes.c_int(chol.shape[1]), ctypes.c_int(chol.shape[0] - 1),
             chol.ctypes.data, ctypes.c_int(chol.shape[0]), ctypes.byref(info))
+    not_finite = "Bose quadratic form has entries that are not finite"
     if info.value > 0:
-        if np.may_share_memory(chol, stacked):
-            smallest = chol[0, info.value - 1]
-        else:
-            import scipy.linalg
-            smallest = scipy.linalg.eigvals_banded(stacked, lower=True, select="i",
-                                                   select_range=(0, 0))[0]
-        raise NotPositiveDefiniteError(f"{context} is not positive definite",
-                                       float(smallest))
+        # LAPACK stops at the first pivot that is not positive.  Reference
+        # LAPACK's blocked path (kd >= 32) stops at a NaN one too, where
+        # OpenBLAS runs on to a log det that is not finite.
+        pivot = float(chol[0, info.value - 1])
+        if np.isnan(pivot):
+            raise ValueError(not_finite)
+        raise NotPositiveDefiniteError("Bose quadratic form is not positive definite",
+                                       pivot)
     logdet = 2.0 * np.sum(np.log(chol[0].reshape(ab.shape[1:])), axis=-1)
     if not np.all(np.isfinite(logdet)):
-        raise ValueError(f"{context} has entries that are not finite")
+        raise ValueError(not_finite)
     return logdet
 
 
@@ -455,24 +456,15 @@ def log_z_bose(params, bonds):
     builder works entry by entry, so each value equals that of its form
     factorised alone (bit for bit in every case tested, LAPACK's blocked
     kd >= 32 path too).  For complex fields S comes from the real
-    embedding, giving det^{-n_flavors} of the Hermitian form.  A slice
-    that fails to factorise is built again, so that the error names the
-    smallest eigenvalue of S.
+    embedding, giving det^{-n_flavors} of the Hermitian form.
     """
     lat = params.lattice
     plan = _schur_plan(lat.d, lat.L, _field_width(params))
     lead = bonds.shape[:-3]
     flat = bonds.reshape((-1,) + bonds.shape[-3:])
     out = np.empty(len(flat))
-    context = "Bose quadratic form"
     for s in lead_slices(len(flat), plan.form_entries, BOSE_SLICE_ENTRIES):
-        try:
-            logdet = logdet_posdef(bose_quadratic_form(params, flat[s]), context)
-        except NotPositiveDefiniteError:
-            # LAPACK overwrote the band.  A rebuilt one in C order is
-            # factorised on a copy, so its error names the smallest eigenvalue.
-            logdet_posdef(bose_quadratic_form(params, flat[s]).copy(), context)
-            raise
+        logdet = logdet_posdef(bose_quadratic_form(params, flat[s]))
         out[s] = 0.0 - 0.5 * params.n_flavors * logdet   # +0.0, not -0.0, at kappa = 0
     return out.reshape(lead)
 
@@ -593,4 +585,4 @@ def z_wilson_d2_exact(params):
     if params.d != 2:
         raise UsageError(f"exact factorization requires d = 2, got {params.d}")
     log_z = z_single_bond(params.scaling.coupling, params.n, params.kind).log_value
-    return Estimate.exact(params.gauge_fixing.n_retained * log_z, method="quadrature")
+    return Estimate.exact(params.lattice.n_retained * log_z, method="quadrature")

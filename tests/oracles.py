@@ -278,7 +278,7 @@ def chain_partition(length, n, d, gauge_list=None, kappa_sq=None):
     links = np.arange(length - 1)
     hops = d * kappa_sq * np.asarray(gauge_list, dtype=float)
     ab = banded_form(length, n, links, links + 1, hops[None])   # a stack of one
-    logdet = logdet_posdef(ab, context="chain quadratic form")[0]
+    logdet = logdet_posdef(ab)[0]
     return float(np.exp(-0.5 * logdet))
 
 

@@ -104,7 +104,7 @@ def test_criterion_04_gauge_fixing_equivalence():
     lat = Lattice(d=2, L=2, a=1.0)
     fixing = GaugeFixing.enhanced_temporal(lat)
     assert lat.n_bonds == 4 and lat.n_plaquettes == 1
-    assert fixing.n_retained == 1
+    assert lat.n_retained == len(fixing.retained_bonds) == 1
     c = 1.0  # a = 1, g^2 = 1
     m = 64
     th = -np.pi + 2.0 * np.pi * (np.arange(m) + 1.0) / m

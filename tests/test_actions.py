@@ -258,7 +258,7 @@ def test_retained_bond_plan_groups_three_class_pairs_at_most(d, L):
         assert pairs == ({(1, 0)} if L == 2 else {(1, 0), (1, 1)})
     else:
         assert pairs == {(1, 0), (1, 1), (2, 2)}
-    assert plan.n_drawn == params.gauge_fixing.n_retained
+    assert plan.n_drawn == params.lattice.n_retained
     assert sorted(plan.back) == list(range(params.lattice.n_plaquettes))
 
 

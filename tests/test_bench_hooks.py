@@ -79,7 +79,7 @@ def test_u2_sampler_and_plaquettes_are_counted(spans):
     ix = spans.SpanIndex(tracer.spans)
     assert ix.calls("mc.block") == 4
     assert ix.counted("haar.sample") == (
-        64 * p.gauge_fixing.n_retained + 64 * lat.n_bonds)
+        64 * p.lattice.n_retained + 64 * lat.n_bonds)
     assert ix.counted("su2.haar") == 0
     # The tracer wraps plaquette_actions where bounds resolves it, so only
     # the full-model blocks are counted.

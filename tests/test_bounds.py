@@ -231,7 +231,7 @@ def test_full_model_verifier_matches_matter_sector_api(n, kind):
     log_w = [-wilson_action(p, plan, b)
              - 0.5 * logdet_posdef(bose_quadratic_form(p, b[None]))[0]
              for b in bonds]
-    log_scale = (group_dim(kind, n) * p.gauge_fixing.n_retained
+    log_scale = (group_dim(kind, n) * p.lattice.n_retained
                  * np.log(p.scaling.gauge_scale))
     assert log_scale != 0.0
     w = np.exp(log_w)
@@ -263,7 +263,7 @@ def test_each_estimator_and_check_builds_one_plaquette_plan_per_call(
     verify_full_model(p, 256, seed=1, **run)
     check_plaquette_quadratic("U", 1, 3, 256, seed=1, **run)
     elementary_inequality_suite(256, seed=1, **run)
-    assert built == [None, p.gauge_fixing.n_retained, None, 3, 1]
+    assert built == [None, p.lattice.n_retained, None, 3, 1]
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
@@ -286,7 +286,7 @@ def test_full_model_slices_equal_one_unsliced_factorisation(monkeypatch, n_worke
 
     est = Estimate.from_moments(
         mc.sample_mean(unsliced, count, seed, block_size=block), seed)
-    log_scale = (group_dim(p.kind, p.n) * p.gauge_fixing.n_retained
+    log_scale = (group_dim(p.kind, p.n) * p.lattice.n_retained
                  * np.log(p.scaling.gauge_scale))
     assert rep.log_value == est.log_value + log_scale
     assert rep.std_error_log == est.std_error_log
@@ -333,7 +333,7 @@ def test_gauge_verifier_error_does_not_move_with_the_scale():
     count, seed = 4000, 3
     rep = verify_gauge_bounds(p, n_samples=count, seed=seed)
     raw = z_wilson_mc(p, count, seed, gauge_fixed=True)
-    log_scale = (group_dim("SU", 2) * p.gauge_fixing.n_retained
+    log_scale = (group_dim("SU", 2) * p.lattice.n_retained
                  * np.log(p.scaling.gauge_scale))
     assert abs(log_scale) > 1.0
     assert rep.log_value == pytest.approx(raw.log_value + log_scale, rel=1e-14)

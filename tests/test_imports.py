@@ -138,8 +138,29 @@ def test_only_the_bose_log_determinant_imports_scipy():
              for site in scipy_import_sites(ast.parse(path.read_text()),
                                             path.stem)]
     # The loader's import of scipy and its find_spec of the Cython LAPACK
-    # module, and the error path's scipy.linalg, all in the one function.
-    assert sites == ["partition.logdet_posdef"] * 3
+    # module, both in the one function; no path imports scipy.linalg.
+    assert sites == ["partition.logdet_posdef"] * 2
+
+
+def test_a_failed_bose_factorisation_leaves_scipy_linalg_unloaded(tmp_path):
+    out = run_fresh(
+        "import json, sys\n"
+        "from boselgt.actions import ModelParams\n"
+        "from boselgt.errors import NotPositiveDefiniteError\n"
+        "from boselgt.partition import log_z_bose\n"
+        "import numpy as np\n"
+        "p = ModelParams(d=2, L=3, n=1)\n"
+        "bonds = 2.0 * np.ones((p.lattice.n_bonds, 1, 1))\n"
+        "try:\n"
+        "    log_z_bose(p, bonds)\n"
+        "    pivot = None\n"
+        "except NotPositiveDefiniteError as err:\n"
+        "    pivot = err.smallest_pivot\n"
+        "print(json.dumps({'pivot': pivot,\n"
+        "                  'scipy.linalg': 'scipy.linalg' in sys.modules}))\n",
+        tmp_path)
+    assert out["pivot"] is not None and out["pivot"] < 0.0
+    assert out["scipy.linalg"] is False
 
 
 def test_first_scipy_import_in_worker_threads_keeps_results(tmp_path):

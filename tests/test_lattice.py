@@ -32,9 +32,9 @@ def test_counts_match_closed_forms(d, L):
 def test_retained_bond_counts(d, L, expected):
     # (L-1)^2, (2L+1)(L-1)^2 and (3L^3 - L^2 - L - 1)(L-1) respectively.
     lat = Lattice(d=d, L=L)
-    assert GaugeFixing.enhanced_temporal(lat).n_retained == expected
-    # A spanning tree keeps n_sites - 1 bonds, the count combined_rates reads.
-    assert lat.n_bonds - (lat.n_sites - 1) == expected
+    assert lat.n_retained == expected
+    # The enhanced temporal tree leaves exactly the closed form's count.
+    assert len(GaugeFixing.enhanced_temporal(lat).retained_bonds) == expected
 
 
 def test_site_enumeration_is_lexicographic():
@@ -177,7 +177,7 @@ def test_enhanced_temporal_tree_spans(d, L):
     fixing = GaugeFixing.enhanced_temporal(lat)
     assert fixing.is_spanning_tree()
     assert len(fixing.tree_bonds) == lat.n_sites - 1
-    assert fixing.n_retained == lat.n_bonds - (lat.n_sites - 1)
+    assert len(fixing.retained_bonds) == lat.n_retained
     # Tree and retained sets partition the bonds.
     both = np.concatenate([fixing.tree_bonds, fixing.retained_bonds])
     assert np.array_equal(np.sort(both), np.arange(lat.n_bonds))

@@ -1,5 +1,6 @@
 """Partition values: exact determinants, Monte Carlo, one-bond, kernels."""
 
+import ctypes
 import math
 import threading
 import time
@@ -260,10 +261,14 @@ def test_logdet_posdef_routes_and_failure():
     # A stack of one form: the band axis, one lead entry, the columns.
     assert logdet_posdef(dense_to_band(q)[:, None]) == pytest.approx(
         [np.linalg.slogdet(q)[1]], rel=1e-12)
-    with pytest.raises(NotPositiveDefiniteError) as err:
-        logdet_posdef(dense_to_band(np.array([[1.0, 2.0], [2.0, 1.0]]))[:, None])
-    assert err.value.smallest_pivot < 0.0  # the offending pivot is reported
-    assert err.value.smallest_pivot == pytest.approx(-1.0)
+    # The first pivot that is not positive, 1 - 2^2, from a C-ordered band
+    # (factorised on a copy) and from a Fortran-ordered one (in place) alike.
+    indefinite = dense_to_band(np.array([[1.0, 2.0], [2.0, 1.0]]))[:, None]
+    for band in (indefinite, np.asfortranarray(indefinite)):
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="Bose quadratic form is not positive definite") as err:
+            logdet_posdef(band)
+        assert err.value.smallest_pivot == -3.0
 
 
 @pytest.mark.parametrize("params,lead", [
@@ -444,7 +449,7 @@ def test_stacked_bands_factorise_as_one(d, L, field_kind, n):
         assert logdet == pytest.approx(expect, rel=1e-10)
 
 
-def test_stacked_band_failure_names_a_negative_eigenvalue():
+def test_stacked_band_failure_names_the_same_pivot_in_either_layout():
     p = ModelParams(d=2, L=3, n=2, m_u=0.5, kappa_u_sq=1.0)
     rng = np.random.default_rng(7)
     bonds = np.stack([haar_sample(rng, 2, size=p.lattice.n_bonds)
@@ -453,31 +458,52 @@ def test_stacked_band_failure_names_a_negative_eigenvalue():
     # Set the third form's diagonal to -1: that form is indefinite by
     # itself while the other four stay positive definite.
     ab[0, 2] = -1.0
-    smallest = np.linalg.eigvalsh(band_to_dense(ab[:, 2]))[0]
-    assert smallest < 0.0
-    # A C-ordered band is factorised on a copy, which leaves it to name.
-    with pytest.raises(NotPositiveDefiniteError) as err:
-        logdet_posdef(ab.copy())
-    assert err.value.smallest_pivot == pytest.approx(smallest, rel=1e-10)
-    # The builder's layout is factorised in place: the first pivot that is
-    # not positive is named, and the band now holds a partial factor.
-    with pytest.raises(NotPositiveDefiniteError) as err:
-        logdet_posdef(ab)
-    assert err.value.smallest_pivot == -1.0
+    assert np.linalg.eigvalsh(band_to_dense(ab[:, 2]))[0] < 0.0
+    # Forms do not couple, so the first pivot that is not positive is the
+    # third form's first diagonal entry, whether the band is factorised on
+    # a C-ordered copy or, in the builder's layout, in place.
+    for band in (ab.copy(), ab):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            logdet_posdef(band)
+        assert err.value.smallest_pivot == -1.0
 
 
-def test_bose_failure_names_the_smallest_eigenvalue_of_s():
+def test_bose_failure_names_a_negative_pivot():
     # Bonds twice the identity push the hopping past the positive range.
-    # Q's eigenvalues are 1 -+ sigma for the singular values sigma of B, and
-    # S's are 1 - sigma^2, so S names 1 - (1 - min eig Q)^2, not min eig Q.
     p = ModelParams(d=2, L=3, n=1)
     bonds = 2.0 * identity_bonds(1, p.lattice.n_bonds)
-    q_min = np.linalg.eigvalsh(dense_bose_form(p, bonds))[0]
-    assert q_min < 0.0
+    assert np.linalg.eigvalsh(dense_bose_form(p, bonds))[0] < 0.0
+    # The Cholesky pivots of S are ratios of its leading principal minors.
+    s = band_to_dense(bose_quadratic_form(p, bonds))
+    minors = [np.linalg.det(s[:j, :j]) for j in range(1, len(s) + 1)]
+    pivots = np.array(minors) / np.r_[1.0, minors[:-1]]
+    first = pivots[np.argmax(pivots <= 0.0)]
+    assert first < 0.0
     with pytest.raises(NotPositiveDefiniteError, match="Bose quadratic form") as err:
         log_z_bose(p, bonds)
-    assert err.value.smallest_pivot == pytest.approx(1.0 - (1.0 - q_min) ** 2,
-                                                     rel=1e-10)
+    assert err.value.smallest_pivot == pytest.approx(first, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,L,n,field_kind,kind", [
+    (2, 3, 1, "real", "U"), (2, 8, 2, "complex", "U"),
+    (3, 4, 2, "real", "SU"), (4, 3, 2, "real", "U"),
+])
+def test_haar_bonds_keep_s_above_the_massless_identity_floor(d, L, n, field_kind, kind):
+    # Diamagnetic inequality: bond blocks of norm <= 1 cannot raise the
+    # largest singular value of B above its identity-bond value, 2 d kappa^2
+    # cos(pi / (L + 1)), so at the massless edge kappa^2 = 1/(2d) every
+    # eigenvalue of S = 1 - B B^T is at least sin^2(pi / (L + 1)) > 0 and
+    # drawn bonds never reach the factorisation's failure.
+    p = ModelParams(d=d, L=L, n=n, kind=kind, field_kind=field_kind, m_u=0.0)
+    assert p.scaling.kappa_sq == 1.0 / (2 * d)
+    bonds = haar_sample(np.random.default_rng(10 * d + L), n, kind=kind,
+                        size=(8, p.lattice.n_bonds))
+    bonds[0] = identity_bonds(n, p.lattice.n_bonds)   # where the floor is reached
+    ab = bose_quadratic_form(p, bonds)
+    floor = np.sin(np.pi / (L + 1)) ** 2
+    smallest = [np.linalg.eigvalsh(band_to_dense(ab[:, i]))[0] for i in range(len(bonds))]
+    assert smallest[0] == pytest.approx(floor, rel=1e-12)
+    assert min(smallest) >= floor - 1e-12
 
 
 def test_non_finite_bonds_are_refused():
@@ -486,6 +512,28 @@ def test_non_finite_bonds_are_refused():
     bonds[4] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         log_z_bose(p, bonds)
+
+
+def test_non_finite_bonds_are_refused_on_the_blocked_path():
+    # kd = 33 >= 32: dpbtrf factorises in blocks, not column by column.
+    p = ModelParams(d=3, L=4, n=2)
+    bonds = haar_sample(np.random.default_rng(3), 2, size=(2, p.lattice.n_bonds))
+    assert bose_quadratic_form(p, bonds).shape[0] - 1 == 33
+    bonds[1, 5] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        log_z_bose(p, bonds)
+
+
+def test_a_nan_pivot_is_refused_as_not_finite(monkeypatch):
+    # Reference LAPACK stops at a NaN pivot, where OpenBLAS runs through
+    # it; either way the error is ValueError, not NotPositiveDefiniteError.
+    def stops_at_a_nan(uplo, n, kd, data, ldab, info):
+        ctypes.c_double.from_address(data).value = np.nan
+        info._obj.value = 1
+
+    monkeypatch.setattr(partition, "_LAPACK", stops_at_a_nan)
+    with pytest.raises(ValueError, match="not finite"):
+        logdet_posdef(np.ones((1, 1, 3)))
 
 
 @pytest.mark.parametrize("field_kind,n_flavors", [("real", 1), ("complex", 2)])
@@ -613,7 +661,7 @@ def test_gauge_fixed_sampling_agrees_with_free():
 
 def _block_peak_over_draws(params, samples):
     """tracemalloc peak of one gauge-fixed z_wilson_mc block over its draw bytes."""
-    draw_bytes = samples * params.gauge_fixing.n_retained * params.n**2 * 16
+    draw_bytes = samples * params.lattice.n_retained * params.n**2 * 16
     params.lattice.plaq_bonds  # tables are built once per lattice, not per block
     tracemalloc.start()
     try:
