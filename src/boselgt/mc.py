@@ -5,16 +5,9 @@ Sample index space is cut into fixed-size blocks; block i draws from a
 counter-based generator advanced to a window reserved for that block, and
 block summaries are merged strictly in block order.  Workers only decide who
 computes which block, so results are bit-identical for any worker count.
-
-While a multi-worker call runs, the BLAS that partition loads for its
-factorisations is held to one thread (limit_blas_threads), so worker threads
-and BLAS threads do not oversubscribe the cores; its thread count is
-restored when the call ends.
 """
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,57 +40,6 @@ def _block_sizes(n_total, block_size):
     return [(i, min(block_size, n_total - i * block_size)) for i in range(n_blocks)]
 
 
-class _BlasPin:
-    """Holds a BLAS to one thread while a multi-worker map_blocks call runs.
-
-    blas is the (get, set) pair of its thread count, once limit_blas_threads
-    has been given it; saved is the count to restore while it is held.
-    Callers run one at a time: a second call that overlaps the first loses
-    the pin when the first ends, but the count is still restored.
-    """
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.blas = None
-        self.saved = None
-        self.running = False
-
-    def hold(self):
-        if self.running and self.blas is not None and self.saved is None:
-            get_threads, set_threads = self.blas
-            self.saved = get_threads()
-            set_threads(1)
-
-    @contextmanager
-    def while_running(self):
-        with self.lock:
-            self.running = True
-            self.hold()
-        try:
-            yield
-        finally:
-            with self.lock:
-                self.running = False
-                if self.saved is not None:
-                    self.blas[1](self.saved)
-                    self.saved = None
-
-
-_BLAS = _BlasPin()
-
-
-def limit_blas_threads(get_threads, set_threads):
-    """Hold a BLAS to one thread while multi-worker map_blocks calls run.
-
-    get_threads() returns its thread count and set_threads(n) sets it.  A
-    call already running is pinned at once: the first factorisation, which
-    loads the BLAS, may run in a worker.
-    """
-    with _BLAS.lock:
-        _BLAS.blas = (get_threads, set_threads)
-        _BLAS.hold()
-
-
 def map_blocks(block_fn, n_total, seed, n_workers=1, block_size=DEFAULT_BLOCK_SIZE):
     """Run block_fn(rng, count) per block, returning results in block order.
 
@@ -111,7 +53,7 @@ def map_blocks(block_fn, n_total, seed, n_workers=1, block_size=DEFAULT_BLOCK_SI
     n_workers = min(n_workers, len(tasks))
     if n_workers == 1:
         return [block_fn(block_rng(seed, i), m) for i, m in tasks]
-    with _BLAS.while_running(), ThreadPoolExecutor(max_workers=n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
         futures = [pool.submit(block_fn, block_rng(seed, i), m) for i, m in tasks]
         return [f.result() for f in futures]
 

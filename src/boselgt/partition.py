@@ -61,9 +61,10 @@ the commands that never factorise a form, the sweep and bose-exact
 --gauge identity among them, run without loading it.  The commands that do
 load only scipy's Cython LAPACK module, never scipy.linalg (whose import
 costs 28 MB and a quarter of a second), and only for LAPACK's dpbtrf.
-While more than one Monte Carlo worker runs, mc holds the OpenBLAS behind
-that module to one thread, so workers and BLAS threads do not
-oversubscribe the cores.
+Loading it sets the OpenBLAS behind that module to one thread, for good:
+every factorisation then runs on one BLAS thread, in the caller's thread
+or a Monte Carlo worker, so workers and BLAS threads do not oversubscribe
+the cores, and no other module knows about LAPACK or BLAS.
 """
 
 import ctypes
@@ -102,6 +103,11 @@ MIN_MC_MEAN = float(np.sqrt(np.finfo(float).tiny))
 BOSE_SLICE_ENTRIES = 1 << 18
 
 
+def exp_is_normal(log_value):
+    """Whether exp(log_value) is a normal double: not subnormal, 0 or inf."""
+    return LOG_MIN_NORMAL <= log_value <= LOG_MAX_DOUBLE
+
+
 @dataclass(frozen=True)
 class Estimate:
     """A partition value (or similar scalar) with provenance.
@@ -131,10 +137,8 @@ class Estimate:
     @property
     def value(self):
         """exp(log_value) when that is a normal double, else inf or 0.0."""
-        if self.log_value > LOG_MAX_DOUBLE:
-            return np.inf
-        if self.log_value < LOG_MIN_NORMAL:
-            return 0.0
+        if not exp_is_normal(self.log_value):
+            return np.inf if self.log_value > 0.0 else 0.0
         return float(np.exp(self.log_value))
 
     @property
@@ -355,10 +359,14 @@ def logdet_posdef(ab):
     factorise at once.  scipy's f2py wrapper of the same routine holds the
     lock throughout: a d4 L8 band took 7.39 ms per block on one thread and
     7.73 on two through it, and 4.03 on two through the capsule (one BLAS
-    thread).  Where the OpenBLAS behind the module exports its thread-count
-    functions, mc holds it to one thread while workers run; another BLAS
-    keeps its own threads, which is slower on two workers but gives the
-    same factors.
+    thread).  The load also sets the OpenBLAS behind the module to one
+    thread (_lapack_of), so every call runs on one BLAS thread.  That is as
+    fast or faster for the bands the benchmark, tests and scripts
+    factorise (kd up to 512), and two workers do not oversubscribe two
+    cores; a single band of kd >= 1000 factorises 40-65% slower than on
+    OpenBLAS's default two threads (2-vCPU Xeon).  A BLAS without
+    OpenBLAS's thread-count setter keeps its own threads, which is slower
+    on two workers but gives the same factors.
     """
     global _LAPACK
     if _LAPACK is None:
@@ -399,29 +407,28 @@ def logdet_posdef(ab):
     return logdet
 
 
-# (get, set) names of the BLAS thread count: scipy's bundled OpenBLAS since
+# Names of the BLAS thread-count setter: scipy's bundled OpenBLAS since
 # scipy 1.13, plain OpenBLAS before.
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_set_num_threads", "openblas_set_num_threads")
 
 
 def _lapack_of(cython_lapack):
-    """dpbtrf as a ctypes caller.
+    """dpbtrf as a ctypes caller, with its BLAS set to one thread.
 
-    Where the library behind dpbtrf exports a pair of _BLAS_THREAD_SYMBOLS,
-    they go to mc.limit_blas_threads.
+    The first of _BLAS_THREAD_SYMBOLS that the library behind dpbtrf
+    exports is called with 1, before logdet_posdef publishes dpbtrf, so no
+    factorisation runs on more threads; a BLAS that exports neither keeps
+    its own.  The setting holds for the whole process: scipy code the host
+    runs afterwards uses one BLAS thread too.
     """
     dpbtrf = _capsule_function(cython_lapack.__pyx_capi__["dpbtrf"])
     # A library handle finds the symbols of everything the module links.
     lib = ctypes.CDLL(cython_lapack.__file__)
-    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-        if hasattr(lib, get_name) and hasattr(lib, set_name):
-            get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    for name in _BLAS_THREAD_SYMBOLS:
+        if hasattr(lib, name):
+            set_threads = getattr(lib, name)
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            mc.limit_blas_threads(get_threads, set_threads)
+            set_threads(1)
             break
     return dpbtrf
 

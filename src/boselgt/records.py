@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
-from .partition import LOG_MAX_DOUBLE, LOG_MIN_NORMAL
+from .partition import exp_is_normal
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "BOSELGT_OUTPUT_DIR"
@@ -87,9 +87,7 @@ class ResultRecord:
 
 def safe_value(log_value):
     """exp(log_value) when it is a normal double, else None (JSON null)."""
-    if not LOG_MIN_NORMAL <= log_value <= LOG_MAX_DOUBLE:
-        return None
-    return float(math.exp(log_value))
+    return float(math.exp(log_value)) if exp_is_normal(log_value) else None
 
 
 def estimate_payload(est):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NumericError, UsageError
 from .haar import cue_norm, gue_norm, peaked_cue_integral
 from .lattice import coupling, require_positive
-from .partition import LOG_MAX_DOUBLE, LOG_MIN_NORMAL, z_single_bond
+from .partition import exp_is_normal, z_single_bond
 
 ACTIONS = ("cosine", "quadratic")
 
@@ -53,7 +53,7 @@ def w_ratio(beta, n, action="cosine"):
         log_w = peaked_cue_integral(lambda lam: np.sum(lam * lam, axis=-1) / beta, n,
                                     peak_scale=c)
     log_ratio = log_w - (n * n / 2.0) * np.log(beta)
-    if not LOG_MIN_NORMAL <= log_ratio <= LOG_MAX_DOUBLE:
+    if not exp_is_normal(log_ratio):
         raise NumericError(f"w / beta^(n^2/2) = exp({log_ratio:.6g}) is not a "
                            f"normal double at beta = {beta}")
     return float(np.exp(log_ratio))

@@ -431,15 +431,19 @@ def test_wilson_mc_worker_count_leaves_the_record_unchanged(tmp_path, capsys):
     assert payloads[0]["n_samples"] == 4096
 
 
-@pytest.mark.parametrize("which,count", [("bose", "--configs"), ("full", "--samples")])
+@pytest.mark.parametrize("which,count,L", [
+    pytest.param("bose", "--configs", 3, id="bose---configs"),
+    pytest.param("full", "--samples", 3, id="full---samples"),
+    # kd = 33: LAPACK's blocked path, whose updates call the BLAS.
+    pytest.param("bose", "--configs", 4, id="bose---configs-L4")])
 def test_verify_bounds_records_equal_at_one_two_and_four_workers(tmp_path, capsys,
-                                                                 which, count):
+                                                                 which, count, L):
     # The Bose check factorises in the workers, at 3 blocks of 32 forms.
     payloads = []
     for workers in (1, 2, 4):
         out = tmp_path / f"{which}-{workers}.json"
         code, _, _ = run_cli(
-            ["verify-bounds", "--which", which, "--d", 3, "--L", 3, "--n", 2,
+            ["verify-bounds", "--which", which, "--d", 3, "--L", L, "--n", 2,
              count, 96, "--block-size", 32, "--seed", 3, "--workers", workers,
              "--output", out], capsys)
         assert code == 0

@@ -4,7 +4,7 @@ pytest has already imported scipy in this process, so sys.modules is only
 meaningful in a child.  The child prints one JSON line last: the exit code
 of the command and whether scipy, and scipy.linalg, were loaded by then.
 The commands that factorise a Bose form load scipy's Cython LAPACK module,
-never scipy.linalg.
+never scipy.linalg, and leave its BLAS on one thread.
 
 The last test reads the import graph statically: every public function,
 class, method and property of the package needs a caller outside the tests.
@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -163,26 +164,32 @@ def test_a_failed_bose_factorisation_leaves_scipy_linalg_unloaded(tmp_path):
     assert out["scipy.linalg"] is False
 
 
+# The spy records which thread asks for scipy first; U(1) at d = 2 has no
+# quadrature before the Monte Carlo, so it is a worker's logdet.
+FIRST_SCIPY_IMPORT_SPY = (
+    "import json, sys, threading\n"
+    "first = []\n"
+    "class Spy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'scipy':\n"
+    "            first.append(threading.current_thread().name)\n"
+    "sys.meta_path.insert(0, Spy())\n"
+    "from boselgt.cli import main\n")
+
+
+def full_model_argv(workers, out):
+    return ["verify-bounds", "--which", "full", "--d", "2", "--L", "2",
+            "--samples", "256", "--block-size", "64", "--seed", "5",
+            "--workers", str(workers), "--output", str(out)]
+
+
 def test_first_scipy_import_in_worker_threads_keeps_results(tmp_path):
-    # The spy records which thread asks for scipy first; U(1) at d = 2 has
-    # no quadrature before the Monte Carlo, so it is a worker's logdet.
-    spy = (
-        "import json, sys, threading\n"
-        "first = []\n"
-        "class Spy:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'scipy':\n"
-        "            first.append(threading.current_thread().name)\n"
-        "sys.meta_path.insert(0, Spy())\n"
-        "from boselgt.cli import main\n")
     reports = {}
     for workers in (1, 2):
         out = tmp_path / f"full-{workers}.json"
-        argv = ["verify-bounds", "--which", "full", "--d", "2", "--L", "2",
-                "--samples", "256", "--block-size", "64", "--seed", "5",
-                "--workers", str(workers), "--output", str(out)]
+        argv = full_model_argv(workers, out)
         result = run_fresh(
-            spy + f"code = main({argv!r})\n"
+            FIRST_SCIPY_IMPORT_SPY + f"code = main({argv!r})\n"
             "print(json.dumps({'code': code, 'first': first[:1]}))\n",
             tmp_path)
         assert result["code"] == 0
@@ -191,6 +198,53 @@ def test_first_scipy_import_in_worker_threads_keeps_results(tmp_path):
         reports[workers] = json.loads(out.read_text())["payload"]["checks"]["full"]
     for key in ("log_value", "std_error_log"):
         assert reports[2][key] == reports[1][key]
+
+
+# The child reads the thread count of the BLAS behind scipy's Cython LAPACK
+# module through its own handle, as json 'threads' (None when that BLAS
+# exports no OpenBLAS getter), without importing scipy.linalg.
+READ_BLAS_THREADS = (
+    "import ctypes, importlib.machinery, os, scipy\n"
+    "spec = importlib.machinery.PathFinder.find_spec(\n"
+    "    'scipy.linalg.cython_lapack', [os.path.join(scipy.__path__[0], 'linalg')])\n"
+    "lib = ctypes.CDLL(spec.origin)\n"
+    "getters = [getattr(lib, name) for name in\n"
+    "           ('scipy_openblas_get_num_threads', 'openblas_get_num_threads')\n"
+    "           if hasattr(lib, name)]\n"
+    "threads = getters[0]() if getters else None\n")
+
+
+def run_at_default_blas_threads(code, tmp_path, monkeypatch):
+    # Without these the BLAS would start at one thread and the check would
+    # read the environment, not the loader.
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    out = run_fresh(code + READ_BLAS_THREADS +
+                    "print(json.dumps({'result': result, 'threads': threads}))\n",
+                    tmp_path)
+    if out["threads"] is None:
+        pytest.skip("this BLAS exports no OpenBLAS thread-count functions")
+    return out
+
+
+def test_a_first_load_in_a_worker_leaves_the_blas_on_one_thread(tmp_path, monkeypatch):
+    argv = full_model_argv(2, tmp_path / "full.json")
+    out = run_at_default_blas_threads(
+        FIRST_SCIPY_IMPORT_SPY + f"code = main({argv!r})\n"
+        "result = [code, first[0] != 'MainThread']\n", tmp_path, monkeypatch)
+    assert out == {"result": [0, True], "threads": 1}
+
+
+def test_a_load_from_a_loaded_scipy_linalg_leaves_the_blas_on_one_thread(tmp_path,
+                                                                        monkeypatch):
+    out = run_at_default_blas_threads(
+        "import json\n"
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from boselgt.partition import logdet_posdef\n"
+        "result = float(logdet_posdef(np.full((1, 1, 3), 4.0))[0])\n",
+        tmp_path, monkeypatch)
+    assert out == {"result": pytest.approx(3 * np.log(4.0)), "threads": 1}
 
 
 # Public definitions no command, script or benchmark calls that stay in the

@@ -5,7 +5,6 @@ import threading
 import numpy as np
 import pytest
 
-from boselgt import mc
 from boselgt.mc import Moments, block_moments, block_rng, map_blocks, sample_mean
 
 
@@ -105,41 +104,3 @@ def test_one_worker_or_one_block_runs_in_the_callers_thread():
     assert map_blocks(thread_name, n_total=4, seed=0, n_workers=4, block_size=4) == [main]
     assert map_blocks(thread_name, n_total=4, seed=0, n_workers=1, block_size=1) == [main] * 4
     assert main not in map_blocks(thread_name, n_total=4, seed=0, n_workers=2, block_size=1)
-
-
-def test_a_running_call_holds_blas_to_one_thread_and_restores_it(monkeypatch):
-    threads = [3]
-    log = []
-
-    def set_threads(n):
-        log.append(n)
-        threads[0] = n
-
-    monkeypatch.setattr(mc._BLAS, "blas", None)
-    mc.limit_blas_threads(lambda: threads[0], set_threads)
-    seen = map_blocks(lambda rng, m: threads[0], n_total=6, seed=0, n_workers=2,
-                      block_size=1)
-    assert seen == [1] * 6 and threads == [3] and log == [1, 3]
-    assert map_blocks(lambda rng, m: threads[0], n_total=6, seed=0,
-                      block_size=1) == [3] * 6
-    assert log == [1, 3]   # one worker: BLAS keeps its threads
-    with pytest.raises(ZeroDivisionError):
-        map_blocks(lambda rng, m: 1 / 0 if threads[0] == 1 else None, n_total=6,
-                   seed=0, n_workers=2, block_size=1)
-    assert threads == [3] and mc._BLAS.saved is None   # restored after a failure
-
-
-def test_a_blas_given_during_a_call_is_held_at_once(monkeypatch):
-    # The first factorisation loads LAPACK in a worker, mid-call.
-    threads = [3]
-    monkeypatch.setattr(mc._BLAS, "blas", None)
-
-    def block(rng, m):
-        if mc._BLAS.blas is None:
-            mc.limit_blas_threads(lambda: threads[0],
-                                  lambda n: threads.__setitem__(0, n))
-        return threads[0]
-
-    # The block that gave it reads one thread.
-    assert 1 in map_blocks(block, n_total=2, seed=0, n_workers=2, block_size=1)
-    assert threads == [3]

@@ -17,8 +17,8 @@ from boselgt.haar import haar_sample
 from boselgt.mc import Moments
 from boselgt.partition import (BOSE_SLICE_ENTRIES, LOG_MAX_DOUBLE, LOG_MIN_NORMAL,
                                MIN_MC_MEAN, Estimate, bose_quadratic_form,
-                               log_z_bose, log_z_bose_identity, logdet_posdef,
-                               z_bose_exact, z_bose_exact_unscaled,
+                               exp_is_normal, log_z_bose, log_z_bose_identity,
+                               logdet_posdef, z_bose_exact, z_bose_exact_unscaled,
                                z_single_bond, z_wilson_d2_exact, z_wilson_mc)
 from boselgt.records import estimate_payload
 from oracles import (bose_form_band, chain_partition, gauge_transform,
@@ -119,6 +119,18 @@ def test_estimate_value_spans_the_whole_double_range():
         assert est.value == pytest.approx(math.exp(log_value), rel=1e-15)
     assert Estimate.exact(np.nextafter(LOG_MAX_DOUBLE, np.inf)).value == np.inf
     assert Estimate.exact(-746.0).value == 0.0
+
+
+def test_one_range_test_decides_the_value_and_its_payload():
+    inside = (LOG_MIN_NORMAL, 0.0, LOG_MAX_DOUBLE)
+    outside = (np.nextafter(LOG_MIN_NORMAL, -np.inf), -800.0,
+               np.nextafter(LOG_MAX_DOUBLE, np.inf), 800.0)
+    for log_value in inside + outside:
+        normal = exp_is_normal(log_value)
+        assert normal == (log_value in inside)
+        est = Estimate.exact(log_value)
+        assert normal == (0.0 < est.value < np.inf)
+        assert normal == (estimate_payload(est)["value"] is not None)
 
 
 def test_subnormal_values_and_their_errors_are_null_together():
@@ -339,29 +351,10 @@ def small_band(kd=40, m=200):
     return ab
 
 
-def test_two_workers_factorise_on_one_blas_thread_which_is_restored():
-    logdet_posdef(small_band())   # the LAPACK module loaded
-    if mc._BLAS.blas is None:
-        pytest.skip("this BLAS exports no thread-count functions")
-    get_threads, set_threads = mc._BLAS.blas
-    before = get_threads()
-    set_threads(2)
-    try:
-        threads = get_threads()
-        seen = mc.map_blocks(lambda rng, m: (logdet_posdef(small_band()), get_threads())[1],
-                             4, 0, 2, 1)
-        assert seen == [1] * 4
-        assert get_threads() == threads
-    finally:
-        set_threads(before)
-
-
 def test_without_blas_thread_functions_two_workers_keep_the_factors(monkeypatch):
-    monkeypatch.setattr(partition, "_BLAS_THREAD_SYMBOLS", (("no_get", "no_set"),))
+    monkeypatch.setattr(partition, "_BLAS_THREAD_SYMBOLS", ("no_set",))
     monkeypatch.setattr(partition, "_LAPACK", None)
-    monkeypatch.setattr(mc._BLAS, "blas", None)
-    expect = logdet_posdef(small_band())   # loads again, without the symbols
-    assert mc._BLAS.blas is None
+    expect = logdet_posdef(small_band())   # loads again, without the setter
     got = mc.map_blocks(lambda rng, m: logdet_posdef(small_band()), 6, 0, 2, 1)
     assert all(np.array_equal(g, expect) for g in got)
 
