@@ -294,8 +294,8 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
 
     The value equals s_Y^{dim Lr} times the Haar average of
     e^{-S_w(g)} Z_B(g); the average is estimated by Monte Carlo with the
-    exact Bose determinant evaluated per sample.  Bounds are the combined
-    exact rates times the site count.
+    exact Bose determinant evaluated per sample, from log-weights
+    log Z_B - S_w.  Bounds are the combined exact rates times the site count.
 
     Every bond is drawn: the real fields couple through Re(g), so Z_B(g) is
     invariant only under orthogonal site rotations, not under the U(N) or
@@ -315,7 +315,7 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
         bonds = haar_sample(rng, params.n, kind=params.kind,
                             size=(count, lat.n_bonds))
         actions = coupling * np.sum(plaquette_actions(plan, bonds), axis=-1)
-        return np.exp(-actions + log_z_bose(params, bonds))
+        return log_z_bose(params, bonds) - actions
 
     moments = mc.sample_mean(block, n_samples, seed,
                              n_workers=n_workers, block_size=block_size)

@@ -5,8 +5,13 @@ Sample index space is cut into fixed-size blocks; block i draws from a
 counter-based generator advanced to a window reserved for that block, and
 block summaries are merged strictly in block order.  Workers only decide who
 computes which block, so results are bit-identical for any worker count.
+
+sample_mean takes log-weights, which span hundreds of nats, and keeps each
+block's weights scaled by its largest, so no weight leaves the double range.
 """
 
+import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -58,51 +63,41 @@ def map_blocks(block_fn, n_total, seed, n_workers=1, block_size=DEFAULT_BLOCK_SI
         return [f.result() for f in futures]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Moments:
-    """Streaming count / mean / sum of squared deviations."""
+    """n weights e^w as e^shift times scaled weights of mean mean and summed
+    squared deviations m2; a block's shift is its largest log-weight w."""
 
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
+    n: int
+    shift: float
+    mean: float
+    m2: float
 
     def merged(self, other):
-        """Pairwise merge (Chan et al. update); order of calls is fixed by caller."""
-        if self.n == 0:
-            return Moments(other.n, other.mean, other.m2)
-        if other.n == 0:
-            return Moments(self.n, self.mean, self.m2)
+        """Chan et al. update after rescaling both sides to the larger shift."""
+        shift = max(self.shift, other.shift)
+        a, b = math.exp(self.shift - shift), math.exp(other.shift - shift)
         n = self.n + other.n
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.n / n
-        m2 = self.m2 + other.m2 + delta * delta * self.n * other.n / n
-        return Moments(n, mean, m2)
-
-    @property
-    def variance(self):
-        return self.m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def std_error(self):
-        return float(np.sqrt(self.variance / self.n)) if self.n > 1 else 0.0
-
-
-def block_moments(values):
-    """Moments of one block of sample values."""
-    v = np.asarray(values, dtype=float)
-    mean = float(np.mean(v))
-    return Moments(n=v.size, mean=mean, m2=float(np.sum((v - mean) ** 2)))
+        delta = other.mean * b - self.mean * a
+        return Moments(n, shift, self.mean * a + delta * other.n / n,
+                       self.m2 * a * a + other.m2 * b * b + delta * delta * self.n * other.n / n)
 
 
 def sample_mean(sample_block, n_total, seed, n_workers=1, block_size=DEFAULT_BLOCK_SIZE):
-    """Mean/variance of sample_block(rng, count) -> (count,) values, blockwise.
+    """Moments of e^w for log-weights w = sample_block(rng, count), blockwise.
 
     Deterministic in (seed, n_total, block_size) regardless of n_workers.
+    One sample is a UsageError (map_blocks refuses fewer): its error is 0/0.
     """
-    parts = map_blocks(lambda rng, m: block_moments(sample_block(rng, m)),
-                       n_total, seed, n_workers=n_workers, block_size=block_size)
-    acc = Moments()
-    for p in parts:
-        acc = acc.merged(p)
-    return acc
+    if n_total == 1:
+        raise UsageError("a Monte Carlo mean needs at least 2 samples, got 1")
 
+    def block(rng, m):
+        w = sample_block(rng, m)
+        shift = float(np.max(w))
+        x = np.exp(w - shift)
+        mean = float(np.mean(x))
+        return Moments(w.size, shift, mean, float(np.sum((x - mean) ** 2)))
+
+    return functools.reduce(Moments.merged, map_blocks(
+        block, n_total, seed, n_workers=n_workers, block_size=block_size))

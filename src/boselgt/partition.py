@@ -70,13 +70,13 @@ the cores, and no other module knows about LAPACK or BLAS.
 import ctypes
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 import threading
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import prod
 
 import numpy as np
 
@@ -96,8 +96,8 @@ METHODS = ("exact-determinant", "quadrature", "monte-carlo")
 # below it is subnormal or 0, above it overflows.
 LOG_MIN_NORMAL = float(np.log(np.finfo(float).tiny))
 LOG_MAX_DOUBLE = float(np.log(np.finfo(float).max))
-# Below this mean the squared deviations of the weights can underflow, so
-# their m2, and with it the error bar, may read 0.
+# The smallest Monte Carlo mean an Estimate is given for, as a policy: such a
+# mean comes from rare large weights, and nothing yet tests their tail.
 MIN_MC_MEAN = float(np.sqrt(np.finfo(float).tiny))
 # Band entries per slice of a stacked Bose band (2 MiB of doubles).
 BOSE_SLICE_ENTRIES = 1 << 18
@@ -106,6 +106,12 @@ BOSE_SLICE_ENTRIES = 1 << 18
 def exp_is_normal(log_value):
     """Whether exp(log_value) is a normal double: not subnormal, 0 or inf."""
     return LOG_MIN_NORMAL <= log_value <= LOG_MAX_DOUBLE
+
+
+def safe_value(log_value):
+    """exp(log_value) when it is a normal double, else None: the one exp of
+    every reported value, so a payload's std_error is value * std_error_log."""
+    return math.exp(log_value) if exp_is_normal(log_value) else None
 
 
 @dataclass(frozen=True)
@@ -137,9 +143,7 @@ class Estimate:
     @property
     def value(self):
         """exp(log_value) when that is a normal double, else inf or 0.0."""
-        if not exp_is_normal(self.log_value):
-            return np.inf if self.log_value > 0.0 else 0.0
-        return float(np.exp(self.log_value))
+        return safe_value(self.log_value) or (np.inf if self.log_value > 0.0 else 0.0)
 
     @property
     def std_error(self):
@@ -152,19 +156,22 @@ class Estimate:
 
     @classmethod
     def from_moments(cls, moments, seed):
-        """Monte Carlo estimate from the merged Moments of positive weights.
+        """Monte Carlo estimate from the merged mc.Moments of positive weights.
 
-        Raises NumericError when the mean is below MIN_MC_MEAN: at 0 every
-        weight underflowed, and above 0 the error bar may have.
+        log_value = shift + log(mean); std_error_log = sqrt(m2 / ((n - 1) n)) /
+        mean.  NumericError when the mean is below MIN_MC_MEAN.
         """
         m = moments
-        if not m.mean >= MIN_MC_MEAN:
+        log_mean = m.shift + math.log(m.mean)
+        if not log_mean >= math.log(MIN_MC_MEAN):
+            mean = safe_value(log_mean)
+            shown = f"exp({log_mean:.6g})" if mean is None else f"{mean:.6e}"
             raise NumericError(
-                f"Monte Carlo mean of a positive quantity came out {m.mean:.6e}, "
+                f"Monte Carlo mean of a positive quantity came out {shown}, "
                 f"below {MIN_MC_MEAN:.3e} (the square root of the smallest normal "
-                "double): the weights or their squared deviations underflowed")
-        return cls(log_value=float(np.log(m.mean)),
-                   std_error_log=m.std_error / m.mean,
+                "double), the smallest mean an estimate is given for")
+        return cls(log_value=log_mean,
+                   std_error_log=math.sqrt(m.m2 / ((m.n - 1) * m.n)) / m.mean,
                    method="monte-carlo", n_samples=m.n, seed=seed)
 
 
@@ -308,7 +315,7 @@ def bose_quadratic_form(params, bonds):
     width = _field_width(params)
     plan = _schur_plan(lat.d, lat.L, width)
     lead = bonds.shape[:-3]
-    n, nb = prod(lead), plan.n_bonds
+    n, nb = math.prod(lead), plan.n_bonds
     # hops[i, k, b, f] = B_b[i, k] of form f; bond nb is the zero block.
     g = bonds.reshape((n,) + bonds.shape[-3:]).transpose(2, 3, 1, 0)
     hops = np.empty((width, width, nb + 1, n))
@@ -527,7 +534,7 @@ def z_bose_exact_unscaled(params, scaled):
 
 def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
                 block_size=mc.DEFAULT_BLOCK_SIZE):
-    """Monte Carlo mean of e^{-S_w} over Haar bond configurations.
+    """Monte Carlo mean of e^{-S_w} over Haar bond configurations, from -S_w.
 
     With gauge_fixed=True only the bonds outside the enhanced temporal tree
     are drawn, and the one plaquette plan of the call treats the tree bonds
@@ -540,7 +547,7 @@ def z_wilson_mc(params, n_samples, seed, n_workers=1, gauge_fixed=False,
 
     def block(rng, count):
         bonds = haar_sample(rng, params.n, kind=params.kind, size=(count, plan.n_drawn))
-        return np.exp(-wilson_action(params, plan, bonds))
+        return -wilson_action(params, plan, bonds)
 
     moments = mc.sample_mean(block, n_samples, seed,
                              n_workers=n_workers, block_size=block_size)

@@ -13,14 +13,13 @@ text recovers the double exactly.
 import csv
 import itertools
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
-from .partition import exp_is_normal
+from .partition import safe_value
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "BOSELGT_OUTPUT_DIR"
@@ -83,11 +82,6 @@ class ResultRecord:
     def load(cls, path):
         data = json.loads(Path(path).read_text())
         return cls(**data)
-
-
-def safe_value(log_value):
-    """exp(log_value) when it is a normal double, else None (JSON null)."""
-    return float(math.exp(log_value)) if exp_is_normal(log_value) else None
 
 
 def estimate_payload(est):

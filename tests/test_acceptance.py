@@ -325,9 +325,12 @@ def _run_class_function_mc(n_workers):
             lam = np.angle(np.linalg.eigvals(u))
             return f(lam)
 
-        moments = mc.sample_mean(block, 100_000, seed=100 + i,
-                                 n_workers=n_workers)
-        out.append((moments.mean, moments.std_error))
+        # f can be negative, so its mean is taken from the blocks here,
+        # not from mc.sample_mean, which averages positive weights.
+        values = np.concatenate(mc.map_blocks(block, 100_000, seed=100 + i,
+                                              n_workers=n_workers))
+        out.append((float(np.mean(values)),
+                    float(np.std(values, ddof=1) / np.sqrt(values.size))))
     return tuple(out)
 
 

@@ -16,14 +16,15 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from scipy.special import ive
+from scipy.special import ive, logsumexp
 
 from boselgt import cli
-from boselgt.actions import ModelParams, ScalingFactors
-from boselgt.bounds import verify_full_model, verify_gauge_bounds
+from boselgt.actions import ModelParams, PlaquettePlan, ScalingFactors, plaquette_actions
+from boselgt.bounds import group_dim, verify_full_model, verify_gauge_bounds
 from boselgt.cli import main
+from boselgt.haar import haar_sample
 from boselgt.mc import block_rng
-from boselgt.partition import z_bose_exact, z_single_bond
+from boselgt.partition import log_z_bose, z_bose_exact, z_single_bond
 from boselgt.records import ResultRecord, load_schema
 from boselgt.rmt import d2_limit_target
 from boselgt.su2 import su2_bound_constants, su2_haar, su2_to_matrix
@@ -305,6 +306,11 @@ SMALL = ["--d", 2, "--L", 2]
     (["verify-bounds", "--which", "gauge", "--seed", -1, *SMALL],
      "seed must lie in [0, 2^128), got -1"),
     (["bose-exact", "--seed", -5, *SMALL], "seed must lie in [0, 2^128), got -5"),
+    # A Monte Carlo mean and its error bar need two samples; one used to
+    # give "+/- 0" and a "pass" on sigma_log 0.
+    *[(argv + ["--d", 3, "--L", 2, "--samples", 1], "needs at least 2 samples, got 1")
+      for argv in (["wilson-mc"], ["verify-bounds", "--which", "gauge"],
+                   ["verify-bounds", "--which", "full"])],
 ])
 def test_bad_monte_carlo_counts_exit_2_naming_the_value(tmp_path, capsys,
                                                         monkeypatch, argv,
@@ -341,6 +347,9 @@ def assert_no_bare_non_finite(directory):
     (["verify-bounds", "--d", 3, "--L", 4, "--n", 2, "--which", "full",
       "--samples", 5000, "--seed", 3],
      "came out 2.127427e-170, below 1.492e-154"),
+    # Weights near e^{-856}: the mean is named by its log, not as 0.
+    (["wilson-mc", "--d", 3, "--L", 3, "--a", 0.05, "--gauge-fixed",
+      "--samples", 4096], "came out exp(-856.271), below 1.492e-154"),
 ])
 def test_out_of_range_numbers_exit_3_naming_the_value(tmp_path, capsys,
                                                       monkeypatch, argv,
@@ -352,6 +361,40 @@ def test_out_of_range_numbers_exit_3_naming_the_value(tmp_path, capsys,
     assert "Traceback" not in stderr
     assert not (tmp_path / "rec.json").exists()
     assert_no_bare_non_finite(tmp_path)
+
+
+def test_the_exact_d2_gauge_check_takes_one_sample(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    code, _, _ = run_cli(["verify-bounds", "--which", "gauge", *SMALL,
+                          "--samples", 1, "--output", out], capsys)
+    assert code == 0
+    assert read_record(out).payload["checks"]["gauge"]["method"] == "quadrature"
+
+
+@pytest.mark.parametrize("L", [100, 150])
+def test_full_model_with_bose_factors_past_the_double_range(tmp_path, capsys, L):
+    # log Z_B is about 355 at L = 100 and 800 at L = 150 on these draws:
+    # linear weights overflowed m2 at L = 100 (sigma_log inf) and the
+    # weights themselves at L = 150 (exit 3).
+    out = tmp_path / "rec.json"
+    code, _, _ = run_cli(["verify-bounds", "--which", "full", "--d", 2, "--L", L,
+                          "--g-sq", 1e6, "--g0-sq", 1e6, "--samples", 64,
+                          "--block-size", 32, "--output", out], capsys)
+    assert code == 0
+    full = read_record(out).payload["checks"]["full"]
+    assert full["verdict"] == "pass" and math.isfinite(full["std_error_log"])
+    p = ModelParams(d=2, L=L, g_sq=1e6, g0_sq=1e6)
+    plan = PlaquettePlan.for_bonds(p.lattice)
+    log_weights = []
+    for i in range(2):
+        bonds = haar_sample(block_rng(0, i), p.n, kind=p.kind,
+                            size=(32, p.lattice.n_bonds))
+        actions = p.scaling.coupling * np.sum(plaquette_actions(plan, bonds), axis=-1)
+        log_weights.append(log_z_bose(p, bonds) - actions)
+    log_mean = logsumexp(np.concatenate(log_weights)) - np.log(64)
+    log_scale = (group_dim(p.kind, p.n) * p.lattice.n_retained
+                 * np.log(p.scaling.gauge_scale))
+    assert full["log_value"] == pytest.approx(log_mean + log_scale, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv,n", [

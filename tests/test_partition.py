@@ -102,15 +102,14 @@ def test_estimate_validation():
 
 
 def test_estimate_from_moments():
-    moments = Moments(n=100, mean=2.0, m2=99.0)
+    # Scaled weights of mean 0.5 and sample variance 0.25 behind a shift of 3.
+    moments = Moments(n=100, shift=3.0, mean=0.5, m2=99.0 * 0.25)
     est = Estimate.from_moments(moments, seed=5)
-    assert est.log_value == pytest.approx(np.log(2.0))
-    assert est.std_error_log == moments.std_error / 2.0
-    assert est.std_error == pytest.approx(moments.std_error, rel=1e-15)
+    assert est.log_value == pytest.approx(3.0 + np.log(0.5), rel=1e-15)
+    assert est.std_error_log == pytest.approx(0.1, rel=1e-15)
+    assert est.std_error == pytest.approx(0.1 * 0.5 * np.exp(3.0), rel=1e-14)
     assert est.method == "monte-carlo"
     assert est.n_samples == 100 and est.seed == 5
-    with pytest.raises(NumericError):
-        Estimate.from_moments(Moments(n=100, mean=-0.5, m2=1.0), seed=0)
 
 
 def test_estimate_value_spans_the_whole_double_range():
@@ -133,6 +132,17 @@ def test_one_range_test_decides_the_value_and_its_payload():
         assert normal == (estimate_payload(est)["value"] is not None)
 
 
+def test_a_payloads_error_is_its_value_times_the_log_error_exactly():
+    rng = np.random.default_rng(31)
+    logs = rng.uniform(LOG_MIN_NORMAL, LOG_MAX_DOUBLE, size=20_000)
+    errors = rng.uniform(0.0, 0.5, size=logs.size)
+    for log_value, err in zip(logs.tolist(), errors.tolist()):
+        pay = estimate_payload(
+            Estimate(log_value=log_value, std_error_log=err, method="monte-carlo"))
+        assert pay["value"] == math.exp(log_value)
+        assert pay["std_error"] == pay["value"] * err
+
+
 def test_subnormal_values_and_their_errors_are_null_together():
     # exp(-720) is subnormal: value and std_error both read 0.0 / null,
     # where std_error used to come out as 1.016e-314 beside a null value.
@@ -153,30 +163,37 @@ def test_subnormal_values_and_their_errors_are_null_together():
 
 
 def test_mean_whose_squared_deviations_can_underflow_is_refused():
-    # Weights near e^{-390} have squared deviations below the smallest
-    # double, so m2 reads 0 and the error bar would be a false 0.
+    # The reduction keeps weights near e^{-390} in range, but a mean below
+    # sqrt(smallest normal) is still refused, as a policy; the message names
+    # the mean whether or not it is a normal double.
     with pytest.raises(NumericError, match="came out 2.127400e-170, below"):
-        Estimate.from_moments(Moments(n=5000, mean=2.1274e-170, m2=0.0), seed=3)
+        Estimate.from_moments(
+            Moments(n=5000, shift=math.log(2.1274e-170), mean=1.0, m2=0.0), seed=3)
+    # Below the normal range the message names the mean by its log.
+    with pytest.raises(NumericError, match=r"came out exp\(-856\.271\), below"):
+        Estimate.from_moments(
+            Moments(n=5000, shift=-856.271, mean=1.0, m2=0.0), seed=3)
     assert MIN_MC_MEAN ** 2 == np.finfo(float).tiny
-    edge = Estimate.from_moments(Moments(n=100, mean=MIN_MC_MEAN, m2=0.0), seed=0)
-    assert edge.log_value == np.log(MIN_MC_MEAN)
+    edge = Estimate.from_moments(
+        Moments(n=100, shift=math.log(MIN_MC_MEAN), mean=1.0, m2=0.0), seed=0)
+    assert edge.log_value == math.log(MIN_MC_MEAN)
 
 
 def test_rescaling_by_replace_keeps_the_log_error():
     # A known scale factor shifts log_value; the error of the log, and so
     # the relative error of the value, stays what the sample gave.
-    est = Estimate.from_moments(Moments(n=100, mean=2.0, m2=99.0), seed=5)
+    est = Estimate.from_moments(Moments(n=100, shift=0.0, mean=0.5, m2=24.75), seed=5)
     scaled = replace(est, log_value=est.log_value + 3.0)
     assert scaled.std_error_log == est.std_error_log
     assert scaled.std_error == pytest.approx(np.exp(3.0) * est.std_error, rel=1e-14)
     assert (scaled.method, scaled.n_samples, scaled.seed) == ("monte-carlo", 100, 5)
 
 
-def test_underflowed_mean_is_named_as_underflow():
-    # Every weight e^{-S} rounding to 0 is a Monte Carlo failure, not a
-    # quadratic form that failed to be positive definite.
-    with pytest.raises(NumericError, match="underflow") as err:
-        Estimate.from_moments(Moments(n=100, mean=0.0, m2=0.0), seed=0)
+def test_mean_below_the_floor_is_a_numeric_error_not_a_pivot():
+    # Weights e^{-S} far below 1 are a Monte Carlo failure, not a quadratic
+    # form that failed to be positive definite.
+    with pytest.raises(NumericError, match="below 1.492e-154") as err:
+        Estimate.from_moments(Moments(n=100, shift=-5000.0, mean=0.01, m2=0.5), seed=0)
     assert not isinstance(err.value, NotPositiveDefiniteError)
 
 
