@@ -55,7 +55,8 @@ smooth class functions (N <= 3); it serves as the independent reference.
 The one-bond and Gaussian integrals have integrands that are products over
 the angles, so they go through Andreief's identity instead: the N-fold
 integral of prod_j w(x_j) |det[p_a(x_j)]|^2 is N! det[integral of w p_a
-conj(p_b)], an N x N determinant of 1-D integrals (_gram_det) at any N.
+conj(p_b)], an N x N determinant of 1-D integrals, which _gram_det takes by
+Arnoldi: one basis at every coupling and any N.
 
 legendre_integral, Gauss-Legendre on a symmetric window checked against half
 as many nodes, is the one 1-D rule, in logs: U(N) Gram determinants, the
@@ -95,15 +96,6 @@ PEAK_MAX_HALF_WIDTH = 13.5
 # logs to agree to this.
 _GRAM_NODES = 256
 PEAK_QUAD_RTOL = 1e-9
-
-# Peak scales below which the one-bond Gram basis is Fourier, e^{ia lam};
-# above it is the shifted (e^{i lam} - 1)^a.  Measured against mpmath's
-# det[ive(j - k, 2c)] at 43 couplings in [1e-3, 18.5]: with the switch at 4
-# every U(N <= 12) value converges, the worst 8.8e-11 off on the log; the
-# shifted basis alone fails U(12) at nearly every coupling, Fourier alone
-# fails U(6) and U(8) near c = 12, and a switch at 3, 5 or 6 leaves a U(8)
-# or U(12) failure.
-FOURIER_MAX_PEAK_SCALE = 4.0
 
 
 def wrap_angle(lam):
@@ -316,23 +308,38 @@ def weyl_integrate(f, n, kind="U", rtol=1e-8, atol=0.0):
 _legendre = lru_cache(maxsize=None)(leggauss)  # nodes on [-1, 1], once per m
 
 
-def _gram_det(points, weights, basis, n, what):
-    """log det of the N x N Gram matrix sum_i w_i p_a(x_i) conj(p_b(x_i)), p_a = basis^a.
+def _gram_det(u, weights, n, what):
+    """log det of the N x N Gram matrix sum_i w_i u_i^a conj(u_i^b) under a 1-D rule.
 
-    basis maps x to a degree-1 polynomial (in x or in e^{ix}), so
-    det[p_a(x_j)] is the Vandermonde determinant of the basis values; by
+    u holds the basis values (degree 1 in x or in e^{ix}) at the rule's
+    nodes x_i, so det[u(x_j)^a] is their Vandermonde determinant; by
     Andreief's identity det is 1/N! times the N-fold integral of prod_j
-    w(x_j) times its square under the 1-D rule (x_i, w_i).  The matrix is
-    Hermitian, so det is real; a det that is not > 0 is a NumericError
-    naming `what`, the integral.
+    w(x_j) times its square under the rule.  The powers are never formed
+    (Vandermonde with Arnoldi, Brubeck, Nakatsukasa & Trefethen, SIAM Rev.
+    63 (2021) 405): from the constant vector, step a multiplies q_{a-1} by u,
+    orthogonalises it once against q_0 .. q_{a-1} in the inner product
+    sum_i w_i conj(x_i) y_i and divides it by its norm h_a.  The Gram matrix
+    is L L^H with L_aa = h_0 ... h_a, so log det = sum_a (N - a) log h_a^2.
+    A norm^2 that is not > 0, NaN included, is a NumericError naming `what`.
     """
     if n < 1:
         raise UsageError(f"matrix size must be >= 1, got {n}")
-    p = basis(points)[None, :] ** np.arange(n)[:, None]
-    det = float(np.linalg.det((p * weights) @ p.conj().T).real)
-    if not det > 0.0:
-        raise NumericError(f"{what}: Gram determinant of size {n} came out {det:g}, not > 0")
-    return log(det)
+    q = np.empty((n, u.size), dtype=np.result_type(u, weights))
+    wq = np.empty_like(q)   # row a is w conj(q_a), the projection functional
+    v, wv, log_det = np.ones_like(q[0]), weights, 0.0
+    for a in range(n):
+        if a:   # q_{a-1} is the last step's vector over its norm h
+            np.divide(v, h, out=q[a - 1])
+            np.divide(wv, h, out=wq[a - 1])
+            v = u * q[a - 1]
+            v -= (wq[:a] @ v) @ q[:a]
+            wv = v.conj() * weights
+        norm_sq = float((wv @ v).real)
+        if not norm_sq > 0.0:
+            raise NumericError(f"{what}: Gram determinant step {a} of {n}, norm^2 {norm_sq:g}")
+        log_det += (n - a) * log(norm_sq)
+        h = sqrt(norm_sq)
+    return log_det
 
 
 def legendre_integral(node_log, half_width, what):
@@ -368,20 +375,13 @@ def peaked_cue_integral(action_of_angles, n, peak_scale):
     1)^a vanishes at the peak and is O(1) on the window, so every entry is
     O(1) at any peak_scale.  In lam entry (a, b) carries s^{-(a+b+1)}, so
     the determinant carries s^{-N^2}: log z = log det - N^2 log s.
-    Below FOURIER_MAX_PEAK_SCALE (where s = 1) the weight spreads over the
-    whole circle, (e^{ix} - 1)^a grows to 2^a and the Gram matrix loses the
-    digits of its small eigenvalues, so the basis is the Fourier one,
-    e^{iax}: its Vandermonde determinant is the same, so is the integral,
-    and its Gram matrix is the well-conditioned Toeplitz one.
     """
     s = peak_stretch(peak_scale)
     what = f"one-bond angle integral at peak scale {peak_scale:g}"
-    basis = ((lambda v: np.exp(1j * v)) if peak_scale < FOURIER_MAX_PEAK_SCALE
-             else (lambda v: s * np.expm1(1j * v / s)))
 
     def gram(x, w):
         weights = (w / (2.0 * np.pi)) * np.exp(-action_of_angles(x[:, None] / s))
-        return _gram_det(x, weights, basis, n, what)
+        return _gram_det(s * np.expm1(1j * x / s), weights, n, what)
 
     return legendre_integral(gram, np.pi, what) - n * n * log(s)
 
@@ -398,5 +398,5 @@ def gue_integral(u, n):
         raise UsageError(f"integration half-width must be positive, got {u}")
     what = f"Gaussian box integral at u = {u:g}"
     return legendre_integral(
-        lambda y, w: _gram_det(y, w * np.exp(-y * y), lambda v: v, n, what) + log(factorial(n)),
+        lambda y, w: _gram_det(y, w * np.exp(-y * y), n, what) + log(factorial(n)),
         min(float(u), PEAK_MAX_HALF_WIDTH), what)

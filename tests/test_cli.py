@@ -112,6 +112,15 @@ def test_z_bond_u4_matches_the_toeplitz_determinant(tmp_path, capsys):
     assert read_record(out).payload["value"] == pytest.approx(expected, rel=1e-10)
 
 
+def test_z_bond_u20_at_weak_coupling_matches_library_value(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    code, stdout, _ = run_cli(
+        ["z-bond", "--n", 20, "--coupling", 50, "--output", out], capsys)
+    assert code == 0
+    assert "log z(U(20), c=50) = -622.274764537" in stdout
+    assert read_record(out).payload["log_value"] == z_single_bond(50.0, 20).log_value
+
+
 def test_z_bond_derives_coupling_from_model(tmp_path, capsys):
     out = tmp_path / "rec.json"
     # c = a^{d-4} / g^2 = 0.5^{-1} / 2 = 1
@@ -564,6 +573,16 @@ def test_verify_bounds_small_model_passes(tmp_path, capsys):
     assert payload["checks"]["gauge"]["method"] == "quadrature"
     assert payload["checks"]["full"]["verdict"] == "pass"
     assert payload["rates"]["gauge_lower"] < payload["rates"]["gauge_upper"]
+    assert "overall: pass" in stdout
+
+
+def test_verify_bounds_gauge_passes_at_u20(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    code, stdout, _ = run_cli(
+        ["verify-bounds", "--which", "gauge", "--d", 2, "--L", 2, "--n", 20,
+         "--output", out], capsys)
+    assert code == 0
+    assert read_record(out).payload["checks"]["gauge"]["verdict"] == "pass"
     assert "overall: pass" in stdout
 
 

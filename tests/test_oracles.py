@@ -105,30 +105,54 @@ def test_su2_gluon_matches_bessel_closed_form(a, g_sq, d):
     assert np.exp(su2_z_gluon(a, g_sq, d)) == pytest.approx(expected, rel=1e-13)
 
 
-def test_z_single_bond_u8_matches_the_toeplitz_determinant_in_mpmath():
-    # z = e^{-225.03}: det[ive(j - k, 2c)] at 120 digits, compared on the log.
+def toeplitz_log_det(c, n):
+    """log det[ive(j - k, 2c)] in mpmath, besseli once per |j - k|.
+
+    z ~ c^{-n^2/2} at large c, so the determinant cancels about
+    (n^2/2) log10 c digits of its entries; 60 more are kept.
+    """
     import mpmath
-    n, c = 8, 1000
-    with mpmath.workdps(120):
+    with mpmath.workdps(60 + int(n * n / 2 * np.log10(max(c, 1.0)))):
         ive_k = [mpmath.besseli(k, 2 * c) * mpmath.exp(-2 * c) for k in range(n)]
         toeplitz = mpmath.matrix([[ive_k[abs(j - k)] for k in range(n)]
                                   for j in range(n)])
-        expected = float(mpmath.log(mpmath.det(toeplitz)))
+        return float(mpmath.log(mpmath.det(toeplitz)))
+
+
+def test_z_single_bond_u8_matches_the_toeplitz_determinant_in_mpmath():
+    # z = e^{-225.03}, compared on the log.
+    n, c = 8, 1000
+    expected = toeplitz_log_det(c, n)
     assert abs(z_single_bond(c, n, kind="U").log_value - expected) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 16])
 def test_z_single_bond_on_the_whole_circle_matches_the_toeplitz_determinant(n):
-    # At c = 0.5 the peak variable is the angle itself (s = 1), where the
-    # Fourier basis keeps the Gram matrix well conditioned.
-    import mpmath
+    # At c = 0.5 the peak variable is the angle itself (s = 1) and the
+    # weight spreads over the whole circle, where the powers of the basis
+    # are far from orthogonal; the Arnoldi basis is orthonormal.
     c = 0.5
-    with mpmath.workdps(60):
-        ive_k = [mpmath.besseli(k, 2 * c) * mpmath.exp(-2 * c) for k in range(n)]
-        toeplitz = mpmath.matrix([[ive_k[abs(j - k)] for k in range(n)]
-                                  for j in range(n)])
-        expected = float(mpmath.log(mpmath.det(toeplitz)))
+    expected = toeplitz_log_det(c, n)
     assert abs(z_single_bond(c, n, kind="U").log_value - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("n,c", [(16, 8.0), (20, 50.0)] + [
+    (n, c) for n in (6, 8, 12, 20) for c in (3.9, 4.1, 18.4, 18.6)])
+def test_z_single_bond_matches_the_toeplitz_determinant_at_large_n(n, c):
+    # Both sides of c = 4, where the one-bond basis once switched, and of
+    # c = 18.47, where the peak stretch s leaves 1.  Compared on the log to
+    # 1e-12 of max(1, |log z|): U(20) at c = 18.6 is off by 2.5e-11 on a
+    # log of -424.4.
+    expected = toeplitz_log_det(c, n)
+    got = z_single_bond(c, n, kind="U").log_value
+    assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 3.9])
+def test_z_single_bond_u20_meets_szego_at_strong_coupling(c):
+    # Szego's limit for the weight e^{2c (cos lam - 1)}: log z = c^2 - 2cN,
+    # off the exact value by O(c^{2N} / N!^2), below 1e-13 at N = 20.
+    assert abs(z_single_bond(c, 20, kind="U").log_value - (c * c - 40.0 * c)) <= 1e-12
 
 
 @pytest.mark.parametrize("c", [1e10, 1e210, 1e300])
@@ -156,6 +180,12 @@ def test_gue_integral_saturates_to_norm():
         assert np.exp(gue_integral(np.inf, n)) == pytest.approx(gue_norm(n), rel=1e-13)
         # Generous truncation already carries the full mass.
         assert np.exp(gue_integral(9.0, n)) == pytest.approx(gue_norm(n), rel=1e-10)
+
+
+def test_gue_integral_and_gauge_rates_at_n20():
+    assert abs(gue_integral(np.inf, 20) - np.log(gue_norm(20))) <= 1e-13
+    lower, upper = gauge_rate_bounds("U", 20, 3)
+    assert lower < upper
 
 
 def test_limit_targets():
