@@ -328,18 +328,17 @@ def _gram_det(u, weights, n, what):
     wq = np.empty_like(q)   # row a is w conj(q_a), the projection functional
     v, wv, log_det = np.ones_like(q[0]), weights, 0.0
     for a in range(n):
-        if a:   # q_{a-1} is the last step's vector over its norm h
-            np.divide(v, h, out=q[a - 1])
-            np.divide(wv, h, out=wq[a - 1])
-            v = u * q[a - 1]
-            v -= (wq[:a] @ v) @ q[:a]
-            wv = v.conj() * weights
         norm_sq = float((wv @ v).real)
         if not norm_sq > 0.0:
             raise NumericError(f"{what}: Gram determinant step {a} of {n}, norm^2 {norm_sq:g}")
         log_det += (n - a) * log(norm_sq)
+        if a == n - 1:
+            return log_det
         h = sqrt(norm_sq)
-    return log_det
+        q[a], wq[a] = v / h, wv / h
+        v = u * q[a]
+        v -= (wq[:a + 1] @ v) @ q[:a + 1]
+        wv = v.conj() * weights
 
 
 def legendre_integral(node_log, half_width, what):
