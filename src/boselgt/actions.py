@@ -70,7 +70,7 @@ class ModelParams:
     field_kind: str = "real"
     a: float = 1.0
     g_sq: float = 1.0
-    g0_sq: float = 4.0         # admissible range is 0 < g_sq <= g0_sq
+    g0_sq: float = 4.0         # the bounds hold for 0 < g_sq <= g0_sq
     kappa_u_sq: float = 1.0
     m_u: float = 0.0
     n_flavors: int = 1
@@ -79,10 +79,7 @@ class ModelParams:
         check_group(self.kind, self.n)
         if self.field_kind not in FIELD_KINDS:
             raise UsageError(f"field kind must be one of {FIELD_KINDS}, got {self.field_kind!r}")
-        require_positive(self.g0_sq, "g0^2")
-        if not 0.0 < self.g_sq <= self.g0_sq:
-            raise UsageError(
-                f"g^2 must lie in (0, g0^2] = (0, {self.g0_sq}], got {self.g_sq}")
+        require_positive(self.g_sq, "coupling g^2")
         for value, what in ((self.m_u, "bare mass"), (self.kappa_u_sq, "bare hopping")):
             if not 0.0 <= value < np.inf:  # NaN fails too
                 raise UsageError(f"{what} must be finite and >= 0, got {value}")
@@ -100,6 +97,10 @@ class ModelParams:
     def gauge_fixing(self):
         return GaugeFixing.enhanced_temporal(self.lattice)
 
+    @cached_property
+    def coupling(self):   # c = a^{d-4} / g^2, the one-bond action strength
+        return coupling(self.a, self.g_sq, self.d)
+
     @property
     def scaling(self):
         return ScalingFactors.from_params(self)
@@ -110,9 +111,7 @@ class ScalingFactors:
     """Derived scale factors connecting the unscaled and scaled pictures."""
 
     bose_scale: float    # s_B, field rescaling of the Bose sector
-    gauge_scale: float   # s_Y = a^{(d-4)/2} / g, gluon field rescaling
     kappa_sq: float      # merged hopping parameter of the scaled action
-    coupling: float      # c = a^{d-4} / g^2, one-bond action strength
 
     @classmethod
     def from_params(cls, p):
@@ -128,9 +127,7 @@ class ScalingFactors:
             kappa_sq = u / (a**2 + 2.0 * d * u)
         return cls(
             bose_scale=float(np.sqrt(s_b_sq)),
-            gauge_scale=float(a ** ((d - 4) / 2.0) / np.sqrt(p.g_sq)),
             kappa_sq=float(kappa_sq),
-            coupling=float(coupling(a, p.g_sq, d)),
         )
 
 
@@ -246,4 +243,4 @@ def _half_entry(half, i, k):
 
 def wilson_action(params, plan, bonds):
     """Total gauge action (a^{d-4}/g^2) * sum of plaquette actions."""
-    return params.scaling.coupling * np.sum(plaquette_actions(plan, bonds), axis=-1)
+    return params.coupling * np.sum(plaquette_actions(plan, bonds), axis=-1)

@@ -29,10 +29,10 @@ verdicts use a relative tolerance of 1e-8 on the log scale.
 
 Pointwise inequalities are checked on random draws by sampled_checks: a
 comparison's slack is its bound minus the checked quantity, a slack below 0
-is a violation, and the worst margin is the smallest slack.  Where a slack
-can fall below 0 by round-off alone (the U(1) plaquette bound at tiny
-angles), each negative slack is recomputed exactly and only an exact slack
-below 0 is a violation; mpmath is imported there, for those draws only.
+or NaN is a violation, and the worst margin is the smallest slack.  Where a
+slack falls below 0 by round-off alone (the U(1) plaquette bound at tiny
+angles), it is recomputed exactly and only an exact slack below 0 is a
+violation; mpmath is imported there, for those draws only.
 """
 
 from dataclasses import dataclass, replace
@@ -113,6 +113,9 @@ class BoundConstants:
     @classmethod
     def for_params(cls, params):
         g_lo, g_up = gauge_rate_bounds(params.kind, params.n, params.d, params.g0_sq)
+        if params.g_sq > params.g0_sq:
+            raise UsageError(
+                f"g^2 must lie in (0, g0^2] = (0, {params.g0_sq}], got {params.g_sq}")
         return cls(
             bose_lower=0.0,
             bose_upper=bose_upper_rate(params.n, params.L, params.field_kind),
@@ -170,9 +173,9 @@ def _report_from_estimate(name, est, log_lower, log_upper):
 
 
 def _gauge_scaled(params, est):
-    """est times the gauge scale s_Y^{d(N) Lr}: a shift of log_value only."""
-    log_scale = (group_dim(params.kind, params.n) * params.lattice.n_retained
-                 * np.log(params.scaling.gauge_scale))
+    """est times the gauge scale s_Y^{d(N) Lr}, s_Y^2 = c: a shift of log_value only."""
+    log_scale = (0.5 * group_dim(params.kind, params.n) * params.lattice.n_retained
+                 * np.log(params.coupling))
     return replace(est, log_value=est.log_value + log_scale)
 
 
@@ -182,8 +185,8 @@ def _gauge_scaled(params, est):
 class SampledBoundCheck:
     """Zero-violation check of inequalities over random draws.
 
-    violations counts the slacks (bound minus checked quantity) below 0;
-    worst_margin is the smallest slack, in the units of the compared
+    violations counts the slacks (bound minus checked quantity) below 0 or
+    NaN; worst_margin is the smallest slack, in the units of the compared
     quantity (log Z_B for the Bose check).  recounted is None for a check
     without an exact route; otherwise it counts the draws whose float slack
     was below 0 but whose exact slack is not (round-off, not violations).
@@ -223,7 +226,7 @@ def sampled_checks(slack_block, n_samples, seed, n_workers=1,
                         s[wrong] = exact(wrong)
                     recounted = (recounted or 0) + int(np.count_nonzero(s[wrong] >= 0.0))
                 arrays.append(s)
-            out[name] = (sum(int(np.count_nonzero(s < 0.0)) for s in arrays),
+            out[name] = (sum(int(np.count_nonzero(~(s >= 0.0))) for s in arrays),
                          np.min([np.min(s, initial=np.inf) for s in arrays]), recounted)
         return out
 
@@ -308,7 +311,7 @@ def verify_full_model(params, n_samples, seed, n_workers=1,
     lat = params.lattice
     consts = BoundConstants.for_params(params)
     lo_rate, up_rate = consts.combined_rates(lat)
-    coupling = params.scaling.coupling
+    coupling = params.coupling
     plan = PlaquettePlan.for_bonds(lat)
 
     def block(rng, count):

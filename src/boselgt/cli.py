@@ -124,13 +124,13 @@ def _model_opts(*dests):
 
 
 def _params_from_cfg(cfg):
-    return ModelParams(**{o.dest: cfg[o.dest] for o in MODEL_OPTS})
+    return ModelParams(**{dest: cfg[dest] for dest in _MODEL_OPT if dest in cfg})
 
 
 # ------------------------------------------------------------ subcommands
 
 def run_lattice_info(cfg):
-    lat = Lattice(d=cfg["d"], L=cfg["L"], a=cfg["a"])
+    lat = Lattice(d=cfg["d"], L=cfg["L"])
     fixing = GaugeFixing.enhanced_temporal(lat)
     payload = {
         "n_sites": lat.n_sites,
@@ -140,7 +140,7 @@ def run_lattice_info(cfg):
         "n_retained_bonds": lat.n_retained,
         "spanning_tree": bool(fixing.is_spanning_tree()),
     }
-    print(f"lattice d={lat.d} L={lat.L} a={lat.a}")
+    print(f"lattice d={lat.d} L={lat.L}")
     for key in ("n_sites", "n_bonds", "n_plaquettes", "n_retained_bonds"):
         print(f"  {key} = {payload[key]}")
     return payload, 0
@@ -187,9 +187,9 @@ def run_wilson_mc(cfg):
 
 def run_verify_bounds(cfg):
     params = _params_from_cfg(cfg)
-    # The gauge and full checks need the gauge constants, which exist for
-    # fewer groups than the Bose check: they are built before any check
-    # runs, and a Bose check without them records them as null.
+    # The gauge constants exist for fewer groups than the Bose check, and for
+    # g^2 <= g0^2 only: they are built before any check runs, and a Bose
+    # check without them records them as null.
     try:
         consts = BoundConstants.for_params(params)
         gauge_lower, gauge_upper = consts.gauge_lower, consts.gauge_upper
@@ -307,8 +307,7 @@ def run_sweep(cfg):
             print(f"skip {name} (record exists)")
             continue
         t0 = time.perf_counter()
-        params = ModelParams(d=2, L=L, n=n, kind=cfg["kind"], a=a, g_sq=g_sq,
-                             g0_sq=max(cfg["g0_sq"], g_sq))
+        params = ModelParams(d=2, L=L, n=n, kind=cfg["kind"], a=a, g_sq=g_sq)
         gauge = z_wilson_d2_exact(params)
         bose = z_bose_exact(params)
         point_payload = {
@@ -342,7 +341,7 @@ class Command:
 COMMANDS = {
     "lattice-info": Command(
         "site, bond, plaquette and gauge-tree counts",
-        _model_opts("d", "L", "a"),
+        _model_opts("d", "L"),
         run_lattice_info),
     "z-bond": Command(
         "one-bond gauge partition value by quadrature",
@@ -352,14 +351,15 @@ COMMANDS = {
         run_z_bond),
     "bose-exact": Command(
         "exact matter-sector determinant on a fixed gauge configuration",
-        MODEL_OPTS + (
+        _model_opts("d", "L", "n", "kind", "field_kind", "a", "kappa_u_sq", "m_u",
+                    "n_flavors") + (
             Opt("--gauge", "str", "identity", "gauge configuration",
                 ("identity", "random")),
             Opt("--seed", "int", 0, "seed for --gauge random")),
         run_bose_exact),
     "wilson-mc": Command(
         "Monte Carlo estimate of the gauge partition value",
-        MODEL_OPTS + MC_OPTS + (
+        _model_opts("d", "L", "n", "kind", "a", "g_sq") + MC_OPTS + (
             Opt("--gauge-fixed", "bool", False,
                 "sample only bonds outside the gauge tree"),),
         run_wilson_mc),
@@ -399,7 +399,7 @@ COMMANDS = {
          Opt("--g-sq-values", "floats", (1.0,), "gauge couplings"),
          Opt("--L-values", "ints", (2, 3), "side lengths"),
          Opt("--n-values", "ints", (1,), "matrix sizes"))
-        + _model_opts("kind", "g0_sq")
+        + _model_opts("kind")
         + (Opt("--out-dir", "str", None,
                "directory for per-point records (resume unit)"),
            Opt("--force", "bool", False, "recompute existing records")),
@@ -449,11 +449,16 @@ def _coerce(opt, raw, origin):
 
 
 def read_config_file(path, command, opts):
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # plain key = value
     parser.optionxform = str  # keep case so keys match option names like --L
-    if not parser.read(path):
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"malformed config file {path}: {exc}") from None
+    if not found:
         raise UsageError(f"config file not found or unreadable: {path}")
     by_dest = {o.dest: o for o in opts}
+    declared = {o.dest for c in COMMANDS.values() for o in c.opts}
     out = {}
     for section in ("common", command):
         if not parser.has_section(section):
@@ -463,7 +468,7 @@ def read_config_file(path, command, opts):
             if dest in ("config", "output"):
                 continue
             if dest not in by_dest:
-                if section == "common":
+                if section == "common" and dest in declared:
                     continue  # shared key some other command uses
                 raise UsageError(
                     f"unknown option {key!r} in section [{section}] of {path}")

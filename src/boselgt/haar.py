@@ -369,11 +369,17 @@ def peaked_cue_integral(action_of_angles, n, peak_scale):
     Precondition: the action is a sum of per-angle terms sum_j phi(lam_j);
     it is called on angles of shape (m, 1) to get the 1-D weight e^{-phi}.
     The rule runs in the peak variable x = s lam on |x| <= pi, s =
-    peak_stretch(peak_scale); the truncation is safe whenever the action
-    dominates (4/pi^2) * peak_scale * |lam|^2.  The Gram basis s (e^{ix/s} -
-    1)^a vanishes at the peak and is O(1) on the window, so every entry is
-    O(1) at any peak_scale.  In lam entry (a, b) carries s^{-(a+b+1)}, so
-    the determinant carries s^{-N^2}: log z = log det - N^2 log s.
+    peak_stretch(peak_scale).  Where the action dominates (4/pi^2) *
+    peak_scale * |lam|^2, the weight cut off at |lam| = pi/s is negligible,
+    but that bounds the weight only: the top orthonormal polynomials grow
+    toward the cut faster than the weight falls.  For U(20) just past s = 1
+    the dropped arc moves log z by 2.5e-11 at peak_scale 18.6, 3.3e-11 at
+    19 and 5.7e-12 at 20 against mpmath (U(<= 16) stays within 1.2e-13),
+    and the two-rule convergence check cannot see it.  The Gram basis
+    s (e^{ix/s} - 1)^a vanishes at the peak and is O(1) on the window, so
+    every entry is O(1) at any peak_scale.  In lam entry (a, b) carries
+    s^{-(a+b+1)}, so the determinant carries s^{-N^2}: log z = log det -
+    N^2 log s.
     """
     s = peak_stretch(peak_scale)
     what = f"one-bond angle integral at peak scale {peak_scale:g}"

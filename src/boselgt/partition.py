@@ -598,5 +598,5 @@ def z_wilson_d2_exact(params):
     """
     if params.d != 2:
         raise UsageError(f"exact factorization requires d = 2, got {params.d}")
-    log_z = z_single_bond(params.scaling.coupling, params.n, params.kind).log_value
+    log_z = z_single_bond(params.coupling, params.n, params.kind).log_value
     return Estimate.exact(params.lattice.n_retained * log_z, method="quadrature")

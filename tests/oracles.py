@@ -380,7 +380,7 @@ def d2_bond_upper_checks(params):
             f"the d = 2 one-bond constants are for U(N), got {params.kind}({params.n}); "
             "su2_bounds_check covers SU(2)")
     n = params.n
-    c = params.scaling.coupling
+    c = params.coupling
     z = z_single_bond(c, n, kind=params.kind).value
     scaled = c ** (n * n / 2.0) * z
     ratio = gue_norm(n) / cue_norm(n)

@@ -53,8 +53,8 @@ def test_scaling_factors_hand_values():
     s = p.scaling
     # s_B^2 = a^{d-2} (m^2 a^2 + 2 d kappa_u^2) = 0.5 * (1.0 + 4.2)
     assert s.bose_scale == pytest.approx(np.sqrt(0.5 * 5.2), rel=1e-15)
-    assert s.gauge_scale == pytest.approx(0.5 ** (-0.5) / np.sqrt(2.0), rel=1e-15)
-    assert s.coupling == pytest.approx(0.5 ** (-1) / 2.0, rel=1e-15)
+    # c = a^{d-4} / g^2 = s_Y^2, with s_Y = a^{(d-4)/2} / g
+    assert p.coupling == pytest.approx(0.5 ** (-1) / 2.0, rel=1e-15)
     u = 0.7 / 4.0
     assert s.kappa_sq == pytest.approx(u / (0.25 + 6.0 * u), rel=1e-15)
 
@@ -396,10 +396,9 @@ def test_params_validation():
         ModelParams(d=2, L=2, kind="SU", n=1)
     with pytest.raises(UsageError):
         ModelParams(d=2, L=2, n=0)
-    with pytest.raises(UsageError):
-        ModelParams(d=2, L=2, g_sq=8.0, g0_sq=4.0)
-    with pytest.raises(UsageError):
-        ModelParams(d=2, L=2, g_sq=-1.0)
+    for g_sq in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(UsageError, match=r"coupling g\^2 must be positive"):
+            ModelParams(d=2, L=2, g_sq=g_sq)
     with pytest.raises(UsageError):
         ModelParams(d=2, L=2, m_u=0.0, kappa_u_sq=0.0)
     with pytest.raises(UsageError):
@@ -420,7 +419,7 @@ def test_replace_revalidates():
     assert q.a == 0.1 and p.a == 0.7
     assert q.lattice.a == 0.1
     with pytest.raises(UsageError):
-        replace(p, g_sq=100.0)
+        replace(p, g_sq=-100.0)
 
 
 def test_identity_bonds_shape():

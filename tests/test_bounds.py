@@ -95,6 +95,15 @@ def test_rates_do_not_depend_on_spacing_or_coupling():
             assert BoundConstants.for_params(replace(base, a=a, g_sq=g_sq)) == ref
 
 
+def test_coupling_above_g0_is_refused_by_the_bounds_only():
+    # g^2 <= g0^2 is a hypothesis of the bounds: the model takes g^2 = 8.
+    p = ModelParams(d=2, L=2, g_sq=8.0, g0_sq=4.0)
+    with pytest.raises(UsageError,
+                       match=r"g\^2 must lie in \(0, g0\^2\] = \(0, 4.0\], got 8.0"):
+        BoundConstants.for_params(p)
+    assert BoundConstants.for_params(replace(p, g0_sq=8.0)).gauge_lower < 0.0
+
+
 # ----------------------------------------------------------------- reports
 
 def test_deterministic_verdicts():
@@ -146,6 +155,20 @@ def test_sampled_checks_count_violations_and_worst_margin_exactly():
     assert out["safe"].passed and not out["gauss"].passed
     assert all(chk.name == name and chk.n_samples == n_samples
                for name, chk in out.items())
+
+
+def test_a_nan_slack_is_a_violation(capsys):
+    # NaN compares false with 0 either way: it fails the check, not passes it.
+    def block(rng, count):
+        s = np.ones(count)
+        s[0] = np.nan
+        return {"nan": [s]}
+
+    chk = sampled_checks(block, 10, 0)["nan"]
+    assert chk.violations >= 1 and not chk.passed
+    assert np.isnan(chk.worst_margin)
+    assert report_sampled_check(chk)["verdict"] == "fail"
+    assert capsys.readouterr().out.startswith("nan: fail (1 violations in 10 draws")
 
 
 # ----------------------------------------------------------- the verifiers
@@ -232,7 +255,7 @@ def test_full_model_verifier_matches_matter_sector_api(n, kind):
              - 0.5 * logdet_posdef(bose_quadratic_form(p, b[None]))[0]
              for b in bonds]
     log_scale = (group_dim(kind, n) * p.lattice.n_retained
-                 * np.log(p.scaling.gauge_scale))
+                 * 0.5 * np.log(p.coupling))
     assert log_scale != 0.0
     w = np.exp(log_w)
     assert rep.log_value - log_scale == pytest.approx(
@@ -287,7 +310,7 @@ def test_full_model_slices_equal_one_unsliced_factorisation(monkeypatch, n_worke
     est = Estimate.from_moments(
         mc.sample_mean(unsliced, count, seed, block_size=block), seed)
     log_scale = (group_dim(p.kind, p.n) * p.lattice.n_retained
-                 * np.log(p.scaling.gauge_scale))
+                 * 0.5 * np.log(p.coupling))
     assert rep.log_value == est.log_value + log_scale
     assert rep.std_error_log == est.std_error_log
 
@@ -334,7 +357,7 @@ def test_gauge_verifier_error_does_not_move_with_the_scale():
     rep = verify_gauge_bounds(p, n_samples=count, seed=seed)
     raw = z_wilson_mc(p, count, seed, gauge_fixed=True)
     log_scale = (group_dim("SU", 2) * p.lattice.n_retained
-                 * np.log(p.scaling.gauge_scale))
+                 * 0.5 * np.log(p.coupling))
     assert abs(log_scale) > 1.0
     assert rep.log_value == pytest.approx(raw.log_value + log_scale, rel=1e-14)
     assert rep.std_error_log == pytest.approx(raw.std_error / raw.value, rel=1e-12)

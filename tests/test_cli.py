@@ -24,7 +24,8 @@ from boselgt.bounds import group_dim, verify_full_model, verify_gauge_bounds
 from boselgt.cli import main
 from boselgt.haar import haar_sample
 from boselgt.mc import block_rng
-from boselgt.partition import log_z_bose, z_bose_exact, z_single_bond
+from boselgt.partition import (log_z_bose, log_z_bose_identity, z_bose_exact,
+                               z_single_bond, z_wilson_mc)
 from boselgt.records import ResultRecord, load_schema
 from boselgt.rmt import d2_limit_target
 from boselgt.su2 import su2_bound_constants, su2_haar, su2_to_matrix
@@ -48,6 +49,7 @@ def test_lattice_info_counts(tmp_path, capsys):
     code, stdout, _ = run_cli(
         ["lattice-info", "--d", 2, "--L", 3, "--output", out], capsys)
     assert code == 0
+    assert stdout.startswith("lattice d=2 L=3\n")
     assert f"record: {out}" in stdout
     rec = read_record(out)
     assert rec.command == "lattice-info"
@@ -56,7 +58,7 @@ def test_lattice_info_counts(tmp_path, capsys):
     assert rec.payload["n_plaquettes"] == 4
     assert rec.payload["n_retained_bonds"] == 4
     assert rec.payload["spanning_tree"] is True
-    assert rec.config["L"] == 3
+    assert rec.config == {"d": 2, "L": 3}
 
 
 def test_default_record_path_uses_env_dir(tmp_path, capsys, monkeypatch):
@@ -203,6 +205,110 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, section, line,
     assert message in stderr
 
 
+@pytest.mark.parametrize("text", [
+    b"seed = 7\n",                          # no section header
+    b"[bose-exact]\nseed = 7\nseed = 8\n",  # a duplicate key
+    b"[bose-exact]\nseed\n",                # a line without =
+    b"[bose-exact]\nseed = %(x)s\n",        # read as it stands: not an int
+    b"[bose-exact]\nseed = \xff\n",         # not UTF-8
+], ids=["no-section", "duplicate", "no-equals", "percent", "not-utf8"])
+def test_malformed_config_file_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                                 text):
+    monkeypatch.setenv("BOSELGT_OUTPUT_DIR", str(tmp_path))
+    ini = tmp_path / "cfg.ini"
+    ini.write_bytes(text)
+    code, _, stderr = run_cli(["bose-exact", *SMALL, "--config", ini], capsys)
+    assert code == 2
+    assert str(ini) in stderr and "Traceback" not in stderr
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_config_values_are_taken_as_written(tmp_path, capsys):
+    csv_path = tmp_path / "100%(n)s.csv"
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[cue-gue]\ncsv = {csv_path}\nbetas = 0.1\n")
+    out = tmp_path / "rec.json"
+    code, _, _ = run_cli(["cue-gue", "--config", ini, "--output", out], capsys)
+    assert code == 0
+    rec = read_record(out)
+    assert rec.config["csv"] == rec.payload["csv"] == str(csv_path)
+    assert csv_path.exists()
+
+
+def test_common_key_no_command_declares_is_a_usage_error(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setenv("BOSELGT_OUTPUT_DIR", str(tmp_path))
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[common]\nsede = 7\n")
+    code, _, stderr = run_cli(["bose-exact", *SMALL, "--config", ini], capsys)
+    assert code == 2
+    assert f"unknown option 'sede' in section [common] of {ini}" in stderr
+    # g0-sq is declared by verify-bounds and su2-check, so others skip it.
+    ini.write_text("[common]\ng0-sq = 9\n")
+    assert run_cli(["bose-exact", *SMALL, "--config", ini], capsys)[0] == 0
+
+
+# Model options that no mode of their command reads.
+UNREAD_OPTIONS = [
+    ("wilson-mc", "field-kind", "complex"), ("wilson-mc", "kappa-u-sq", "2"),
+    ("wilson-mc", "m-u", "1"), ("wilson-mc", "n-flavors", "2"),
+    ("wilson-mc", "g0-sq", "9"), ("bose-exact", "g-sq", "2"),
+    ("bose-exact", "g0-sq", "9"), ("sweep", "g0-sq", "9"),
+    ("lattice-info", "a", "0.5"),
+]
+
+
+@pytest.mark.parametrize("command,key,value", UNREAD_OPTIONS)
+def test_options_a_command_never_reads_are_refused(tmp_path, capsys, monkeypatch,
+                                                   command, key, value):
+    monkeypatch.setenv("BOSELGT_OUTPUT_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, f"--{key}", value])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{command}]\n{key} = {value}\n")
+    code, _, stderr = run_cli([command, "--config", ini], capsys)
+    assert code == 2
+    assert f"unknown option {key!r} in section [{command}]" in stderr
+    assert not list(tmp_path.rglob("*.json"))
+
+
+def test_commands_without_the_bounds_take_any_positive_coupling(tmp_path, capsys):
+    # g^2 <= g0^2 is a hypothesis of the bounds, not of the model.
+    out = tmp_path / "mc.json"
+    code, _, _ = run_cli(["wilson-mc", "--d", 2, "--L", 2, "--g-sq", 5,
+                          "--samples", 4096, "--output", out], capsys)
+    assert code == 0
+    est = z_wilson_mc(ModelParams(d=2, L=2, g_sq=5.0), 4096, 0)
+    assert read_record(out).payload["log_value"] == est.log_value
+    # The Bose sector never reads c = a^{d-4} / g^2, which overflows here.
+    out = tmp_path / "bose.json"
+    code, _, _ = run_cli(["bose-exact", "--d", 2, "--L", 3, "--a", 1e-160,
+                          "--output", out], capsys)
+    assert code == 0
+    expect = log_z_bose_identity(ModelParams(d=2, L=3, a=1e-160))
+    assert read_record(out).payload["scaled"]["log_value"] == expect
+    # The Bose check does not depend on g: it records null gauge rates.
+    out = tmp_path / "verify.json"
+    code, stdout, _ = run_cli(["verify-bounds", "--which", "bose", *SMALL,
+                               "--g-sq", 5, "--configs", 4, "--output", out],
+                              capsys)
+    assert code == 0 and "overall: pass" in stdout
+    rates = read_record(out).payload["rates"]
+    assert rates["gauge_lower"] is None and rates["gauge_upper"] is None
+
+
+@pytest.mark.parametrize("which", ["gauge", "full", "all"])
+def test_bound_checks_refuse_a_coupling_above_g0(tmp_path, capsys, which):
+    out = tmp_path / "rec.json"
+    code, stdout, stderr = run_cli(["verify-bounds", "--which", which, *SMALL,
+                                    "--g-sq", 5, "--output", out], capsys)
+    assert code == 2
+    assert "g^2 must lie in (0, g0^2] = (0, 4.0], got 5.0" in stderr
+    assert stdout == "" and not out.exists()
+
+
 def test_config_lists_and_bools_parse_like_flags(tmp_path, capsys):
     ini = tmp_path / "cfg.ini"
     ini.write_text("[sweep]\na-values = 1, 0.5\nL-values = 2,\n"
@@ -320,6 +426,8 @@ SMALL = ["--d", 2, "--L", 2]
     *[(argv + ["--d", 3, "--L", 2, "--samples", 1], "needs at least 2 samples, got 1")
       for argv in (["wilson-mc"], ["verify-bounds", "--which", "gauge"],
                    ["verify-bounds", "--which", "full"])],
+    (["verify-bounds", "--which", "gauge", "--g0-sq", "nan", *SMALL],
+     "g0^2 must be positive, got nan"),
 ])
 def test_bad_monte_carlo_counts_exit_2_naming_the_value(tmp_path, capsys,
                                                         monkeypatch, argv,
@@ -359,6 +467,8 @@ def assert_no_bare_non_finite(directory):
     # Weights near e^{-856}: the mean is named by its log, not as 0.
     (["wilson-mc", "--d", 3, "--L", 3, "--a", 0.05, "--gauge-fixed",
       "--samples", 4096], "came out exp(-856.271), below 1.492e-154"),
+    (["wilson-mc", "--d", 2, "--L", 3, "--a", 1e-160],
+     "coupling c = a^-2/g^2 overflows at a = 1e-160, g^2 = 1.0"),
 ])
 def test_out_of_range_numbers_exit_3_naming_the_value(tmp_path, capsys,
                                                       monkeypatch, argv,
@@ -398,11 +508,11 @@ def test_full_model_with_bose_factors_past_the_double_range(tmp_path, capsys, L)
     for i in range(2):
         bonds = haar_sample(block_rng(0, i), p.n, kind=p.kind,
                             size=(32, p.lattice.n_bonds))
-        actions = p.scaling.coupling * np.sum(plaquette_actions(plan, bonds), axis=-1)
+        actions = p.coupling * np.sum(plaquette_actions(plan, bonds), axis=-1)
         log_weights.append(log_z_bose(p, bonds) - actions)
     log_mean = logsumexp(np.concatenate(log_weights)) - np.log(64)
     log_scale = (group_dim(p.kind, p.n) * p.lattice.n_retained
-                 * np.log(p.scaling.gauge_scale))
+                 * 0.5 * np.log(p.coupling))
     assert full["log_value"] == pytest.approx(log_mean + log_scale, rel=1e-12)
 
 
