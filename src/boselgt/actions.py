@@ -28,19 +28,19 @@ lattice spacing puts every plaquette.  Per plaquette it lies in [0, 4N].
 Bonds that are not drawn are the identity.  Which corners the kernel must
 multiply is a PlaquettePlan, built once from the lattice and the drawn
 bond ids where a caller chooses them and passed to every kernel call:
-under the enhanced temporal gauge no tree corner is gathered or
-multiplied.  The kernel (plaquette_actions) takes the flattened lead
-(sample) axes in slices of about 8192 / (widest plaquette group) samples
-(haar.lead_slices), so each temporary entry plane holds about 8192 complex
-entries (128 KiB) and the memory it needs beyond its output stays the same
-whatever the batch size.
+under the enhanced temporal gauge no tree corner is read or multiplied.
+The kernel (plaquette_actions) goes through the plaquettes one at a time,
+each over a slice of 8192 samples of the flattened lead axes
+(haar.lead_slices), and reads every drawn corner in place, so each
+temporary entry plane holds at most 8192 complex entries (128 KiB) and the
+memory it needs beyond its output stays the same whatever the batch size.
 
 A gauge configuration is logically a complex array lead + (k, N, N) of the
 matrices on the k bonds its plan lists (all n_bonds unless it lists fewer);
 each other bond is the identity.  Random matrices come from
 haar.haar_sample, which stores them bond-major in entry planes, memory
-(N, N, k) + reversed(lead); the kernel reads those rows in place, and it
-accepts any layout with the same result, bit for bit.
+(N, N, k) + reversed(lead); the kernel reads those rows in place, never
+writes them, and accepts any layout with the same result, bit for bit.
 The field-level actions and the gauge transformations that check the Bose
 quadratic form live with the tests (tests/oracles.py).
 """
@@ -135,23 +135,18 @@ class ScalingFactors:
 
 @dataclass(frozen=True, eq=False)
 class PlaquettePlan:
-    """Which corners of each plaquette are drawn, grouped for the kernel.
+    """Which corners of each plaquette are drawn, as kernel columns.
 
     Built once per bond set (for_bonds) where the caller chooses the bonds,
     and only read by plaquette_actions, so worker threads share one plan.
-    Each half A = g1 g2 and B = g4 g3 of a plaquette is classed by its drawn
-    corners (none, one, two), the halves are swapped where B has more
-    (|A - B|^2 is symmetric), and the plaquettes are grouped by the pair of
-    classes.  groups holds per group its span (first, stop) of the grouped
-    order and, for A and then B, the columns of the drawn corners (one index
-    array per corner, a lone drawn corner first).  width is the widest
-    group, and back puts the grouped plaquettes back in plaquette order.
+    halves holds per plaquette, in plaquette order, the pair (A, B) of the
+    drawn-corner columns of its halves A = g1 g2 and B = g4 g3: none, one
+    or two ints per half, a lone drawn corner first, and the half with more
+    drawn corners as A (|A - B|^2 is symmetric).
     """
 
     n_drawn: int
-    groups: tuple
-    width: int
-    back: np.ndarray
+    halves: tuple
 
     @classmethod
     def for_bonds(cls, lattice, bond_ids=None):
@@ -169,70 +164,63 @@ class PlaquettePlan:
         halves[one] = -np.sort(-halves[one])   # a lone drawn corner comes first
         swap = rank[:, 1] > rank[:, 0]
         halves[swap], rank[swap] = halves[swap, ::-1], rank[swap, ::-1]
-        key = 3 * rank[:, 0] + rank[:, 1]
-        order = np.argsort(key, kind="stable")
-        stops = np.cumsum(np.unique(key, return_counts=True)[1]).tolist()
-        groups = []
-        for first, stop in zip([0] + stops[:-1], stops):
-            pick = halves[order[first:stop]]
-            r = rank[order[first]]
-            a, b = (tuple(pick[:, h, :r[h]].T) for h in (0, 1))
-            groups.append((first, stop, a, b))
-        return cls(n_drawn=len(ids), groups=tuple(groups),
-                   width=max(stop - first for first, stop, _, _ in groups),
-                   back=np.argsort(order))
+        return cls(n_drawn=len(ids), halves=tuple(
+            tuple(tuple(h[:r]) for h, r in zip(pair, ranks))
+            for pair, ranks in zip(halves.tolist(), rank.tolist())))
 
 
 def plaquette_actions(plan, bonds):
     """|1 - hol|_HS^2 = |g1 g2 - g4 g3|_F^2 per plaquette, shape (..., n_plaq).
 
     bonds (lead + (k, N, N)) holds the k drawn bonds of plan, in its order.
-    Only drawn corners are gathered and multiplied: a one-corner half is
-    that matrix, an identity half subtracts 1 from the diagonal, and two
-    identity halves give 0.  x * 1 and x + 0 are exact, so each action is
-    bit for bit the one of the full product.  The lead axes are flattened
-    and the bonds read as rows (N, N, k, samples), which is how
-    haar_sample stores a one-axis lead, so its draws are read in place
-    with no copy; each corner is gathered on the bond axis, and the
-    products are formed entry by entry over plaquettes and samples, with
-    no per-matrix matmul.  Any other layout gives the same values (a
-    multi-axis lead of haar_sample's is copied by the flattening).  The
-    samples are taken in slices of about _SLICE_ENTRIES // plan.width
-    (haar.lead_slices), so a group's gathered planes hold about
-    _SLICE_ENTRIES entries.  At d3 L3 U(1) a slice has a fixed cost of
-    about 40 us (three groups, 2-vCPU Xeon), and sizing by the widest
-    group (18) rather than n_plaq (36) halves the slices of an 8192-sample
-    block from 37 to 19.  Each slice's groups are put back in plaquette
-    order by one gather, transposed into the preallocated (samples,
-    n_plaq) output, so sums over plaquettes keep their order.
+    Only drawn corners are multiplied: a one-corner half is that matrix, an
+    identity half subtracts 1 from the diagonal, and two identity halves
+    give 0.  x * 1 and x + 0 are exact, so each action is bit for bit the
+    one of the full product.  The lead axes are flattened and the bonds
+    read as rows (N, N, k, samples), which is how haar_sample stores a
+    one-axis lead; any other layout gives the same values (a multi-axis
+    lead of haar_sample's is copied by the flattening).  The kernel takes
+    one plaquette at a time over a slice of _SLICE_ENTRIES samples
+    (haar.lead_slices): each drawn corner is the view rows[:, :, col, s],
+    never gathered or written, the products are formed entry by entry with
+    no per-matrix matmul, and each total goes straight into its column of
+    the preallocated (samples, n_plaq) output, so sums over plaquettes keep
+    their order.  Its temporaries are a few slice-long planes whatever the
+    batch size.  Each plaquette costs a fixed few us of interpreter work
+    per slice, so tiny batches on large boxes are slower than a gathered
+    kernel, and full blocks are faster.
     """
     n, drawn = bonds.shape[-1], bonds.shape[-3]
     if drawn != plan.n_drawn:
         raise ValueError(f"plan of {plan.n_drawn} drawn bonds given {drawn} bond matrices")
-    n_plaq = len(plan.back)
     flat = bonds.reshape((int(np.prod(bonds.shape[:-3])),) + bonds.shape[-3:])
     rows = flat.transpose(2, 3, 1, 0)   # (N, N, k, samples)
-    out = np.empty((len(flat), n_plaq))
-    for s in lead_slices(len(flat), plan.width):
-        grouped = np.empty((n_plaq, s.stop - s.start))
-        for first, stop, *corners in plan.groups:
+    out = np.empty((len(flat), len(plan.halves)))
+    for s in lead_slices(len(flat), 1):
+        for p, corners in enumerate(plan.halves):
             a, b = ([rows[:, :, c, s] for c in h] for h in corners)
             total = 0.0   # stays 0 for two identity halves
             for i in range(n if a else 0):
                 for k in range(n):
                     x = _half_entry(a, i, k)
-                    if b:
+                    if b and len(a) == 2:   # x is a fresh product
                         x -= _half_entry(b, i, k)
+                    elif b:   # x is a view of the draws: never x -= ...
+                        x = x - _half_entry(b, i, k)
                     elif i == k:
                         x = x - 1.0
-                    total = total + (x.real * x.real + x.imag * x.imag)
-            grouped[first:stop] = total
-        out[s] = np.take(grouped, plan.back, axis=0).T
-    return out.reshape(bonds.shape[:-3] + (n_plaq,))
+                    sq = x.real * x.real
+                    sq += x.imag * x.imag
+                    if i or k:
+                        total += sq
+                    else:
+                        total = sq    # 0 + sq is sq, bit for bit
+            out[s, p] = total
+    return out.reshape(bonds.shape[:-3] + (len(plan.halves),))
 
 
 def _half_entry(half, i, k):
-    """Entry (i, k) of a half product from its gathered drawn corners (one or two)."""
+    """Entry (i, k) of a half product from its drawn corners (one or two)."""
     if len(half) == 1:
         return half[0][i, k]
     x = half[0][i, 0] * half[1][0, k]

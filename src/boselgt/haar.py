@@ -12,8 +12,8 @@ projected twice against the earlier ones, which keeps Q unitary to round-off
 (classical Gram-Schmidt with one re-orthogonalisation pass).  The loops run
 over the N^2 matrix entries, each vectorised over a slice of about 8192 / N
 matrices (lead_slices, shared with the plaquette kernel
-actions.plaquette_actions, which sizes its slices by the widest group of
-its plan, and the stacked Bose bands of partition.log_z_bose), so no
+actions.plaquette_actions, which takes one plaquette at a time over 8192
+samples, and the stacked Bose bands of partition.log_z_bose), so no
 per-matrix LAPACK call is made.
 A batch is logically size + (N, N), as every caller indexes it, but it
 is stored bond-major in entry planes (su2.entry_planes): memory (N, N) +
@@ -75,11 +75,15 @@ from numpy.polynomial.legendre import leggauss
 from .errors import NumericError, QuadratureError, UsageError
 from .su2 import entry_planes, su2_angle_norm_sq, su2_haar, su2_to_matrix
 
-# Entries per temporary plane of the sliced gauge kernels (128 KiB complex).
-# Measured with perfbench/run.py (--seed 19 --seconds 8, two workers, three
-# runs each, 2-vCPU Xeon): 16384 cut gauge-mc wall_s 0.154 -> 0.132 s but
-# raised bound-verify wall_s 0.109 -> 0.114 s and its peak_rss_mb 89 ->
-# 97 MB; 4096 raised gauge-mc to 0.190 s and bound-verify to 0.116 s.
+# Entries per temporary plane of the sliced gauge kernels (128 KiB complex):
+# about 8192 / N matrices per Gram-Schmidt slice of the sampler, and 8192
+# samples per plaquette of the plaquette kernel.  Measured when the two
+# shared this budget with a kernel that gathered corners into slices of
+# about 8192 / (plaquettes per group) samples (perfbench/run.py --seed 19
+# --seconds 8, two workers, three runs each, 2-vCPU Xeon): 16384 cut
+# gauge-mc wall_s 0.154 -> 0.132 s but raised bound-verify wall_s 0.109 ->
+# 0.114 s and its peak_rss_mb 89 -> 97 MB; 4096 raised gauge-mc to 0.190 s
+# and bound-verify to 0.116 s.
 _SLICE_ENTRIES = 8192
 
 MAX_ANGLE_AXES_N = 3  # eigenvalue quadrature refuses N >= 4 (cost blows up)

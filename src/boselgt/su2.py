@@ -78,7 +78,14 @@ def su2_haar(rng, size=()):
     """Haar-distributed points: uniform on the unit 3-sphere."""
     shape = (size,) if np.isscalar(size) else tuple(size)
     x = rng.standard_normal(shape + (4,))
-    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    # ((x0^2 + x1^2) + x2^2) + x3^2 is the order of np.linalg.norm's
+    # reduction, so the points are bit for bit the same, without a reduce
+    # over a length-4 axis.  Slices j:j+1 keep r an array for size ().
+    r = x[..., 0:1] * x[..., 0:1]
+    for j in range(1, 4):
+        r += x[..., j:j + 1] * x[..., j:j + 1]
+    np.sqrt(r, out=r)
+    x /= r
     return x
 
 

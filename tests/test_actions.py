@@ -155,7 +155,7 @@ def test_kernels_read_any_layout_bit_for_bit(n, kind, lead):
         assert np.shares_memory(rows, draws.base)
         copy = np.array(draws, order="C")
         got, expect = plaquette_actions(plan, draws), plaquette_actions(plan, copy)
-        assert got.shape == lead + (len(plan.back),)
+        assert got.shape == lead + (params.lattice.n_plaquettes,)
         assert got.tobytes() == expect.tobytes()
         got, expect = wilson_action(params, plan, draws), wilson_action(params, plan, copy)
         assert got.shape == lead and got.tobytes() == expect.tobytes()
@@ -199,7 +199,7 @@ def test_plaquette_slices_match_one_slice(monkeypatch, d, L, n, kind, lead):
         monkeypatch.setattr(haar, "_SLICE_ENTRIES", 10**12)
         whole = plaquette_actions(every, bonds)
         assert np.array_equal(plaquette_actions(plan, draws), whole), which
-        monkeypatch.setattr(haar, "_SLICE_ENTRIES", 6 * lat.n_plaquettes)
+        monkeypatch.setattr(haar, "_SLICE_ENTRIES", 6)
         assert np.array_equal(plaquette_actions(every, bonds), whole), which
         assert np.array_equal(plaquette_actions(plan, draws), whole), which
 
@@ -213,9 +213,11 @@ def _half_class_pairs(lattice, ids):
 
 @pytest.mark.parametrize("n,kind", [(1, "U"), (2, "SU"), (2, "U"), (3, "U")])
 def test_plaquette_plan_is_bit_identical_for_every_half_class_pair(n, kind):
-    # Only drawn corners are gathered and multiplied; x * 1 and x + 0 are
-    # exact, so every pair of half classes (identity, one or two drawn
-    # corners) gives the action of the identity-padded full array bit for bit.
+    # Only drawn corners are multiplied; x * 1 and x + 0 are exact, so every
+    # pair of half classes (identity, one or two drawn corners) gives the
+    # action of the identity-padded full array bit for bit.  A lone drawn
+    # corner is a view of the draws, which neither the kernel nor the
+    # Wilson action may write.
     params = ModelParams(d=3, L=3)
     lat = params.lattice
     rng = np.random.default_rng(23 + n)
@@ -229,47 +231,66 @@ def test_plaquette_plan_is_bit_identical_for_every_half_class_pair(n, kind):
     for ids in id_sets:
         plan = PlaquettePlan.for_bonds(lat, ids)
         draws = haar_sample(rng, n, kind=kind, size=(50, len(ids)))
+        drawn = draws.tobytes()
         full = identity_bonds(n, (50, lat.n_bonds))
         full[:, ids] = draws
         got = plaquette_actions(plan, draws)
+        assert draws.tobytes() == drawn, ids
         assert got.tobytes() == plaquette_actions(every, full).tobytes(), ids
+        wilson_action(params, plan, draws)
+        assert draws.tobytes() == drawn, ids
         assert _plan_class_pairs(plan) == _half_class_pairs(lat, ids), ids
+        _assert_plan_names_the_drawn_corners(lat, plan, ids)
         seen |= _plan_class_pairs(plan)
     assert seen == {(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
 
 
 def _plan_class_pairs(plan):
-    """(A, B) drawn-corner counts of a plan's plaquette groups."""
-    return {(len(a), len(b)) for _, _, a, b in plan.groups}
+    """(A, B) drawn-corner counts of a plan's plaquettes."""
+    return {(len(a), len(b)) for a, b in plan.halves}
+
+
+def _assert_plan_names_the_drawn_corners(lattice, plan, ids):
+    # Per plaquette, in plaquette order, the columns of A then B name its
+    # drawn corners, each once: a lone drawn corner alone, a drawn pair in
+    # its half's product order (g1 g2, g4 g3), the richer half first.
+    assert len(plan.halves) == lattice.n_plaquettes
+    for corners, (a, b) in zip(lattice.plaq_bonds, plan.halves):
+        assert len(a) >= len(b)
+        halves = [[c for c in corners[h] if c in ids] for h in ([0, 1], [3, 2])]
+        if len(halves[1]) > len(halves[0]):
+            halves.reverse()
+        assert [ids[list(a)].tolist(), ids[list(b)].tolist()] == halves
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
 def test_retained_bond_plan_groups_three_class_pairs_at_most(d, L):
-    # Under the enhanced temporal gauge the plan groups only (1, 0), (1, 1)
+    # Under the enhanced temporal gauge the plan has only (1, 0), (1, 1)
     # and (2, 2) halves: no plaquette lies wholly in the tree (a tree has no
     # cycle), and none has three retained corners or a retained half facing
     # a tree half.  d2 L2 is the one plaquette with one retained corner,
     # d = 2 adds (1, 1) from L = 3, and d >= 3 has all three pairs.
     params = ModelParams(d=d, L=L)
-    plan = PlaquettePlan.for_bonds(params.lattice, params.gauge_fixing.retained_bonds)
+    retained = params.gauge_fixing.retained_bonds
+    plan = PlaquettePlan.for_bonds(params.lattice, retained)
     pairs = _plan_class_pairs(plan)
     if d == 2:
         assert pairs == ({(1, 0)} if L == 2 else {(1, 0), (1, 1)})
     else:
         assert pairs == {(1, 0), (1, 1), (2, 2)}
     assert plan.n_drawn == params.lattice.n_retained
-    assert sorted(plan.back) == list(range(params.lattice.n_plaquettes))
+    _assert_plan_names_the_drawn_corners(params.lattice, plan, retained)
 
 
 def test_all_bond_plan_is_one_group_in_plaquette_order():
+    # Every plaquette of the all-bond plan is a (2, 2) pair whose columns
+    # are its bonds g1, g2, g4, g3, in plaquette order.
     lat = ModelParams(d=3, L=3).lattice
     plan = PlaquettePlan.for_bonds(lat)
     assert _plan_class_pairs(plan) == {(2, 2)}
-    ((first, stop, a, b),) = plan.groups
-    assert (first, stop) == (0, lat.n_plaquettes) == (0, plan.width)
-    assert np.array_equal(np.stack(a + b, axis=-1), lat.plaq_bonds[:, [0, 1, 3, 2]])
-    assert np.array_equal(plan.back, np.arange(lat.n_plaquettes))
+    assert np.array_equal([a + b for a, b in plan.halves],
+                          lat.plaq_bonds[:, [0, 1, 3, 2]])
     assert plan.n_drawn == lat.n_bonds
 
 
@@ -293,14 +314,26 @@ def _traced_peak_beyond_output(fn):
 
 
 def test_plaquette_kernel_memory_does_not_grow_with_the_batch():
-    lat = ModelParams(d=3, L=3).lattice
+    # Both batches span more than one 8192-sample slice.
+    lat = ModelParams(d=3, L=2).lattice
     extra = []
-    for samples in (2048, 16384):
+    for samples in (10000, 20000):
         bonds = haar_sample(np.random.default_rng(5), 2,
                             size=(samples, lat.n_bonds))
         extra.append(_traced_peak_beyond_output(
             lambda: plaquette_actions(PlaquettePlan.for_bonds(lat), bonds))[0])
     assert max(extra) <= 2.0 * min(extra), extra
+
+
+def test_plaquette_kernel_needs_under_a_mebibyte_beyond_its_output():
+    # One 8192-sample slice, read in place: only slice-long entry planes
+    # (128 KiB complex) are allocated, never gathered corners.
+    lat = ModelParams(d=3, L=2).lattice
+    bonds = haar_sample(np.random.default_rng(6), 2, kind="SU", size=(8192, lat.n_bonds))
+    extra, out = _traced_peak_beyond_output(
+        lambda: plaquette_actions(PlaquettePlan.for_bonds(lat), bonds))
+    assert out == 8192 * lat.n_plaquettes * 8
+    assert extra < 1 << 20, extra
 
 
 @pytest.mark.parametrize("samples", [2048, 16384])

@@ -72,6 +72,15 @@ def test_inverse_and_identity():
     assert np.max(np.abs(su2_to_matrix(su2_inverse(p)) - m.conj().swapaxes(-1, -2))) < 1e-15
 
 
+@pytest.mark.parametrize("size", [(), (7,), (64, 5)])
+def test_haar_points_are_the_norm_route_bit_for_bit(size):
+    # The squares are summed in the order of np.linalg.norm's reduction.
+    got = su2_haar(np.random.default_rng(19), size)
+    x = np.random.default_rng(19).standard_normal(size + (4,))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    assert got.shape == size + (4,) and got.tobytes() == x.tobytes()
+
+
 def test_haar_points_are_unit_and_isotropic():
     n = 200_000
     p = su2_haar(np.random.default_rng(3), size=(n,))
