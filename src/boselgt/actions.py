@@ -203,18 +203,11 @@ def plaquette_actions(plan, bonds):
             for i in range(n if a else 0):
                 for k in range(n):
                     x = _half_entry(a, i, k)
-                    if b and len(a) == 2:   # x is a fresh product
-                        x -= _half_entry(b, i, k)
-                    elif b:   # x is a view of the draws: never x -= ...
+                    if b:
                         x = x - _half_entry(b, i, k)
                     elif i == k:
                         x = x - 1.0
-                    sq = x.real * x.real
-                    sq += x.imag * x.imag
-                    if i or k:
-                        total += sq
-                    else:
-                        total = sq    # 0 + sq is sq, bit for bit
+                    total = total + (x.real * x.real + x.imag * x.imag)
             out[s, p] = total
     return out.reshape(bonds.shape[:-3] + (len(plan.halves),))
 

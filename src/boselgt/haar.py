@@ -77,13 +77,11 @@ from .su2 import entry_planes, su2_angle_norm_sq, su2_haar, su2_to_matrix
 
 # Entries per temporary plane of the sliced gauge kernels (128 KiB complex):
 # about 8192 / N matrices per Gram-Schmidt slice of the sampler, and 8192
-# samples per plaquette of the plaquette kernel.  Measured when the two
-# shared this budget with a kernel that gathered corners into slices of
-# about 8192 / (plaquettes per group) samples (perfbench/run.py --seed 19
-# --seconds 8, two workers, three runs each, 2-vCPU Xeon): 16384 cut
-# gauge-mc wall_s 0.154 -> 0.132 s but raised bound-verify wall_s 0.109 ->
-# 0.114 s and its peak_rss_mb 89 -> 97 MB; 4096 raised gauge-mc to 0.190 s
-# and bound-verify to 0.116 s.
+# samples per plaquette of the plaquette kernel, one slice per default
+# block.  16384 is within noise of 8192 on gauge-mc and bound-verify
+# wall_s and peak_rss_mb (perfbench/run.py --seed 43 --seconds 15
+# --trace 0, ten alternating pairs each, 2-vCPU Xeon), so the smaller
+# planes are kept.
 _SLICE_ENTRIES = 8192
 
 MAX_ANGLE_AXES_N = 3  # eigenvalue quadrature refuses N >= 4 (cost blows up)

@@ -314,15 +314,22 @@ def _traced_peak_beyond_output(fn):
 
 
 def test_plaquette_kernel_memory_does_not_grow_with_the_batch():
-    # Both batches span more than one 8192-sample slice.
-    lat = ModelParams(d=3, L=2).lattice
+    # Both batches span more than one 8192-sample slice, eight times apart.
+    # The gauge-fixed plan keeps the draws small (five bonds) and has one-
+    # and two-corner halves.  A kernel that stopped slicing, kept a
+    # full-batch temporary or copied the draws would need 16 bytes or more
+    # per sample beyond the fixed slice planes (about 0.5 MiB), so the
+    # larger batch would pass 1.5x the smaller.
+    params = ModelParams(d=3, L=2)
+    retained = params.gauge_fixing.retained_bonds
+    plan = PlaquettePlan.for_bonds(params.lattice, retained)
     extra = []
-    for samples in (10000, 20000):
-        bonds = haar_sample(np.random.default_rng(5), 2,
-                            size=(samples, lat.n_bonds))
+    for samples in (10000, 80000):
+        bonds = haar_sample(np.random.default_rng(5), 2, kind="SU",
+                            size=(samples, len(retained)))
         extra.append(_traced_peak_beyond_output(
-            lambda: plaquette_actions(PlaquettePlan.for_bonds(lat), bonds))[0])
-    assert max(extra) <= 2.0 * min(extra), extra
+            lambda: plaquette_actions(plan, bonds))[0])
+    assert max(extra) <= 1.5 * min(extra), extra
 
 
 def test_plaquette_kernel_needs_under_a_mebibyte_beyond_its_output():
